@@ -1,8 +1,9 @@
 """Exact intersection and incidence combinatorics for dense point sets.
 
-Counts here are integers computed with integer arithmetic (shift-and-add
-convolutions); Fourier identities are carried alongside as cross-checks,
-never as the source of truth.
+Every count here comes from one cyclic-convolution kernel over Z_p^d,
+evaluated with a real FFT and rounded to integers; a value 0.25 or more from
+every integer is an internal error, never a rounded answer.
+EdgeCountReport.fourier_side stays alongside as a Fourier cross-check.
 """
 
 from __future__ import annotations
@@ -18,17 +19,41 @@ from .field import FieldContext
 from .pointset import PointSet, fourier_spectrum
 
 
-def _roll_shift(point: Sequence[int]) -> tuple:
-    # grid axes run (x_d, ..., x_1); np.roll shift order must match
-    return tuple(int(c) for c in reversed(point))
+def _cyclic_convolution(f: np.ndarray, g: np.ndarray | None, ctx: FieldContext) -> np.ndarray:
+    """(f * g)(x) = sum_s f(x - s) g(s) for every x, in index order, as floats.
+
+    g=None gives the autocorrelation sum_y f(y) f(y + x) from |f^|^2.
+    """
+    axes = tuple(range(ctx.d))
+    f_hat = np.fft.rfftn(f.reshape(ctx.grid_shape), axes=axes)
+    if g is None:
+        product = np.abs(f_hat) ** 2
+    else:
+        product = f_hat * np.fft.rfftn(g.reshape(ctx.grid_shape), axes=axes)
+    return np.fft.irfftn(product, s=ctx.grid_shape, axes=axes).reshape(ctx.order)
 
 
-def _shift_accumulate(grid: np.ndarray, points: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """sum over s in points of grid translated by s (out[x] = sum grid[x - s])."""
-    out = np.zeros(ctx.grid_shape, dtype=grid.dtype)
-    for row in points:
-        out += np.roll(grid, shift=_roll_shift(row), axis=tuple(range(ctx.d)))
-    return out
+def _exact(values: np.ndarray) -> np.ndarray:
+    """Round FFT output that is integral in exact arithmetic to int64."""
+    rounded = np.rint(values)
+    if np.abs(values - rounded).max() >= 0.25:
+        raise AssertionError("internal error: FFT count is not within 0.25 of an integer")
+    return rounded.astype(np.int64)
+
+
+def _overlaps(E: PointSet) -> np.ndarray:
+    """overlaps[index(u)] = |E ^ (E - u)| = sum_y E(y) E(y + u)."""
+    return _exact(_cyclic_convolution(E.membership, None, E.context))
+
+
+def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
+    """The least-index u in S minus `excluded` maximizing |E ^ (E - u)|, or
+    None when no such u has a nonempty overlap."""
+    ctx = E.context
+    counts = np.where(S.membership, _overlaps(E), -1)
+    counts[[ctx.index_of(pt) for pt in excluded]] = -1
+    best = int(np.argmax(counts))
+    return ctx.point_at(best) if counts[best] > 0 else None
 
 
 @dataclass(frozen=True)
@@ -46,9 +71,7 @@ def convolve(E: PointSet, S: PointSet) -> ConvolutionTable:
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")
-    grid = E.grid().astype(np.int64)
-    out = _shift_accumulate(grid, S.context.coords[S.indices()], ctx)
-    return ConvolutionTable(ctx, out.reshape(ctx.order))
+    return ConvolutionTable(ctx, _exact(_cyclic_convolution(E.membership, S.membership, ctx)))
 
 
 def distance_set(E: PointSet) -> set:
@@ -172,9 +195,8 @@ def bilinear_form(f: WeightTable, g: WeightTable, S: PointSet, gamma: float = 0.
     if ctx != g.context or ctx != S.context:
         raise ValueError("arguments live over different contexts")
     q = ctx.p
-    conv = _shift_accumulate(
-        g.values.reshape(ctx.grid_shape), ctx.coords[S.indices()], ctx
-    ).reshape(ctx.order)
+    # real weights: the float convolution is the answer, no rounding
+    conv = _cyclic_convolution(g.values, S.membership, ctx)
     value = float((f.values * conv).sum())
     K = S.size / q ** (ctx.d - 1)
     main = K / q * f.l1() * g.l1()
@@ -208,12 +230,7 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
     if S.size == 0:
         raise EmptySet("intersection profile of the empty set")
     ctx = S.context
-    grid = S.grid().astype(np.int64)
-    # ac[v] = sum_y S(y) S(y + v): translate S by -y for each member y
-    ac = np.zeros(ctx.grid_shape, dtype=np.int64)
-    for row in ctx.coords[S.indices()]:
-        ac += np.roll(grid, shift=_roll_shift(-row % ctx.p), axis=tuple(range(ctx.d)))
-    flat = ac.reshape(ctx.order)
+    flat = _overlaps(S)
     nontrivial = flat[1:]
     sizes, counts = np.unique(nontrivial, return_counts=True)
     max_size = int(nontrivial.max())
@@ -301,25 +318,13 @@ def find_rhombus(
     p = ctx.p
     zero = (0,) * ctx.d
     neg_v = tuple(-c % p for c in v)
-    e_grid = E.grid()
-    axes = tuple(range(ctx.d))
-
-    best_u, best_count, best_mask = None, -1, None
-    for ui in S.indices():
-        u = ctx.point_at(int(ui))
-        if u in (zero, tuple(v), neg_v):
-            continue
-        # y in E and y + u in E
-        mask = e_grid & np.roll(e_grid, shift=_roll_shift(tuple(-c % p for c in u)), axis=axes)
-        count = int(mask.sum())
-        if count > best_count:
-            best_u, best_count, best_mask = u, count, mask
-    if best_u is None or best_count == 0:
+    u = _densest_shift(E, S, (zero, v, neg_v))
+    if u is None:
         return None
-    u = best_u
-    e_u = np.flatnonzero(best_mask.reshape(ctx.order))
-
     neg_u = tuple(-c % p for c in u)
+    # y in E and y + u in E
+    e_u = E.intersect(E.translate(neg_u)).indices()
+
     excluded = {
         zero,
         u,
@@ -431,26 +436,14 @@ def build_cube(
     if not S.is_symmetric():
         raise NotSymmetric("cube construction requires S = -S")
     p = ctx.p
-    zero = (0,) * ctx.d
-    e_grid = E.grid()
-    axes = tuple(range(ctx.d))
-
-    best_v, best_count, best_mask = None, -1, None
-    for vi in S.indices():
-        v = ctx.point_at(int(vi))
-        if v == zero:
-            continue
-        mask = e_grid & np.roll(e_grid, shift=_roll_shift(tuple(-c % p for c in v)), axis=axes)
-        count = int(mask.sum())
-        if count > best_count:
-            best_v, best_count, best_mask = v, count, mask
-    if best_v is None or best_count == 0:
+    v = _densest_shift(E, S, [(0,) * ctx.d])
+    if v is None:
         return None
-    e_v = PointSet(ctx, best_mask.reshape(ctx.order))
-    rhombus = find_rhombus(e_v, S, best_v, extra_excluded=extra_excluded)
+    e_v = E.intersect(E.translate(tuple(-c % p for c in v)))
+    rhombus = find_rhombus(e_v, S, v, extra_excluded=extra_excluded)
     if rhombus is None:
         return None
-    witness = CubeWitness(p, rhombus, best_v)
+    witness = CubeWitness(p, rhombus, v)
     if not witness.verify(E, S):
         raise AssertionError("internal error: cube failed re-verification")
     return witness

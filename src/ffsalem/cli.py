@@ -1,7 +1,9 @@
 """Command-line surface: one subcommand per library operation plus presets.
 
 Exit codes: 0 for success (including a completed negative search), 1 for a
-mathematical FAIL or an exhausted budget, 2 for usage errors.  Randomized
+mathematical FAIL or an exhausted budget, 2 for usage errors.  Every
+rejected input (the errors.py ValueError family included) ends in one
+stderr line and exit 2, never a traceback.  Randomized
 paths all require an explicit --seed.  JSON output echoes the full run
 configuration with the library version and elapsed wall time; floats print
 with 12 significant digits.
@@ -18,13 +20,7 @@ import time
 from . import __version__, presets
 from .analysis import edge_count, intersection_profile
 from .curves import Quadratic, classify_quadratic, make_curve, reduce_quadratic
-from .errors import (
-    BudgetExceeded,
-    DegenerateConic,
-    DegenerateSize,
-    PointSetParseError,
-    SizeOutOfRange,
-)
+from .errors import BudgetExceeded
 from .field import FieldContext
 from .pointset import PointSet, SalemParams, dump_points, fourier_spectrum, load_points, salem_report
 from .randomsets import monte_carlo, sample_subset
@@ -102,10 +98,7 @@ def _emit(args, result: dict, status: str | None, start: float) -> None:
 def _context(parser, args) -> FieldContext:
     if args.prime is None:
         parser.error("--prime is required")
-    try:
-        return FieldContext(args.prime, getattr(args, "dim", 2))
-    except ValueError as exc:
-        parser.error(f"--prime/--dim invalid: {exc}")
+    return FieldContext(args.prime, getattr(args, "dim", 2))
 
 
 def _resolve_set(parser, args, flag="--curve") -> tuple:
@@ -117,7 +110,7 @@ def _resolve_set(parser, args, flag="--curve") -> tuple:
     if path:
         try:
             S = load_points(path)
-        except (OSError, PointSetParseError) as exc:
+        except OSError as exc:
             parser.error(f"--points: {exc}")
         if args.prime is not None and args.prime != S.context.p:
             parser.error(
@@ -127,11 +120,7 @@ def _resolve_set(parser, args, flag="--curve") -> tuple:
     if not curve:
         parser.error(f"one of {flag} or --points is required")
     ctx = _context(parser, args)
-    try:
-        handle = make_curve(ctx, curve)
-    except (ValueError, DegenerateConic) as exc:
-        parser.error(f"--curve: {exc}")
-    return ctx, handle.points, curve
+    return ctx, make_curve(ctx, curve).points, curve
 
 
 def _add_set_source(sub, dim_default=2):
@@ -153,11 +142,7 @@ def _add_format(sub):
 def _cmd_salem_check(parser, args) -> int:
     start = time.perf_counter()
     _, S, label = _resolve_set(parser, args)
-    try:
-        params = SalemParams(gamma=args.gamma, constant=args.const)
-    except ValueError as exc:
-        parser.error(f"--gamma/--const: {exc}")
-    report = salem_report(S, params)
+    report = salem_report(S, SalemParams(gamma=args.gamma, constant=args.const))
     result = {"set": label, **report.to_json()}
     _emit(args, result, "PASS" if report.passed else "FAIL", start)
     return 0 if report.passed else 1
@@ -179,20 +164,14 @@ def _cmd_spectrum(parser, args) -> int:
 
 def _cmd_curve(parser, args) -> int:
     start = time.perf_counter()
-    if not args.curve:
-        parser.error("--curve is required")
-    ctx = _context(parser, args)
-    try:
-        handle = make_curve(ctx, args.curve)
-    except (ValueError, DegenerateConic) as exc:
-        parser.error(f"--curve: {exc}")
+    handle = make_curve(_context(parser, args), args.curve)
     if args.format == "text":
         # plain text doubles as the point-file format, ready to pipe to a file
         dump_points(handle.points, sys.stdout)
         return 0
     result = {
         "family": handle.family,
-        "parameters": list(handle.parameters),
+        "parameters": dict(handle.parameters),
         "size": handle.points.size,
         "points": [list(pt) for pt in handle.points],
     }
@@ -203,16 +182,10 @@ def _cmd_curve(parser, args) -> int:
 def _cmd_classify(parser, args) -> int:
     start = time.perf_counter()
     ctx = _context(parser, args)
-    try:
-        vals = [int(v) for v in args.coeffs.split(",")]
-        if len(vals) != 6:
-            raise ValueError("need exactly 6 comma-separated integers")
-    except ValueError as exc:
-        parser.error(f"--coeffs: {exc}")
-    try:
-        quad = Quadratic(ctx, *vals)
-    except ValueError as exc:
-        parser.error(f"--coeffs: {exc}")
+    vals = [int(v) for v in args.coeffs.split(",")]
+    if len(vals) != 6:
+        parser.error("--coeffs: need exactly 6 comma-separated integers")
+    quad = Quadratic(ctx, *vals)
     cls = classify_quadratic(quad)
     result = {
         "det2": cls.det2,
@@ -235,8 +208,6 @@ def _cmd_classify(parser, args) -> int:
 def _cmd_intersect_profile(parser, args) -> int:
     start = time.perf_counter()
     _, S, label = _resolve_set(parser, args)
-    if S.size == 0:
-        parser.error("--points: the set is empty")
     profile = intersection_profile(S)
     _emit(args, {"set": label, **profile.to_json()}, None, start)
     return 0
@@ -248,7 +219,7 @@ def _cmd_edge_count(parser, args) -> int:
     if args.set is not None:
         try:
             E = load_points(args.set)
-        except (OSError, PointSetParseError) as exc:
+        except OSError as exc:
             parser.error(f"--set: {exc}")
         if E.context != ctx:
             parser.error("--set: point file context differs from the shape set's")
@@ -256,10 +227,7 @@ def _cmd_edge_count(parser, args) -> int:
     elif args.sample is not None:
         if args.seed is None:
             parser.error("--seed is required with --sample")
-        try:
-            E = sample_subset(ctx, args.sample, args.seed)
-        except SizeOutOfRange as exc:
-            parser.error(f"--sample: {exc}")
+        E = sample_subset(ctx, args.sample, args.seed)
         e_label = f"sample:{args.sample}:{args.seed}"
     else:
         parser.error("one of --set or --sample is required for the counted set")
@@ -322,6 +290,7 @@ def _cmd_vc(parser, args) -> int:
         bounds = vc_bounds(S, k_max=args.k_max, budget=args.budget or 10**9)
     except BudgetExceeded as exc:
         print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
+        _emit(args, {"set": label, "reason": str(exc)}, "BUDGET EXHAUSTED", start)
         return 1
     result = {"set": label, **bounds.to_json()}
     _emit(args, result, None, start)
@@ -360,6 +329,8 @@ def _cmd_reproduce(parser, args) -> int:
             parser.error("--prime is required for conic-census")
         if args.seed is None:
             parser.error("--seed is required for conic-census")
+        if args.count < 1:
+            parser.error("--count must be >= 1")
         result = presets.conic_census(args.prime, args.seed, count=args.count)
     elif name == "weil-suite":
         if args.prime is None:
@@ -487,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except ValueError as exc:
+        # the usage-error exit, like argparse's own; internal errors propagate
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -52,13 +52,25 @@ def test_convolve_with_origin_is_indicator():
     assert (conv.values == E.membership.astype(np.int64)).all()
 
 
-def test_convolve_matches_brute():
-    E = random_set(F5, 8, seed=5)
-    S = sphere(F5, 1).points
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 2), (7, 2), (3, 3)])
+def test_convolve_matches_brute(p, d):
+    ctx = FieldContext(p, d)
+    E = random_set(ctx, ctx.order // 3, seed=5 + p + d)
+    S = random_set(ctx, ctx.order // 4 + 1, seed=50 + p + d)
     conv = convolve(E, S)
     expected = brute_convolution(E, S)
     for pt, val in expected.items():
         assert conv.at(pt) == val
+
+
+def test_fft_exactness_guard(monkeypatch):
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.3)
+    S = sphere(F7, 1).points
+    with pytest.raises(AssertionError, match="internal error"):
+        convolve(PointSet.full(F7), S)
+    with pytest.raises(AssertionError, match="internal error"):
+        intersection_profile(S)
 
 
 def test_convolve_context_mismatch():
@@ -187,6 +199,23 @@ def test_intersection_profile_exact_small():
     assert prof.argmax == (1, 0)  # least index attaining the max
     with pytest.raises(EmptySet):
         intersection_profile(PointSet.empty(F5))
+
+
+def test_intersection_profile_d3():
+    ctx = FieldContext(5, 3)
+    S = random_set(ctx, 30, seed=9)
+    prof = intersection_profile(S)
+    overlaps = [
+        S.intersect(S.translate(tuple(-c % 5 for c in ctx.point_at(i)))).size
+        for i in range(ctx.order)
+    ]
+    histogram = {}
+    for size in overlaps[1:]:
+        histogram[size] = histogram.get(size, 0) + 1
+    assert prof.histogram == histogram
+    assert prof.at_zero == 30
+    assert prof.max_size == max(overlaps[1:])
+    assert prof.argmax == ctx.point_at(1 + overlaps[1:].index(prof.max_size))
 
 
 def test_profile_argmax_is_least_attaining():

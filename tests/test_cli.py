@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffsalem
 from ffsalem import FieldContext, load_points, sphere
 from ffsalem.cli import main
 
@@ -87,6 +92,27 @@ def test_header_mismatch_is_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct3", "-p", "11", "--curve", "paraboloid"],
+        ["shatter", "-p", "5", "--curve", "circle:1", "-k", "-1"],
+        ["vc", "-p", "5", "--curve", "circle:1", "--k-max", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_library_value_error_is_usage_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffsalem.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"ffsalem {argv[0]}: error: ")
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run(capsys, "spectrum", "-p", "5", "--curve", "circle:1", "--format", "csv")
     assert code == 0
@@ -103,6 +129,12 @@ def test_curve_text_round_trips(capsys, tmp_path):
     path.write_text(out)
     S = load_points(path)
     assert S == sphere(FieldContext(7, 2), 2).points
+
+
+def test_curve_json_parameters_carry_values(capsys):
+    code, out, _ = run(capsys, "curve", "-p", "7", "--curve", "circle:2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["parameters"] == {"t": 2}
 
 
 def test_classify_smooth_and_degenerate(capsys):
@@ -218,6 +250,17 @@ def test_vc_guard_exits_one(capsys):
     assert "guard" in err or "exceeds" in err
 
 
+def test_vc_budget_emits_envelope(capsys):
+    code, out, err = run(
+        capsys, "vc", "-p", "5", "--curve", "circle:1", "--k-max", "7", "--format", "json"
+    )
+    assert code == 1
+    assert "BUDGET EXHAUSTED" in err
+    data = json.loads(out)
+    assert data["status"] == "BUDGET EXHAUSTED"
+    assert "exceeds the exhaustive guard" in data["result"]["reason"]
+
+
 def test_random_trials_deterministic(capsys):
     args = [
         "random-trials", "-p", "11", "--size", "11", "--trials", "10",
@@ -249,6 +292,13 @@ def test_reproduce_census_requires_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "conic-census"])
     assert exc.value.code == 2
+
+
+def test_reproduce_census_zero_count_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "conic-census", "-p", "7", "--seed", "1", "--count", "0"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
 
 
 def test_reproduce_census_runs(capsys):
