@@ -81,6 +81,7 @@ from .randomsets import (
     trial_seed,
 )
 from .shatter import (
+    Anchored,
     Exhaustive,
     RandomSearch,
     SearchOutcome,

@@ -3,13 +3,15 @@
 Every count here comes from one cyclic-convolution kernel over Z_p^d,
 evaluated with a real FFT and rounded to integers; a value 0.25 or more from
 every integer is an internal error, never a rounded answer.
-EdgeCountReport.fourier_side stays alongside as a Fourier cross-check.
+EdgeCountReport.fourier_side stays alongside as a Fourier cross-check,
+computed only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -97,7 +99,16 @@ class EdgeCountReport:
     error: float
     normalized_error: float
     K: float
-    fourier_side: float  # q^(2d) sum |E^|^2 S^, real part; cross-check only
+    E: PointSet = field(compare=False, repr=False)
+    S: PointSet = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def fourier_side(self) -> float:
+        """q^(2d) sum |E^|^2 S^, real part; a cross-check on nu, computed on first use."""
+        q, d = self.E.context.p, self.E.context.d
+        e_hat = fourier_spectrum(self.E).values
+        s_hat = fourier_spectrum(self.S).values
+        return float((q ** (2 * d) * (np.abs(e_hat) ** 2 * s_hat).sum()).real)
 
     def to_json(self) -> dict:
         return {
@@ -126,10 +137,7 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     err = nu - main
     log_factor = math.log(q) ** gamma if gamma != 0 else 1.0
     normalized = abs(err) / (q ** ((ctx.d - 1) / 2) * log_factor * E.size)
-    e_hat = fourier_spectrum(E).values
-    s_hat = fourier_spectrum(S).values
-    fourier = float((q ** (2 * ctx.d) * (np.abs(e_hat) ** 2 * s_hat).sum()).real)
-    return EdgeCountReport(nu, main, float(err), float(normalized), K, fourier)
+    return EdgeCountReport(nu, main, float(err), float(normalized), K, E, S)
 
 
 def triple_count(E: PointSet, S: PointSet) -> int:

@@ -25,6 +25,7 @@ from .field import FieldContext
 from .pointset import PointSet, SalemParams, dump_points, fourier_spectrum, load_points, salem_report
 from .randomsets import monte_carlo, sample_subset
 from .shatter import (
+    DEFAULT_BUDGET,
     Exhaustive,
     RandomSearch,
     SearchStatus,
@@ -139,6 +140,12 @@ def _add_format(sub):
 # -- subcommand handlers -----------------------------------------------------------
 
 
+def _budget_exhausted(args, label: str, exc: BudgetExceeded, start: float) -> int:
+    print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
+    _emit(args, {"set": label, "reason": str(exc)}, "BUDGET EXHAUSTED", start)
+    return 1
+
+
 def _cmd_salem_check(parser, args) -> int:
     start = time.perf_counter()
     _, S, label = _resolve_set(parser, args)
@@ -248,10 +255,13 @@ def _cmd_shatter(parser, args) -> int:
     if args.strategy == "random":
         if args.seed is None:
             parser.error("--seed is required with --strategy random")
-        strategy = RandomSearch(seed=args.seed, budget=args.budget or 10_000)
+        strategy = RandomSearch(args.seed, 10_000 if args.budget is None else args.budget)
     else:
-        strategy = Exhaustive(budget=args.budget or 10**9)
-    outcome = shatter_search(problem, strategy)
+        strategy = Exhaustive(DEFAULT_BUDGET if args.budget is None else args.budget)
+    try:
+        outcome = shatter_search(problem, strategy)
+    except BudgetExceeded as exc:
+        return _budget_exhausted(args, label, exc, start)
     result = {
         "set": label,
         "k": args.k,
@@ -286,12 +296,11 @@ def _cmd_construct3(parser, args) -> int:
 def _cmd_vc(parser, args) -> int:
     start = time.perf_counter()
     ctx, S, label = _resolve_set(parser, args)
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     try:
-        bounds = vc_bounds(S, k_max=args.k_max, budget=args.budget or 10**9)
+        bounds = vc_bounds(S, k_max=args.k_max, budget=budget)
     except BudgetExceeded as exc:
-        print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
-        _emit(args, {"set": label, "reason": str(exc)}, "BUDGET EXHAUSTED", start)
-        return 1
+        return _budget_exhausted(args, label, exc, start)
     result = {"set": label, **bounds.to_json()}
     _emit(args, result, None, start)
     return 0

@@ -4,7 +4,13 @@ A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset
 I of {1..k} has a witness y in W with x^i - y in S exactly for i in I.
 Searches precompute neighborhoods N(x) = (x - S) ^ W as bitsets and prune a
 partial tuple as soon as any witness region over the chosen prefix empties;
-this keeps even full-plane k = 4 enumerations at desk scale.
+this keeps even full-plane k = 4 enumerations at desk scale.  The table
+holds |E| bitsets of q^d bits; past NEIGHBORHOOD_BITS_GUARD bits a search
+raises BudgetExceeded before allocating it.
+
+When E and W are both the full group the class is translation invariant,
+so the Anchored strategy enumerates only the tuples whose first point is
+the origin (index 0).  vc_bounds picks it by itself for such problems.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .pointset import PointSet
 
 DEFAULT_BUDGET = 10**9
 VC_KMAX_GUARD = 5
+NEIGHBORHOOD_BITS_GUARD = 2**31  # 256 MiB of N(x) bitsets: admits p = 211 at d = 2
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,12 @@ def _bits_from_bool(mask: np.ndarray) -> int:
 def _neighborhood_bits(problem: ShatterProblem) -> tuple:
     """(E indices ascending, {index: bitset of N(x) = (x - S) ^ W}, W bitset)."""
     ctx = problem.context
+    table_bits = problem.E.size * ctx.order
+    if table_bits > NEIGHBORHOOD_BITS_GUARD:
+        raise BudgetExceeded(
+            f"neighborhood table needs |E| * q^d = {table_bits} bits, "
+            f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
+        )
     w_bits = _bits_from_bool(problem.W.membership)
     s_coords = ctx.coords[problem.S.indices()]
     e_idx = [int(i) for i in problem.E.indices()]
@@ -208,6 +221,24 @@ class Exhaustive:
 
 
 @dataclass(frozen=True)
+class Anchored:
+    """Exhaustive's enumeration restricted to tuples whose first point is
+    index 0 (the origin); requires E = W = the full group.
+
+    Translating a shattered tuple and all its witnesses y_I by -x^1 leaves
+    every difference x^i - y_I unchanged, and the moved witnesses stay in W
+    because W is the full group.  So a shattered tuple containing index 0
+    exists exactly when any shattered tuple exists, and as index 0 is the
+    least index it lies in the subtree under root position 0.  The
+    lexicographically first tuple Exhaustive finds lies there too, so FOUND
+    outcomes equal Exhaustive's (same witness, same tuples_examined); only
+    EXHAUSTED_NO and BUDGET_EXHAUSTED stop earlier.
+    """
+
+    budget: int = DEFAULT_BUDGET
+
+
+@dataclass(frozen=True)
 class RandomSearch:
     """Uniformly sampled k-subsets of E; reproducible for a fixed seed."""
 
@@ -221,20 +252,33 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     Exhaustive: Found returns the first tuple in lexicographic index order
     (with the least witness in every region); ExhaustedNo certifies that a
     complete enumeration found nothing; BudgetExhausted reports an aborted
-    run.  Every Found outcome is re-verified before being returned.
+    run.  Anchored gives the same outcomes from the x^1 = 0 subtree alone and
+    raises ValueError unless E and W are the full group.  Every Found outcome
+    is re-verified before being returned.
     """
+    if not isinstance(strategy, (Exhaustive, Anchored, RandomSearch)):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy.budget < 0:
+        raise ValueError(f"budget must be >= 0, got {strategy.budget}")
     if isinstance(strategy, Exhaustive):
         outcome = _search_exhaustive(problem, strategy.budget)
-    elif isinstance(strategy, RandomSearch):
-        outcome = _search_random(problem, strategy.seed, strategy.budget)
+    elif isinstance(strategy, Anchored):
+        order = problem.context.order
+        if problem.E.size != order or problem.W.size != order:
+            raise ValueError("the Anchored strategy needs E and W to be the full group")
+        outcome = _search_exhaustive(problem, strategy.budget, anchored=True)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        outcome = _search_random(problem, strategy.seed, strategy.budget)
     if outcome.found and not verify_witness(problem, outcome.witness):
         raise AssertionError("internal error: search result failed re-verification")
     return outcome
 
 
-def _search_exhaustive(problem: ShatterProblem, budget: int) -> SearchOutcome:
+def _search_exhaustive(
+    problem: ShatterProblem, budget: int, anchored: bool = False
+) -> SearchOutcome:
+    """Depth-first region search in lexicographic order; anchored fixes x^1 at
+    the least index of E."""
     start = time.perf_counter()
     stats = SearchStats()
     k = problem.k
@@ -253,10 +297,10 @@ def _search_exhaustive(problem: ShatterProblem, budget: int) -> SearchOutcome:
     chosen: list = []
     out_of_budget = False
 
-    def extend(regions: list, start_pos: int) -> ShatterWitness | None:
+    def extend(regions: list, start_pos: int, stop: int) -> ShatterWitness | None:
         nonlocal out_of_budget
         j = len(chosen)
-        for pos in range(start_pos, len(e_idx)):
+        for pos in range(start_pos, stop):
             if stats.tuples_examined >= budget:
                 out_of_budget = True
                 return None
@@ -267,13 +311,13 @@ def _search_exhaustive(problem: ShatterProblem, budget: int) -> SearchOutcome:
             chosen.append(e_idx[pos])
             if len(chosen) == k:
                 return _witness_from_regions(ctx, chosen, new)
-            got = extend(new, pos + 1)
+            got = extend(new, pos + 1, len(e_idx))
             if got is not None or out_of_budget:
                 return got
             chosen.pop()
         return None
 
-    witness = extend([w_bits], 0)
+    witness = extend([w_bits], 0, 1 if anchored else len(e_idx))
     stats.elapsed = time.perf_counter() - start
     if witness is not None:
         return SearchOutcome(SearchStatus.FOUND, witness, stats)
@@ -374,9 +418,11 @@ def vc_bounds(
 ) -> VCBounds:
     """Exhaustively certify shattering for k = 1..k_max.
 
-    k_max is capped at 5: beyond that a full enumeration stops being a desk
-    computation.  BudgetExceeded signals that certification, not mathematics,
-    gave out."""
+    When E and W are both the full group (the defaults) each k is searched
+    with Anchored, i.e. only tuples with x^1 = 0; otherwise with Exhaustive.
+    Both give the same answers.  k_max is capped at 5: beyond that a full
+    enumeration stops being a desk computation.  BudgetExceeded signals that
+    certification, not mathematics, gave out."""
     if k_max > VC_KMAX_GUARD:
         raise BudgetExceeded(f"k_max = {k_max} exceeds the exhaustive guard {VC_KMAX_GUARD}")
     if k_max < 1:
@@ -385,9 +431,10 @@ def vc_bounds(
     W = W if W is not None else E
     if W.size == 0:
         raise EmptySet("vc bounds need a nonempty witness domain")
+    strategy = Anchored if E.size == W.size == S.context.order else Exhaustive
     lower = 0
     for k in range(1, k_max + 1):
-        outcome = shatter_search(ShatterProblem(S, E, W, k), Exhaustive(budget))
+        outcome = shatter_search(ShatterProblem(S, E, W, k), strategy(budget))
         if outcome.status is SearchStatus.FOUND:
             lower = k
             continue

@@ -104,6 +104,16 @@ def test_edge_count_matches_brute(seed):
     assert rep.fourier_side == pytest.approx(rep.nu, rel=1e-6)
 
 
+def test_edge_count_fourier_side_is_lazy():
+    E = random_set(F5, 7, seed=1)
+    S = sphere(F5, 1).points
+    rep = edge_count(E, S)
+    assert "fourier_side" not in vars(rep)
+    assert rep.fourier_side == pytest.approx(rep.nu, rel=1e-6)
+    assert "fourier_side" in vars(rep)
+    assert rep == edge_count(E, S)
+
+
 def test_edge_count_normalization():
     E = random_set(F11, 30, seed=9)
     S = sphere(F11, 1).points

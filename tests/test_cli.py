@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ffsalem
 from ffsalem import FieldContext, load_points, sphere
@@ -98,8 +102,9 @@ def test_header_mismatch_is_usage_error(capsys, tmp_path):
         ["construct3", "-p", "11", "--curve", "paraboloid"],
         ["shatter", "-p", "5", "--curve", "circle:1", "-k", "-1"],
         ["vc", "-p", "5", "--curve", "circle:1", "--k-max", "0"],
+        ["shatter", "-p", "5", "--curve", "circle:1", "-k", "2", "--budget", "-1"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["construct3", "shatter", "vc", "shatter-budget"],
 )
 def test_library_value_error_is_usage_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
@@ -210,6 +215,15 @@ def test_shatter_budget_exit_one(capsys):
     assert "BUDGET" in out
 
 
+def test_shatter_zero_budget_examines_nothing(capsys):
+    code, out, _ = run(
+        capsys, "shatter", "-p", "11", "--curve", "sym-parabola", "-k", "4", "--budget", "0"
+    )
+    assert code == 1
+    assert "BUDGET EXHAUSTED" in out
+    assert "tuples_examined = 0" in out
+
+
 def test_shatter_random_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["shatter", "-p", "5", "--curve", "circle:1", "-k", "1", "--strategy", "random"])
@@ -259,6 +273,71 @@ def test_vc_budget_emits_envelope(capsys):
     data = json.loads(out)
     assert data["status"] == "BUDGET EXHAUSTED"
     assert "exceeds the exhaustive guard" in data["result"]["reason"]
+
+
+def test_vc_certifies_circle_p31(capsys):
+    code, out, _ = run(
+        capsys, "vc", "-p", "31", "--curve", "circle:1", "--k-max", "4", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["result"]["lower"], data["result"]["exact"]) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shatter", "-p", "409", "--curve", "circle:1", "-k", "2"],
+        ["vc", "-p", "409", "--curve", "circle:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_neighborhood_table_guard(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert err.startswith("BUDGET EXHAUSTED: neighborhood table needs")
+    data = json.loads(out)
+    assert data["status"] == "BUDGET EXHAUSTED"
+    assert "above the guard" in data["result"]["reason"]
+
+
+FUZZ_CURVES = [
+    "circle:1", "circle:0", "circle:-3", "circle:", "circle:x", "sym-parabola",
+    "paraboloid", "polygraph:0,0,1", "polygraph:1", "polygraph:", "conic:1,0,1,0,0,-1",
+    "conic:1,2", "conic:0,0,0,0,0,1", "hyperbola", "", ":", "CIRCLE:2",
+]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["shatter", "vc"]))
+    argv = [command, "-p", str(draw(st.integers(-3, 15)))]
+    argv += ["--curve", draw(st.sampled_from(FUZZ_CURVES))]
+    if command == "shatter":
+        argv += ["-k", str(draw(st.integers(-2, 6)))]
+        argv += ["--strategy", draw(st.sampled_from(["exhaustive", "random"]))]
+        argv += ["--witness-domain", draw(st.sampled_from(["full", "self"]))]
+        seed = draw(st.none() | st.integers(0, 2**31))
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+    else:
+        argv += ["--k-max", str(draw(st.integers(-1, 7)))]
+    argv += ["--budget", str(draw(st.integers(-5, 10**5)))]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_argv_fuzz_shatter_vc(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_random_trials_deterministic(capsys):

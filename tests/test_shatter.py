@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ffsalem import (
+    Anchored,
     BudgetExceeded,
     DimensionMismatch,
     EmptySet,
@@ -16,9 +17,11 @@ from ffsalem import (
     ShatterProblem,
     ShatterWitness,
     construct_shatter3,
+    make_curve,
     paraboloid,
     shatter_search,
     sphere,
+    symmetrize,
     symmetrized_parabola,
     vc_bounds,
     verify_witness,
@@ -139,6 +142,33 @@ def test_search_budget_exhausted():
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.witness is None
     assert out.stats.tuples_examined == 10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_anchored_matches_exhaustive(p):
+    ctx = FieldContext(p, 2)
+    sets = [make_curve(ctx, d).points for d in ("circle:1", "sym-parabola", "paraboloid")]
+    sets += [symmetrize(random_set(ctx, p, seed)).T for seed in (1, 2)]
+    for S in sets:
+        for k in range(1, 5):
+            problem = ShatterProblem.over(S, k)
+            plain = shatter_search(problem, Exhaustive())
+            anchored = shatter_search(problem, Anchored())
+            assert anchored.status is plain.status
+            if plain.found:
+                assert anchored.witness == plain.witness
+                assert anchored.stats.tuples_examined == plain.stats.tuples_examined
+            else:
+                assert anchored.stats.tuples_examined < plain.stats.tuples_examined
+
+
+def test_anchored_needs_full_group():
+    S = sphere(F5, 1).points
+    full = PointSet.full(F5)
+    with pytest.raises(ValueError, match="full group"):
+        shatter_search(ShatterProblem(S, S, full, 2), Anchored())
+    with pytest.raises(ValueError, match="full group"):
+        shatter_search(ShatterProblem(S, full, S, 2), Anchored())
 
 
 def test_random_search_reproducible():
