@@ -47,11 +47,13 @@ from .errors import (
     PointSetParseError,
     SingularMatrix,
     SizeOutOfRange,
+    SweepTooLarge,
     ZeroParameter,
 )
 from .field import (
     CharacterEvaluator,
     FieldContext,
+    character_row_sums,
     gauss_sum,
     is_prime,
     kloosterman,

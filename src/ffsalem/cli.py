@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -444,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for the trial sweep (default: available cores)",
+        default=1,
+        help="worker threads for the trial sweep (default 1; never changes the result)",
     )
     _add_format(sub)
     sub.set_defaults(func=_cmd_random_trials)

@@ -49,6 +49,10 @@ class DegenerateSize(ValueError):
     """Spectral-gap check on an empty or full subset, where it is vacuous."""
 
 
+class SweepTooLarge(ValueError):
+    """A deterministic sweep whose cost grows with p would exceed its fixed cap."""
+
+
 class BudgetExceeded(RuntimeError):
     """Exhaustive certification would exceed the configured search budget."""
 

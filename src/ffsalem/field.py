@@ -2,7 +2,9 @@
 
 Everything downstream works in the additive group Z_p^d with the fixed
 character chi(x) = exp(2*pi*i*x/p).  Sums are evaluated by direct summation
-in complex doubles; the only cleverness is a cached root-of-unity table.
+in complex doubles through one kernel, `character_row_sums`: a gather from a
+cached root-of-unity table and a sum along the last axis, so a sweep over
+many sums is one 2-D block with one sum per row.
 """
 
 from __future__ import annotations
@@ -154,6 +156,23 @@ class CharacterEvaluator:
 # -- complete character sums ------------------------------------------------
 
 
+def character_row_sums(
+    ctx: FieldContext, phases: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_j chi(phases[..., j]): one complete character sum per row.
+
+    The gather reduces phases mod p itself (np.take, mode "wrap"), which is
+    cheapest for entries in [0, 2p): the sum of two residues needs no `% p`.
+    `out`, a complex array of the phases' shape, receives the gathered
+    characters; a sweep passes one buffer for every block, so no block
+    allocates (fresh block-sized temporaries cost more in page faults than
+    the gather itself).  numpy reduces a contiguous last axis with the same
+    pairwise summation as a 1-D `.sum()`, so each row of a 2-D block is
+    bit-identical to summing that row on its own.
+    """
+    return np.take(ctx.roots, phases, mode="wrap", out=out).sum(axis=-1)
+
+
 def legendre(ctx: FieldContext, k: int) -> int:
     """Legendre symbol (k|p) in {-1, 0, 1}."""
     k %= ctx.p
@@ -166,7 +185,7 @@ def gauss_sum(ctx: FieldContext, k: int) -> complex:
     """Quadratic Gauss sum sum_x chi(k*x^2); equals p when k = 0 mod p."""
     p = ctx.p
     x = np.arange(p, dtype=np.int64)
-    return complex(ctx.roots[(k % p) * x * x % p].sum())
+    return complex(character_row_sums(ctx, (k % p) * x * x % p))
 
 
 def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
@@ -181,8 +200,7 @@ def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
     if a == 0 or b == 0:
         raise ZeroParameter("kloosterman sum requires a, b nonzero mod p")
     j = np.arange(1, p, dtype=np.int64)
-    vals = (a * j + b * ctx.inverse_table[j]) % p
-    return complex(ctx.roots[vals].sum())
+    return complex(character_row_sums(ctx, (a * j + b * ctx.inverse_table[j]) % p))
 
 
 def weil_poly_sum(ctx: FieldContext, coefficients: Sequence[int]) -> complex:
@@ -204,4 +222,4 @@ def weil_poly_sum(ctx: FieldContext, coefficients: Sequence[int]) -> complex:
     vals = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):  # Horner, entirely mod p
         vals = (vals * x + c) % p
-    return complex(ctx.roots[vals].sum())
+    return complex(character_row_sums(ctx, vals))

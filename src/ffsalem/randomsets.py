@@ -162,6 +162,10 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not -1.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be a finite number, got {beta}")
     seeds = [trial_seed(seed, i) for i in range(trials)]
     degenerate = size == 0 or size == ctx.order
     results: list = []
@@ -177,7 +181,10 @@ def monte_carlo(
     omegas = [r[2] for r in results]
     effective = len(results)
     passes = sum(1 for r in results if r[1])
-    threshold = ctx.p**beta
+    try:
+        threshold = ctx.p**beta
+    except OverflowError:  # beyond the float range, so no Omega exceeds it
+        threshold = math.inf
     exceed = sum(1 for w in omegas if w > threshold)
     quantiles = {}
     if omegas:

@@ -3,17 +3,19 @@
 Everything here is written for obviousness, not speed: direct double sums
 for transforms, explicit loops for counts, and a dichotomy-materializing
 shattering decider.  None of it shares code with the library internals it
-checks.
+checks, except `reference_weil_suite`, which pins the row-batched sweep to
+one public character-sum call per sum.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from ffsalem import FieldContext, PointSet
+from ffsalem import FieldContext, PointSet, gauss_sum, kloosterman, legendre, weil_poly_sum
 
 
 def direct_dft(S: PointSet) -> dict:
@@ -120,3 +122,35 @@ def naive_shatterable(S: PointSet, k: int, E: PointSet, W: PointSet) -> bool:
         if len(np.unique(patterns)) == want:
             return True
     return False
+
+
+def reference_weil_suite(p: int) -> dict:
+    """presets.weil_suite by one gauss_sum / kloosterman / weil_poly_sum call
+    per character sum, each sum on its own 1-D array."""
+    ctx = FieldContext(p, 1)
+    sqrt_p = math.sqrt(p)
+    eps = ctx.epsilon_q
+    gauss_bad = []
+    for k in range(1, p):
+        g = gauss_sum(ctx, k)
+        predicted = eps * legendre(ctx, k) * sqrt_p
+        if abs(abs(g) - sqrt_p) > 1e-9 or abs(g - predicted) > 1e-9:
+            gauss_bad.append(k)
+    kmax = max(abs(kloosterman(ctx, a, b)) for a in range(1, p) for b in range(1, p))
+    weil_bad = []
+    degrees = [n for n in (3, 4) if n % p != 0]
+    for n in degrees:
+        for a in range(p):
+            for b in range(p):
+                s = weil_poly_sum(ctx, [b, a] + [0] * (n - 2) + [1])
+                if abs(s) > (n - 1) * sqrt_p + 1e-9:
+                    weil_bad.append([n, a, b])
+    return {
+        "pass": not gauss_bad and kmax <= 2.0 * sqrt_p + 1e-9 and not weil_bad,
+        "p": p,
+        "gauss_failures": gauss_bad,
+        "kloosterman_max": kmax,
+        "kloosterman_bound": 2.0 * sqrt_p,
+        "weil_degrees": degrees,
+        "weil_failures": weil_bad,
+    }

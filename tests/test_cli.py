@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ffsalem
 from ffsalem import FieldContext, load_points, sphere
 from ffsalem.cli import main
+from ffsalem.presets import WEIL_SUITE_MAX_CELLS
 
 
 def run(capsys, *argv):
@@ -103,8 +104,9 @@ def test_header_mismatch_is_usage_error(capsys, tmp_path):
         ["shatter", "-p", "5", "--curve", "circle:1", "-k", "-1"],
         ["vc", "-p", "5", "--curve", "circle:1", "--k-max", "0"],
         ["shatter", "-p", "5", "--curve", "circle:1", "-k", "2", "--budget", "-1"],
+        ["reproduce", "weil-suite", "-p", "1129"],
     ],
-    ids=["construct3", "shatter", "vc", "shatter-budget"],
+    ids=["construct3", "shatter", "vc", "shatter-budget", "weil-suite-cap"],
 )
 def test_library_value_error_is_usage_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
@@ -327,9 +329,7 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cli_argv())
-def test_argv_fuzz_shatter_vc(argv):
+def assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -338,6 +338,51 @@ def test_argv_fuzz_shatter_vc(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_argv_fuzz_shatter_vc(argv):
+    assert_clean_exit(argv)
+
+
+# the least prime whose weil-suite sweep is above WEIL_SUITE_MAX_CELLS
+ABOVE_WEIL_CAP = 1129
+FUZZ_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-2, 2)
+
+
+@st.composite
+def reproduce_or_trials_argv(draw):
+    p_values = st.integers(-3, 40)
+    if draw(st.booleans()):
+        argv = ["reproduce", draw(st.sampled_from(
+            ["f11-table", "f17-x", "f23-x", "f29-x", "conic-census", "weil-suite"]
+        ))]
+        optional = (
+            ("-p", p_values | st.just(ABOVE_WEIL_CAP)),
+            ("--count", st.integers(-2, 30)),
+            ("--seed", st.integers(-5, 2**31)),
+        )
+        for flag, values in optional:
+            if draw(st.booleans()):
+                argv += [flag, str(draw(values))]
+    else:
+        # weighted towards primes, so valid runs reach monte_carlo
+        argv = ["random-trials", "-p", str(draw(st.sampled_from([3, 5, 7, 37]) | p_values))]
+        argv += ["--size", str(draw(st.integers(-2, 30) | st.integers(-5, 1700)))]
+        argv += ["--trials", str(draw(st.integers(-2, 8)))]
+        argv += ["--seed", str(draw(st.integers(0, 2**31)))]
+        # the = form keeps argparse from reading "-inf" as a flag
+        argv += [f"--epsilon={draw(FUZZ_FLOATS)}", f"--beta={draw(FUZZ_FLOATS)}"]
+        argv += ["--threads", str(draw(st.integers(1, 4)))]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reproduce_or_trials_argv())
+def test_argv_fuzz_reproduce_random_trials(argv):
+    assert_clean_exit(argv)
 
 
 def test_random_trials_deterministic(capsys):
@@ -397,3 +442,21 @@ def test_reproduce_weil_suite(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "PASS"
+
+
+def test_reproduce_weil_suite_cap_is_usage_error_before_allocating(capsys):
+    import tracemalloc
+
+    assert 3 * 1123**3 <= WEIL_SUITE_MAX_CELLS < 3 * ABOVE_WEIL_CAP**3
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "weil-suite", "-p", str(ABOVE_WEIL_CAP)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("ffsalem reproduce: error: weil-suite at p = 1129")
+    assert err.count("\n") == 1

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,15 @@ from ffsalem import (
     DegreeDivisibleByP,
     FieldContext,
     ZeroParameter,
+    character_row_sums,
     gauss_sum,
     is_prime,
     kloosterman,
     legendre,
     weil_poly_sum,
 )
+from ffsalem.presets import weil_suite
+from oracles import reference_weil_suite
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 1)
@@ -177,3 +181,20 @@ def test_roots_of_unity_table():
         ctx = FieldContext(p, 1)
         for a in range(p):
             assert ctx.roots[a] == pytest.approx(cmath.exp(2j * cmath.pi * a / p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_weil_suite_matches_per_call_reference(p):
+    # == on the dict: kloosterman_max must agree to the last bit
+    assert weil_suite(p) == reference_weil_suite(p)
+
+
+@pytest.mark.parametrize("p", [7, 31, 211])
+def test_character_row_sums_match_1d_sums(p):
+    ctx = FieldContext(p, 1)
+    phases = np.random.Generator(np.random.Philox(p)).integers(0, p, size=(p, p))
+    rows = character_row_sums(ctx, phases)
+    buffered = character_row_sums(ctx, phases + p, out=np.empty((p, p), dtype=complex))
+    for i in range(p):
+        want = ctx.roots[phases[i]].sum()
+        assert rows[i] == want and buffered[i] == want

@@ -125,6 +125,22 @@ def test_monte_carlo_rejects_no_trials():
         monte_carlo(F5, size=5, trials=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"epsilon": -1.5}, {"epsilon": math.nan}, {"epsilon": math.inf}, {"beta": math.nan},
+     {"beta": -math.inf}],
+)
+def test_monte_carlo_rejects_bad_epsilon_beta(kwargs):
+    with pytest.raises(ValueError):
+        monte_carlo(F5, size=5, trials=1, seed=1, **kwargs)
+
+
+def test_monte_carlo_huge_beta_exceeds_nothing():
+    # 11^1e300 is past the float range: the threshold is infinite, not an OverflowError
+    s = monte_carlo(F11, size=15, trials=3, seed=6, beta=1e300)
+    assert s.omega_exceed_fraction == 0.0
+
+
 def test_monte_carlo_summary_fields():
     s = monte_carlo(F11, size=15, trials=8, seed=42, epsilon=0.5, beta=0.45)
     assert s.generator == GENERATOR_NAME == "philox"
