@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptySet, NotSymmetric
 from .field import FieldContext
-from .pointset import PointSet, fourier_spectrum
+from .pointset import PointSet, _log_factor, fourier_spectrum
 
 
 def _cyclic_convolution(f: np.ndarray, g: np.ndarray | None, ctx: FieldContext) -> np.ndarray:
@@ -124,10 +124,12 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     """nu_S(E) = |{(x, y) in E x E : x - y in S}|, with main-term comparison.
 
     K = |S| / q^(d-1) is measured from S; the normalization divides the error
-    by q^((d-1)/2) (log q)^gamma |E|.
+    by q^((d-1)/2) (log q)^gamma |E|, for gamma >= 0.
     """
     if E.size == 0:
         raise EmptySet("edge count over an empty set E")
+    if not gamma >= 0:  # written so that nan fails too
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     ctx = E.context
     conv = convolve(E, S)
     nu = int(conv.values[E.membership].sum())
@@ -135,8 +137,7 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     K = S.size / q ** (ctx.d - 1)
     main = K * E.size**2 / q
     err = nu - main
-    log_factor = math.log(q) ** gamma if gamma != 0 else 1.0
-    normalized = abs(err) / (q ** ((ctx.d - 1) / 2) * log_factor * E.size)
+    normalized = abs(err) / (q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * E.size)
     return EdgeCountReport(nu, main, float(err), float(normalized), K, E, S)
 
 
@@ -208,8 +209,7 @@ def bilinear_form(f: WeightTable, g: WeightTable, S: PointSet, gamma: float = 0.
     value = float((f.values * conv).sum())
     K = S.size / q ** (ctx.d - 1)
     main = K / q * f.l1() * g.l1()
-    log_factor = math.log(q) ** gamma if gamma != 0 else 1.0
-    bound = q ** ((ctx.d - 1) / 2) * log_factor * f.l2() * g.l2()
+    bound = q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * f.l2() * g.l2()
     return BilinearReport(value, main, value - main, bound, K)
 
 

@@ -98,13 +98,12 @@ def _emit(args, result: dict, status: str | None, start: float) -> None:
 def _context(parser, args) -> FieldContext:
     if args.prime is None:
         parser.error("--prime is required")
-    return FieldContext(args.prime, getattr(args, "dim", 2))
+    return FieldContext(args.prime, args.dim)
 
 
-def _resolve_set(parser, args, flag="--curve") -> tuple:
+def _resolve_set(parser, args) -> tuple:
     """(context, point set, label) from --curve or --points."""
-    curve = getattr(args, "curve", None)
-    path = getattr(args, "points", None)
+    curve, path = args.curve, args.points
     if curve and path:
         parser.error("--curve and --points are mutually exclusive")
     if path:
@@ -118,14 +117,18 @@ def _resolve_set(parser, args, flag="--curve") -> tuple:
             )
         return S.context, S, f"file:{path}"
     if not curve:
-        parser.error(f"one of {flag} or --points is required")
+        parser.error("one of --curve or --points is required")
     ctx = _context(parser, args)
     return ctx, make_curve(ctx, curve).points, curve
 
 
-def _add_set_source(sub, dim_default=2):
+def _add_field(sub):
     sub.add_argument("-p", "--prime", type=int, default=None, help="field characteristic")
-    sub.add_argument("-d", "--dim", type=int, default=dim_default, help="dimension (default 2)")
+    sub.add_argument("-d", "--dim", type=int, default=2, help="dimension (default 2)")
+
+
+def _add_set_source(sub):
+    _add_field(sub)
     sub.add_argument("--curve", help="curve descriptor, e.g. circle:1, polygraph:0,0,1")
     sub.add_argument("--points", help="point-set file (header 'p d', one point per line)")
 
@@ -325,27 +328,31 @@ def _cmd_random_trials(parser, args) -> int:
     return 0
 
 
+# the flags each preset reads, all required but --count (default 100)
+_PRESET_FLAGS = {"conic-census": ("prime", "seed", "count"), "weil-suite": ("prime",)}
+
+
 def _cmd_reproduce(parser, args) -> int:
     start = time.perf_counter()
     name = args.preset
+    reads = _PRESET_FLAGS.get(name, ())
+    for dest in ("prime", "seed", "count"):
+        given = getattr(args, dest) is not None
+        if given and dest not in reads:
+            raise ValueError(f"preset {name} does not read --{dest}")
+        if not given and dest in reads and dest != "count":
+            parser.error(f"--{dest} is required for {name}")
     if name == "f11-table":
         result = presets.f11_table()
-    elif name in ("f17-x", "f23-x", "f29-x"):
-        result = presets.x_tuple_check(int(name[1:3]))
     elif name == "conic-census":
-        if args.prime is None:
-            parser.error("--prime is required for conic-census")
-        if args.seed is None:
-            parser.error("--seed is required for conic-census")
-        if args.count < 1:
+        count = 100 if args.count is None else args.count
+        if count < 1:
             parser.error("--count must be >= 1")
-        result = presets.conic_census(args.prime, args.seed, count=args.count)
+        result = presets.conic_census(args.prime, args.seed, count=count)
     elif name == "weil-suite":
-        if args.prime is None:
-            parser.error("--prime is required for weil-suite")
         result = presets.weil_suite(args.prime)
     else:
-        parser.error(f"unknown preset {name!r}")
+        result = presets.x_tuple_check(int(name[1:3]))
     ok = bool(result.get("pass"))
     _emit(args, result, "PASS" if ok else "FAIL", start)
     return 0 if ok else 1
@@ -376,15 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_spectrum)
 
     sub = subs.add_parser("curve", help="materialize a named curve's points")
-    sub.add_argument("-p", "--prime", type=int, default=None)
-    sub.add_argument("-d", "--dim", type=int, default=2)
+    _add_field(sub)
     sub.add_argument("--curve", required=True, help="curve descriptor")
     _add_format(sub)
     sub.set_defaults(func=_cmd_curve)
 
     sub = subs.add_parser("classify", help="conic classification by determinants")
-    sub.add_argument("-p", "--prime", type=int, default=None)
-    sub.add_argument("-d", "--dim", type=int, default=2)
+    _add_field(sub)
     sub.add_argument("--coeffs", required=True, help="A,B,C,D,E,F")
     _add_format(sub)
     sub.set_defaults(func=_cmd_classify)
@@ -433,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_vc)
 
     sub = subs.add_parser("random-trials", help="seeded Monte Carlo over uniform subsets")
-    sub.add_argument("-p", "--prime", type=int, required=True)
-    sub.add_argument("-d", "--dim", type=int, default=2)
+    _add_field(sub)
     sub.add_argument("--size", type=int, required=True, help="points per sample")
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True, help="master seed")
@@ -456,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("-p", "--prime", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--count", type=int, default=100, help="conic-census sample count")
+    sub.add_argument(
+        "--count", type=int, default=None, help="conic-census sample count (default 100)"
+    )
     _add_format(sub)
     sub.set_defaults(func=_cmd_reproduce)
 

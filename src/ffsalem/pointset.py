@@ -216,9 +216,9 @@ class SalemParams:
     constant: float = 2.0
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:  # written so that nan fails too
             raise ValueError("gamma must be >= 0")
-        if self.constant <= 0:
+        if not self.constant > 0:
             raise ValueError("constant must be > 0")
 
 
@@ -243,10 +243,16 @@ class SalemReport:
         }
 
 
+def _log_factor(q: int, gamma: float) -> float:
+    """(log q)^gamma with the natural log; inf past the float range."""
+    try:
+        return math.log(q) ** gamma
+    except OverflowError:
+        return math.inf
+
+
 def salem_bound(ctx: FieldContext, size: int, params: SalemParams) -> float:
-    # (log q)^0 == 1 even though log 3 < 1; natural log throughout
-    log_factor = math.log(ctx.p) ** params.gamma if params.gamma != 0 else 1.0
-    return params.constant * ctx.p ** (-ctx.d) * log_factor * math.sqrt(size)
+    return params.constant * ctx.p ** (-ctx.d) * _log_factor(ctx.p, params.gamma) * math.sqrt(size)
 
 
 def salem_report(S: PointSet, params: SalemParams | None = None) -> SalemReport:

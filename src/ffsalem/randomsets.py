@@ -162,6 +162,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not -1.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
     if not math.isfinite(beta):

@@ -1,12 +1,16 @@
 """Shattering searches for translate classes h_y(x) = [x - y in S].
 
 A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset
-I of {1..k} has a witness y in W with x^i - y in S exactly for i in I.
-Searches precompute neighborhoods N(x) = (x - S) ^ W as bitsets and prune a
-partial tuple as soon as any witness region over the chosen prefix empties;
-this keeps even full-plane k = 4 enumerations at desk scale.  The table
-holds |E| bitsets of q^d bits; past NEIGHBORHOOD_BITS_GUARD bits a search
-raises BudgetExceeded before allocating it.
+I of {1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e.
+when each of its 2^k witness regions (the points of W in x^i - S exactly for
+i in I) is nonempty.  One builder, _neighborhoods, makes the bitsets
+N(x) = (x - S) ^ W, and one fold, _regions, splits W by them into the
+regions.  Every search, witness_for_points and construct_shatter3 go through
+them; the exhaustive search takes one _regions_extend step per level, so
+tuples share prefixes and a prefix is pruned as soon as a region empties.
+shatter_search does the set-up once: the empty-W and k = 0 answers, and the
+N(x) table for all of E, |E| bitsets of q^d bits, for which it raises
+BudgetExceeded before allocating past NEIGHBORHOOD_BITS_GUARD.
 
 When E and W are both the full group the class is translation invariant,
 so the Anchored strategy enumerates only the tuples whose first point is
@@ -160,27 +164,18 @@ def _bits_from_bool(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _neighborhood_bits(problem: ShatterProblem) -> tuple:
-    """(E indices ascending, {index: bitset of N(x) = (x - S) ^ W}, W bitset)."""
+def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
+    """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order."""
     ctx = problem.context
-    table_bits = problem.E.size * ctx.order
-    if table_bits > NEIGHBORHOOD_BITS_GUARD:
-        raise BudgetExceeded(
-            f"neighborhood table needs |E| * q^d = {table_bits} bits, "
-            f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
-        )
-    w_bits = _bits_from_bool(problem.W.membership)
     s_coords = ctx.coords[problem.S.indices()]
-    e_idx = [int(i) for i in problem.E.indices()]
-    neigh = {}
     w_mem = problem.W.membership
-    for i in e_idx:
-        x = ctx.coords[i]
+    out = []
+    for i in indices:
         mask = np.zeros(ctx.order, dtype=bool)
         if len(s_coords):
-            mask[ctx.indices_of(x - s_coords)] = True
-        neigh[i] = _bits_from_bool(mask & w_mem)
-    return e_idx, neigh, w_bits
+            mask[ctx.indices_of(ctx.coords[i] - s_coords)] = True
+        out.append(_bits_from_bool(mask & w_mem))
+    return out
 
 
 def _least_point(ctx: FieldContext, bits: int) -> tuple:
@@ -208,6 +203,17 @@ def _regions_extend(regions: list, nb: int, j: int) -> list | None:
         new[m] = rm
         new[m | top] = rn
     return new
+
+
+def _regions(w_bits: int, neighborhoods: list) -> list | None:
+    """The 2^k witness regions of a tuple with these neighborhoods, indexed by
+    subset bitmask; None when any region is empty."""
+    regions = [w_bits]
+    for j, nb in enumerate(neighborhoods):
+        regions = _regions_extend(regions, nb, j)
+        if regions is None:
+            return None
+    return regions if w_bits else None
 
 
 # -- search strategies ----------------------------------------------------------------
@@ -260,40 +266,41 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy.budget < 0:
         raise ValueError(f"budget must be >= 0, got {strategy.budget}")
-    if isinstance(strategy, Exhaustive):
-        outcome = _search_exhaustive(problem, strategy.budget)
-    elif isinstance(strategy, Anchored):
-        order = problem.context.order
-        if problem.E.size != order or problem.W.size != order:
-            raise ValueError("the Anchored strategy needs E and W to be the full group")
-        outcome = _search_exhaustive(problem, strategy.budget, anchored=True)
+    ctx = problem.context
+    if isinstance(strategy, Anchored) and not problem.E.size == problem.W.size == ctx.order:
+        raise ValueError("the Anchored strategy needs E and W to be the full group")
+    start = time.perf_counter()
+    if problem.W.size == 0:
+        outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO)
     else:
-        outcome = _search_random(problem, strategy.seed, strategy.budget)
+        table_bits = problem.E.size * ctx.order
+        if table_bits > NEIGHBORHOOD_BITS_GUARD:
+            raise BudgetExceeded(
+                f"neighborhood table needs |E| * q^d = {table_bits} bits, "
+                f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
+            )
+        w_bits = _bits_from_bool(problem.W.membership)
+        if problem.k == 0:
+            witness = _witness_from_regions(ctx, [], [w_bits])
+            outcome = SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))
+        else:
+            e_idx = [int(i) for i in problem.E.indices()]
+            neigh = _neighborhoods(problem, e_idx)
+            search = _search_random if isinstance(strategy, RandomSearch) else _search_exhaustive
+            outcome = search(ctx, e_idx, neigh, w_bits, problem.k, strategy)
+    outcome.stats.elapsed = time.perf_counter() - start
     if outcome.found and not verify_witness(problem, outcome.witness):
         raise AssertionError("internal error: search result failed re-verification")
     return outcome
 
 
 def _search_exhaustive(
-    problem: ShatterProblem, budget: int, anchored: bool = False
+    ctx: FieldContext, e_idx: list, neigh: list, w_bits: int, k: int, strategy
 ) -> SearchOutcome:
-    """Depth-first region search in lexicographic order; anchored fixes x^1 at
+    """Depth-first region search in lexicographic order; Anchored fixes x^1 at
     the least index of E."""
-    start = time.perf_counter()
+    budget = strategy.budget
     stats = SearchStats()
-    k = problem.k
-    ctx = problem.context
-    if problem.W.size == 0:
-        return SearchOutcome(
-            SearchStatus.EXHAUSTED_NO, None, SearchStats(0, time.perf_counter() - start)
-        )
-    e_idx, neigh, w_bits = _neighborhood_bits(problem)
-    if k == 0:
-        witness = ShatterWitness(points=[], witnesses={0: _least_point(ctx, w_bits)})
-        return SearchOutcome(
-            SearchStatus.FOUND, witness, SearchStats(1, time.perf_counter() - start)
-        )
-
     chosen: list = []
     out_of_budget = False
 
@@ -305,7 +312,7 @@ def _search_exhaustive(
                 out_of_budget = True
                 return None
             stats.tuples_examined += 1
-            new = _regions_extend(regions, neigh[e_idx[pos]], j)
+            new = _regions_extend(regions, neigh[pos], j)
             if new is None:
                 continue
             chosen.append(e_idx[pos])
@@ -317,8 +324,7 @@ def _search_exhaustive(
             chosen.pop()
         return None
 
-    witness = extend([w_bits], 0, 1 if anchored else len(e_idx))
-    stats.elapsed = time.perf_counter() - start
+    witness = extend([w_bits], 0, 1 if isinstance(strategy, Anchored) else len(e_idx))
     if witness is not None:
         return SearchOutcome(SearchStatus.FOUND, witness, stats)
     if out_of_budget:
@@ -326,38 +332,23 @@ def _search_exhaustive(
     return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
 
 
-def _search_random(problem: ShatterProblem, seed: int, budget: int) -> SearchOutcome:
-    start = time.perf_counter()
+def _search_random(
+    ctx: FieldContext, e_idx: list, neigh: list, w_bits: int, k: int, strategy
+) -> SearchOutcome:
+    """Sampled k-subsets of E, positions sorted so points come in index order."""
     stats = SearchStats()
-    k = problem.k
-    ctx = problem.context
-    if problem.W.size == 0:
-        return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
-    e_idx, neigh, w_bits = _neighborhood_bits(problem)
-    if k == 0:
-        witness = ShatterWitness(points=[], witnesses={0: _least_point(ctx, w_bits)})
-        return SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1, 0.0))
     if len(e_idx) < k:
-        return SearchOutcome(
-            SearchStatus.EXHAUSTED_NO, None, SearchStats(0, time.perf_counter() - start)
-        )
-    rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(budget):
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
+    rng = np.random.Generator(np.random.Philox(strategy.seed))
+    for _ in range(strategy.budget):
         stats.tuples_examined += 1
-        picks = sorted(int(e_idx[i]) for i in rng.choice(len(e_idx), size=k, replace=False))
-        regions = [w_bits]
-        ok = True
-        for j, i in enumerate(picks):
-            regions = _regions_extend(regions, neigh[i], j)
-            if regions is None:
-                ok = False
-                break
-        if ok:
-            stats.elapsed = time.perf_counter() - start
+        picks = sorted(int(i) for i in rng.choice(len(e_idx), size=k, replace=False))
+        regions = _regions(w_bits, [neigh[i] for i in picks])
+        if regions is not None:
+            chosen = [e_idx[i] for i in picks]
             return SearchOutcome(
-                SearchStatus.FOUND, _witness_from_regions(ctx, picks, regions), stats
+                SearchStatus.FOUND, _witness_from_regions(ctx, chosen, regions), stats
             )
-    stats.elapsed = time.perf_counter() - start
     return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, stats)
 
 
@@ -371,30 +362,16 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
     if len(points) != problem.k:
         raise DimensionMismatch(f"expected {problem.k} points, got {len(points)}")
     start = time.perf_counter()
+    chosen = [ctx.index_of(pt) for pt in points]
     w_bits = _bits_from_bool(problem.W.membership)
-    s_coords = ctx.coords[problem.S.indices()]
-    regions = [w_bits]
-    for j, pt in enumerate(points):
-        x = np.asarray(ctx.reduce(pt), dtype=np.int64)
-        mask = np.zeros(ctx.order, dtype=bool)
-        if len(s_coords):
-            mask[ctx.indices_of(x - s_coords)] = True
-        nb = _bits_from_bool(mask & problem.W.membership)
-        regions = _regions_extend(regions, nb, j)
-        if regions is None:
-            return SearchOutcome(
-                SearchStatus.NOT_FOUND, None, SearchStats(1, time.perf_counter() - start)
-            )
-    witness = ShatterWitness(
-        points=[ctx.reduce(pt) for pt in points],
-        witnesses={m: _least_point(ctx, r) for m, r in enumerate(regions)},
-    )
-    outcome = SearchOutcome(
-        SearchStatus.FOUND, witness, SearchStats(1, time.perf_counter() - start)
-    )
+    regions = _regions(w_bits, _neighborhoods(problem, chosen))
+    stats = SearchStats(1, time.perf_counter() - start)
+    if regions is None:
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, stats)
+    witness = _witness_from_regions(ctx, chosen, regions)
     if not verify_witness(problem, witness):
         raise AssertionError("internal error: region witness failed re-verification")
-    return outcome
+    return SearchOutcome(SearchStatus.FOUND, witness, stats)
 
 
 # -- VC-dimension bounds -----------------------------------------------------------------
@@ -474,8 +451,9 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
 
     Pipeline: prune E to E_M with M = 7 + 2 * (max nonzero intersection of S
     with its translates), build a cube-minus-vertex graph there, relabel its
-    vertices as x^1, x^2, x^3 with the four upper witnesses, then greedily
-    scan E for y^1, y^2, y^3 and y^empty.  Deterministic; the result is
+    vertices as x^1, x^2, x^3 with the four upper witnesses, then take y^1,
+    y^2, y^3 (off the cube) and y^empty as the least points of their witness
+    regions in E.  Deterministic; the result is
     re-verified before it is returned.  NOT_FOUND is a legitimate outcome at
     desk scale, not an error.
     """
@@ -506,9 +484,6 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     def add(a, b):
         return tuple((c1 + c2) % p for c1, c2 in zip(a, b))
 
-    def sub(a, b):
-        return tuple((c1 - c2) % p for c1, c2 in zip(a, b))
-
     # relabel the seven cube vertices: three shattered points and the four
     # upper witnesses come straight off the graph
     xs = [r.x2, add(r.x1, cube.v), r.x3]
@@ -518,23 +493,21 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
         0b101: r.x4,
         0b110: add(r.x3, cube.v),
     }
-    seven = set(cube.points())
-
+    problem = ShatterProblem(S, E, E, 3)
+    regions = _regions(
+        _bits_from_bool(E.membership), _neighborhoods(problem, [ctx.index_of(x) for x in xs])
+    )
+    if regions is None:
+        return fail()
+    # the least point of each lower region, off the cube for y^1, y^2, y^3
+    seven = sum({1 << ctx.index_of(pt) for pt in cube.points()})
     for mask in (0b001, 0b010, 0b100, 0b000):
-        found = None
-        for i in E.indices():
-            y = ctx.point_at(int(i))
-            if mask != 0 and y in seven:
-                continue
-            if all((sub(xs[j], y) in S) == bool(mask >> j & 1) for j in range(3)):
-                found = y
-                break
-        if found is None:
+        region = regions[mask] & ~seven if mask else regions[mask]
+        if not region:
             return fail()
-        witnesses[mask] = found
+        witnesses[mask] = _least_point(ctx, region)
 
     witness = ShatterWitness(points=xs, witnesses=witnesses)
-    problem = ShatterProblem(S, E, E, 3)
     if not verify_witness(problem, witness):
         return fail()
     return SearchOutcome(

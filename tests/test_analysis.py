@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,16 @@ def test_edge_count_matches_brute(seed):
     rep = edge_count(E, S)
     assert rep.nu == brute_edge_count(E, S)
     assert rep.fourier_side == pytest.approx(rep.nu, rel=1e-6)
+
+
+def test_edge_count_gamma_domain():
+    E = random_set(F7, 12, seed=8)
+    S = sphere(F7, 2).points
+    # (log 7)^1492 overflows a float: the normalized error is 0, not an OverflowError
+    assert edge_count(E, S, gamma=1492.0).normalized_error == 0.0
+    for gamma in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            edge_count(E, S, gamma=gamma)
 
 
 def test_edge_count_fourier_side_is_lazy():

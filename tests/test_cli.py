@@ -374,7 +374,8 @@ def reproduce_or_trials_argv(draw):
         argv += ["--seed", str(draw(st.integers(0, 2**31)))]
         # the = form keeps argparse from reading "-inf" as a flag
         argv += [f"--epsilon={draw(FUZZ_FLOATS)}", f"--beta={draw(FUZZ_FLOATS)}"]
-        argv += ["--threads", str(draw(st.integers(1, 4)))]
+        # values below 1 are rejected before any thread starts
+        argv += ["--threads", str(draw(st.integers(-2, 4)))]
     argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
     return argv
 
@@ -382,6 +383,48 @@ def reproduce_or_trials_argv(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(reproduce_or_trials_argv())
 def test_argv_fuzz_reproduce_random_trials(argv):
+    assert_clean_exit(argv)
+
+
+FUZZ_COEFFS = [
+    "1,0,1,0,0,6", "1,0,1,0,0,-1", "2,1,2,0,0,1", "0,0,1,1,0,0", "0,0,0,0,0,0",
+    "1,2", "1,0,1,0,0,6,7", "a,b,c,d,e,f", "", ",,,,,",
+]
+
+
+@st.composite
+def field_argv(draw):
+    command = draw(st.sampled_from([
+        "curve", "classify", "salem-check", "spectrum", "intersect-profile", "edge-count",
+        "construct3",
+    ]))
+    argv = [command]
+    # weighted towards valid fields, curves and flags, so valid runs get deep
+    present = st.sampled_from([True, True, True, False])
+    if draw(present):
+        argv += ["-p", str(draw(st.sampled_from([5, 7, 11, 13]) | st.integers(-3, 15)))]
+    argv += ["-d", str(draw(st.just(2) | st.integers(-1, 3)))]
+    if command == "classify":
+        argv += ["--coeffs", draw(st.sampled_from(FUZZ_COEFFS[:4]) | st.sampled_from(FUZZ_COEFFS))]
+    else:
+        curves = st.sampled_from(["circle:1", "sym-parabola", "paraboloid", "conic:1,1,3,0,0,5"])
+        argv += ["--curve", draw(curves | st.sampled_from(FUZZ_CURVES))]
+    floats = st.floats(0, 3) | FUZZ_FLOATS
+    if command == "salem-check":
+        argv += [f"--gamma={draw(floats)}", f"--const={draw(floats)}"]
+    if command == "edge-count":
+        if draw(present):
+            argv += ["--sample", str(draw(st.integers(1, 60) | st.integers(-3, 300)))]
+        if draw(present):
+            argv += ["--seed", str(draw(st.integers(-5, 2**31)))]
+        argv += [f"--gamma={draw(floats)}"]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field_argv())
+def test_argv_fuzz_field_commands(argv):
     assert_clean_exit(argv)
 
 
@@ -416,6 +459,49 @@ def test_reproduce_census_requires_args(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "conic-census"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["f11-table", "-p", "11"], "--prime"),
+        (["f17-x", "--seed", "3"], "--seed"),
+        (["f29-x", "--count", "22"], "--count"),
+        (["weil-suite", "-p", "7", "--seed", "3"], "--seed"),
+        (["weil-suite", "-p", "7", "--count", "5"], "--count"),
+    ],
+    ids=["f11-table-prime", "f17-x-seed", "f29-x-count", "weil-suite-seed", "weil-suite-count"],
+)
+def test_reproduce_rejects_unread_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ffsalem reproduce: error: preset {argv[0]} does not read {flag}")
+    assert err.count("\n") == 1
+
+
+def test_reproduce_census_default_count(capsys):
+    argv = ["reproduce", "conic-census", "-p", "5", "--seed", "3", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert sum(json.loads(out)["result"]["size_histogram"].values()) == 100
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "--prime is required"),
+        (["-p", "7", "--threads", "0"], "workers must be >= 1"),
+        (["-p", "7", "--threads", "-1"], "workers must be >= 1"),
+    ],
+    ids=["no-prime", "threads-0", "threads-negative"],
+)
+def test_random_trials_field_and_threads_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["random-trials", "--size", "7", "--trials", "2", "--seed", "1", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_reproduce_census_zero_count_is_usage_error(capsys):

@@ -149,6 +149,10 @@ def test_salem_params_validation():
         SalemParams(gamma=-0.5)
     with pytest.raises(ValueError):
         SalemParams(constant=0)
+    with pytest.raises(ValueError):
+        SalemParams(gamma=math.nan)
+    with pytest.raises(ValueError):
+        SalemParams(constant=math.nan)
 
 
 def test_salem_bound_log_convention():
@@ -156,6 +160,8 @@ def test_salem_bound_log_convention():
     assert salem_bound(ctx, 8, SalemParams()) == pytest.approx(2 * math.sqrt(8) / 49)
     with_log = salem_bound(ctx, 8, SalemParams(gamma=1.0))
     assert with_log == pytest.approx(2 * math.log(7) * math.sqrt(8) / 49)
+    # (log 7)^1492 is past the float range: the bound is infinite, not an OverflowError
+    assert salem_bound(ctx, 8, SalemParams(gamma=1492.0)) == math.inf
 
 
 def test_salem_report_examples():

@@ -128,7 +128,7 @@ def test_monte_carlo_rejects_no_trials():
 @pytest.mark.parametrize(
     "kwargs",
     [{"epsilon": -1.5}, {"epsilon": math.nan}, {"epsilon": math.inf}, {"beta": math.nan},
-     {"beta": -math.inf}],
+     {"beta": -math.inf}, {"workers": 0}, {"workers": -2}],
 )
 def test_monte_carlo_rejects_bad_epsilon_beta(kwargs):
     with pytest.raises(ValueError):

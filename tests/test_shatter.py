@@ -160,6 +160,11 @@ def test_anchored_matches_exhaustive(p):
                 assert anchored.stats.tuples_examined == plain.stats.tuples_examined
             else:
                 assert anchored.stats.tuples_examined < plain.stats.tuples_examined
+            sampled = shatter_search(problem, RandomSearch(seed=k, budget=200))
+            # every search reads its witnesses off the same regions
+            for out in (plain, anchored, sampled):
+                if out.found:
+                    assert out.witness == witness_for_points(problem, out.witness.points).witness
 
 
 def test_anchored_needs_full_group():
@@ -178,6 +183,14 @@ def test_random_search_reproducible():
     assert a.status is SearchStatus.FOUND
     assert a.witness.points == b.witness.points
     assert a.stats.tuples_examined == b.stats.tuples_examined
+
+
+def test_random_search_frozen_f11():
+    problem = ShatterProblem.over(symmetrized_parabola(F11).points, 4)
+    out = shatter_search(problem, RandomSearch(seed=1, budget=20000))
+    assert out.status is SearchStatus.FOUND
+    assert out.stats.tuples_examined == 864
+    assert out.witness.points == [(1, 0), (2, 3), (6, 6), (9, 7)]
 
 
 def test_random_search_gives_up_with_budget_status():
@@ -218,6 +231,9 @@ def test_witness_for_points_rejections():
         witness_for_points(problem, [(0, 0)])
     bad = witness_for_points(problem, [(0, 0), (0, 1), (0, 2), (0, 3)])
     assert bad.status is SearchStatus.NOT_FOUND
+    # an empty W leaves the one k = 0 region empty too
+    no_centers = ShatterProblem(problem.S, PointSet.full(F11), PointSet.empty(F11), 0)
+    assert witness_for_points(no_centers, []).status is SearchStatus.NOT_FOUND
 
 
 def test_vc_bounds_circle_f11():
@@ -246,13 +262,27 @@ def test_vc_lower_matches_naive(seed):
         assert (b.lower >= k) == expect
 
 
-def test_construct3_circle_f11():
-    S = sphere(F11, 1).points
-    out = construct_shatter3(S, PointSet.full(F11))
+FROZEN_CONSTRUCT3 = [
+    # (p, curve, points, witness centers by subset bitmask)
+    (11, "circle:1", [[5, 3], [6, 4], [0, 1]],
+     {0: [1, 0], 1: [10, 0], 2: [7, 4], 3: [6, 3], 4: [10, 1], 5: [0, 0], 6: [1, 1], 7: [5, 4]}),
+    (13, "conic:1,1,3,0,0,5", [[2, 4], [0, 8], [6, 2]],
+     {0: [2, 0], 1: [8, 0], 2: [3, 0], 3: [7, 6], 4: [1, 0], 5: [0, 0], 6: [11, 4], 7: [8, 6]}),
+]
+
+
+@pytest.mark.parametrize(
+    "p,curve,points,centers", FROZEN_CONSTRUCT3, ids=["circle-f11", "conic-f13"]
+)
+def test_construct3_frozen_witness(p, curve, points, centers):
+    ctx = FieldContext(p, 2)
+    S = make_curve(ctx, curve).points
+    out = construct_shatter3(S, PointSet.full(ctx))
     assert out.status is SearchStatus.FOUND
-    problem = ShatterProblem.over(S, 3)
-    assert verify_witness(problem, out.witness)
-    assert out.witness.points == [(5, 3), (6, 4), (0, 1)]
+    assert verify_witness(ShatterProblem.over(S, 3), out.witness)
+    assert out.witness.to_json() == {
+        "k": 3, "points": points, "witnesses": {str(m): y for m, y in centers.items()}
+    }
 
 
 def test_construct3_symmetrized_parabola():
