@@ -44,8 +44,13 @@ def _exact(values: np.ndarray) -> np.ndarray:
 
 
 def _overlaps(E: PointSet) -> np.ndarray:
-    """overlaps[index(u)] = |E ^ (E - u)| = sum_y E(y) E(y + u)."""
-    return _exact(_cyclic_convolution(E.membership, None, E.context))
+    """overlaps[index(u)] = |E ^ (E - u)| = sum_y E(y) E(y + u).
+
+    The full group overlaps every translate of itself in all q^d points."""
+    ctx = E.context
+    if E.size == ctx.order:
+        return np.full(ctx.order, ctx.order, dtype=np.int64)
+    return _exact(_cyclic_convolution(E.membership, None, ctx))
 
 
 def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
@@ -81,7 +86,7 @@ def distance_set(E: PointSet) -> set:
     if E.size == 0:
         raise EmptySet("distance set of the empty set")
     ctx = E.context
-    pts = ctx.coords[E.indices()]
+    pts = ctx.coords_of(E.indices())
     out: set = set()
     for row in pts:
         diffs = (pts - row) % ctx.p
@@ -123,6 +128,7 @@ class EdgeCountReport:
 def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     """nu_S(E) = |{(x, y) in E x E : x - y in S}|, with main-term comparison.
 
+    nu = sum_{s in S} |E ^ (E - s)|, read off the translate overlaps of E.
     K = |S| / q^(d-1) is measured from S; the normalization divides the error
     by q^((d-1)/2) (log q)^gamma |E|, for gamma >= 0.
     """
@@ -131,8 +137,9 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     if not gamma >= 0:  # written so that nan fails too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     ctx = E.context
-    conv = convolve(E, S)
-    nu = int(conv.values[E.membership].sum())
+    if ctx != S.context:
+        raise ValueError("point sets live over different contexts")
+    nu = int(_overlaps(E)[S.membership].sum())
     q = ctx.p
     K = S.size / q ** (ctx.d - 1)
     main = K * E.size**2 / q
@@ -252,7 +259,11 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
 
 
 def prune(E: PointSet, S: PointSet, M: int) -> PointSet:
-    """E_M = {x in E : E*S(x) > M} (strict)."""
+    """E_M = {x in E : E*S(x) > M} (strict).
+
+    On the full group E*S = |S| everywhere, so E_M is all or nothing."""
+    if E.size == E.context.order and E.context == S.context:
+        return E if S.size > M else PointSet.empty(E.context)
     conv = convolve(E, S)
     return PointSet(E.context, E.membership & (conv.values > M))
 
@@ -331,7 +342,8 @@ def find_rhombus(
         return None
     neg_u = tuple(-c % p for c in u)
     # y in E and y + u in E
-    e_u = E.intersect(E.translate(neg_u)).indices()
+    e_u_set = E.intersect(E.translate(neg_u))
+    e_u = e_u_set.indices()
 
     excluded = {
         zero,
@@ -351,16 +363,15 @@ def find_rhombus(
         exc = extra_excluded(u, tuple(v)) if callable(extra_excluded) else extra_excluded
         allowed &= ~exc.membership
 
-    coords_eu = ctx.coords[e_u]
-    for bi, b_row in zip(e_u, coords_eu):
-        # all differences a - b for a in E_u at once; least valid a wins
-        diff_idx = ctx.indices_of(coords_eu - b_row)
-        ok = allowed[diff_idx]
-        ok &= e_u != bi
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            ai = int(e_u[hits[0]])
-            a = ctx.point_at(ai)
+    # for b in E_u in index order, the least a in E_u with a - b allowed,
+    # among the candidates a = b + w over the allowed differences w (a = b
+    # never qualifies: 0 is excluded); no table spans the whole group
+    diffs = ctx.coords_of(np.flatnonzero(allowed))
+    for bi in e_u:
+        cand = ctx.indices_of(diffs + ctx.coords_of(bi))
+        cand = cand[e_u_set.membership[cand]]
+        if cand.size:
+            a = ctx.point_at(cand.min())
             b = ctx.point_at(int(bi))
             x1 = tuple((c1 + c2) % p for c1, c2 in zip(a, u))
             x3 = tuple((c1 + c2) % p for c1, c2 in zip(b, u))

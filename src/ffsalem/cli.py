@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per library operation plus presets.
 
 Exit codes: 0 for success (including a completed negative search), 1 for a
-mathematical FAIL or an exhausted budget, 2 for usage errors.  Every
-rejected input (the errors.py ValueError family included) ends in one
+mathematical FAIL or an exhausted budget, 2 for usage errors, 141 (the
+shell's SIGPIPE code) when the reader of stdout goes away, as in `| head`.
+Every rejected input (the errors.py ValueError family included) ends in one
 stderr line and exit 2, never a traceback.  Randomized
 paths all require an explicit --seed.  JSON output echoes the full run
 configuration with the library version and elapsed wall time; floats print
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -33,6 +35,9 @@ from .shatter import (
     shatter_search,
     vc_bounds,
 )
+
+
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGPIPE
 
 
 def _fmt(v) -> str:
@@ -473,10 +478,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        code = args.func(parser, args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except ValueError as exc:
         # the usage-error exit, like argparse's own; internal errors propagate
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
+    except BrokenPipeError:
+        # the reader went away (`| head`): stop quietly, and point stdout at
+        # devnull so the final flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

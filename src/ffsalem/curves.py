@@ -76,10 +76,14 @@ class Quadratic:
 
     def zero_set(self) -> PointSet:
         ctx = self.context
-        co = ctx.coords  # column 0 = x, column 1 = y
-        x, y = co[:, 0], co[:, 1]
-        vals = (self.a * x * x + self.b * x * y + self.c * y * y + self.d * x + self.e * y + self.f) % ctx.p
-        return PointSet(ctx, vals == 0)
+        p = ctx.p
+        t = np.arange(p, dtype=np.int64)
+        # x = x_1 runs along the last grid axis, y = x_2 along the first
+        vals = np.multiply.outer(t, self.b * t % p)
+        vals += ((self.c * t + self.e) * t % p)[:, None]
+        vals += (self.a * t + self.d) * t + self.f
+        vals %= p
+        return PointSet(ctx, vals.reshape(ctx.order) == 0)
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,8 @@ class CanonicalForm:
         if self.kind == "parabola":
             return PointSet.from_points(ctx, ((t, t * t % p) for t in range(p)))
         alpha, beta, gamma = self.diag
-        co = ctx.coords
-        vals = (alpha * co[:, 0] ** 2 + beta * co[:, 1] ** 2 + gamma) % p
+        t = np.arange(p, dtype=np.int64)
+        vals = ctx.grid_sum([alpha * t * t % p, (beta * t * t + gamma) % p])
         return PointSet(ctx, vals == 0)
 
 
@@ -239,7 +243,8 @@ class CurveHandle:
 def sphere(ctx: FieldContext, t: int) -> CurveHandle:
     """{x : x_1^2 + ... + x_d^2 = t}; the circle when d = 2."""
     t %= ctx.p
-    vals = (ctx.coords**2).sum(axis=1) % ctx.p
+    squares = np.arange(ctx.p, dtype=np.int64) ** 2 % ctx.p
+    vals = ctx.grid_sum([squares] * ctx.d)
     return CurveHandle("sphere", {"t": t}, PointSet(ctx, vals == t))
 
 
@@ -247,9 +252,10 @@ def paraboloid(ctx: FieldContext) -> CurveHandle:
     """{(x, x_1^2 + ... + x_(d-1)^2)}; the parabola graph when d = 2."""
     if ctx.d < 2:
         raise ValueError("paraboloid needs d >= 2")
-    co = ctx.coords
-    vals = (co[:, :-1] ** 2).sum(axis=1) % ctx.p
-    return CurveHandle("paraboloid", {}, PointSet(ctx, vals == co[:, -1]))
+    t = np.arange(ctx.p, dtype=np.int64)
+    # x_1^2 + ... + x_(d-1)^2 - x_d = 0
+    vals = ctx.grid_sum([t * t % ctx.p] * (ctx.d - 1) + [-t % ctx.p])
+    return CurveHandle("paraboloid", {}, PointSet(ctx, vals == 0))
 
 
 def conic(q: Quadratic) -> CurveHandle:

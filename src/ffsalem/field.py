@@ -43,7 +43,9 @@ class FieldContext:
 
     Provides point <-> index conversion (little-endian: index(x) = x_1 +
     x_2*p + ... + x_d*p^(d-1)), modular helpers, and the cached character
-    table shared by every sum below.
+    table shared by every sum below.  No per-point table of the group is
+    cached: coordinates come from index arithmetic (`coords_of`) or from
+    per-coordinate outer sums (`grid_sum`).
     """
 
     def __init__(self, p: int, d: int = 2):
@@ -75,14 +77,15 @@ class FieldContext:
     def _powers(self) -> np.ndarray:
         return self.p ** np.arange(self.d, dtype=np.int64)
 
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """(order, d) array; row i is the point with index i."""
-        idx = np.arange(self.order, dtype=np.int64)
-        out = np.empty((self.order, self.d), dtype=np.int64)
+    def coords_of(self, indices) -> np.ndarray:
+        """Coordinates of the points at these indices: shape indices.shape + (d,).
+
+        Built from the indices alone, so the cost is that of the request, never
+        a table over the whole group."""
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.empty(idx.shape + (self.d,), dtype=np.int64)
         for axis in range(self.d):
-            out[:, axis] = (idx // self._powers[axis]) % self.p
-        out.setflags(write=False)
+            idx, out[..., axis] = np.divmod(idx, self.p)
         return out
 
     def index_of(self, point: Sequence[int]) -> int:
@@ -94,7 +97,27 @@ class FieldContext:
         return (np.asarray(coords, dtype=np.int64) % self.p) @ self._powers
 
     def point_at(self, index: int) -> tuple:
-        return tuple(int(v) for v in self.coords[index])
+        index = int(index)
+        if not 0 <= index < self.order:
+            raise IndexError(f"index {index} outside [0, {self.order})")
+        point = []
+        for _ in range(self.d):
+            index, c = divmod(index, self.p)
+            point.append(c)
+        return tuple(point)
+
+    def grid_sum(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """sum_i tables[i][x_(i+1)] mod p for every point x, flat in index order.
+
+        tables holds d length-p arrays of residues, one per coordinate; the
+        sum is an outer sum over the grid, so no coordinate table is built.
+        """
+        if len(tables) != self.d:
+            raise ValueError(f"need {self.d} per-coordinate tables, got {len(tables)}")
+        total = np.asarray(tables[-1], dtype=np.int64)
+        for table in reversed(tables[:-1]):  # x_d on axis 0, x_1 on the last axis
+            total = np.add.outer(total, np.asarray(table, dtype=np.int64))
+        return np.remainder(total, self.p, out=total).reshape(self.order)
 
     def reduce(self, point: Sequence[int]) -> tuple:
         if len(point) != self.d:

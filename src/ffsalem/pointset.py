@@ -100,19 +100,18 @@ class PointSet:
 
     # -- set algebra ------------------------------------------------------------
 
-    def _permute(self, new_indices: np.ndarray) -> "PointSet":
-        mem = np.zeros(self.context.order, dtype=bool)
-        mem[new_indices] = self.membership
-        return PointSet(self.context, mem)
+    def _from_grid(self, grid: np.ndarray) -> "PointSet":
+        return PointSet(self.context, grid.reshape(self.context.order))
 
     def negate(self) -> "PointSet":
-        ctx = self.context
-        return self._permute(ctx.indices_of(-ctx.coords))
+        # x -> -x on every axis: flip maps c to p - 1 - c, the roll adds 1
+        return self._from_grid(np.roll(np.flip(self.grid()), 1, axis=range(self.context.d)))
 
     def translate(self, v: Sequence[int]) -> "PointSet":
         ctx = self.context
         v = ctx.reduce(v)
-        return self._permute(ctx.indices_of(ctx.coords + np.asarray(v, dtype=np.int64)))
+        # grid axis -1 is x_1, so the shift along each axis is v reversed
+        return self._from_grid(np.roll(self.grid(), v[::-1], axis=range(ctx.d)))
 
     def linear_image(self, matrix: Sequence[Sequence[int]]) -> "PointSet":
         """The set {T x : x in S} for an invertible d x d matrix T mod p."""
@@ -122,7 +121,9 @@ class PointSet:
             raise ValueError(f"matrix must be {ctx.d} x {ctx.d}")
         if det_mod(T, ctx.p) == 0:
             raise SingularMatrix("linear image requires an invertible matrix mod p")
-        return self._permute(ctx.indices_of(ctx.coords @ T.T))
+        mem = np.zeros(ctx.order, dtype=bool)
+        mem[ctx.indices_of(ctx.coords_of(self.indices()) @ T.T)] = True
+        return PointSet(ctx, mem)
 
     def union(self, other: "PointSet") -> "PointSet":
         self._check_same_context(other)
@@ -175,9 +176,9 @@ class SpectrumTable:
     __slots__ = ("context", "values", "__weakref__")
 
     def __init__(self, context: FieldContext, values: np.ndarray):
+        """Takes `values` over and makes it read-only: no copy of a q^d table."""
         if values.shape != (context.order,):
             raise ValueError("spectrum table has wrong shape")
-        values = values.copy()
         values.setflags(write=False)
         self.context = context
         self.values = values
@@ -201,7 +202,8 @@ def fourier_spectrum(S: PointSet) -> SpectrumTable:
     transform output is indexed by index(m) in the same little-endian order.
     """
     ctx = S.context
-    values = np.fft.fftn(S.grid().astype(np.float64)) / ctx.order
+    values = np.fft.fftn(S.grid().astype(np.float64))
+    values /= ctx.order
     return SpectrumTable(ctx, values.reshape(ctx.order))
 
 

@@ -107,15 +107,28 @@ def x_tuple_check(p: int) -> dict:
     return report
 
 
+# Plane cells a conic census may transform, p^2 per conic.  The default
+# count of 100 fits up to p = 409; at the cap a census takes about 5 s.
+CONIC_CENSUS_MAX_CELLS = 1 << 24
+
+
 def conic_census(p: int, seed: int, count: int = 100) -> dict:
     """Random smooth conics: point counts, spectral bound, translate overlap.
 
     Rejection-samples coefficient tuples until `count` conics with a genuine
     quadratic part and nonzero bordered determinant are collected, then
     checks |Z| in {q-1, q, q+1}, q^2 max|S^| <= 2 sqrt(q) + 1e-6, and
-    intersection profile max <= 2.
+    intersection profile max <= 2.  Each conic costs three FFTs over the
+    plane, so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
+    before the first conic is drawn (about 0.3 us per cell on one core of a
+    2-vCPU Xeon VM).
     """
     ctx = FieldContext(p, 2)
+    if p * p * count > CONIC_CENSUS_MAX_CELLS:
+        raise SweepTooLarge(
+            f"conic-census at p = {p} with {count} conics transforms p^2 * count = "
+            f"{p * p * count} cells, above the cap {CONIC_CENSUS_MAX_CELLS}"
+        )
     q = float(p)
     rng = np.random.Generator(np.random.Philox(seed))
     checked = 0

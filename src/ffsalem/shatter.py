@@ -167,13 +167,13 @@ def _bits_from_bool(mask: np.ndarray) -> int:
 def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
     """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order."""
     ctx = problem.context
-    s_coords = ctx.coords[problem.S.indices()]
+    s_coords = ctx.coords_of(problem.S.indices())
     w_mem = problem.W.membership
     out = []
-    for i in indices:
+    for x in ctx.coords_of(indices):
         mask = np.zeros(ctx.order, dtype=bool)
         if len(s_coords):
-            mask[ctx.indices_of(ctx.coords[i] - s_coords)] = True
+            mask[ctx.indices_of(x - s_coords)] = True
         out.append(_bits_from_bool(mask & w_mem))
     return out
 

@@ -33,6 +33,63 @@ def direct_dft(S: PointSet) -> dict:
     return out
 
 
+def reference_affine_image(S: PointSet, matrix, shift) -> PointSet:
+    """{T x + shift : x in S}, one point at a time by coordinate arithmetic."""
+    p = S.context.p
+    image = []
+    for x in S:
+        image.append(tuple(
+            (sum(int(t) * xi for t, xi in zip(row, x)) + int(c)) % p
+            for row, c in zip(matrix, shift)
+        ))
+    return PointSet.from_points(S.context, image)
+
+
+def brute_points(ctx: FieldContext, predicate) -> PointSet:
+    """The points x = (x_1, ..., x_d) of the group with predicate(x), by enumeration."""
+    return PointSet.from_points(
+        ctx, [x for x in product(range(ctx.p), repeat=ctx.d) if predicate(x)]
+    )
+
+
+def brute_rhombus(E: PointSet, S: PointSet, v) -> list | None:
+    """find_rhombus by its definition, for symmetric S and no extra exclusions.
+
+    u is the least-index s in S minus {0, +-v} with the most y in E having
+    y + s in E; then over E_u = {y in E : y + u in E}, the pair (b, a) with
+    the least b, then the least a, whose difference a - b lies in S minus
+    {0, +-u, +-v, +-u+-v}.  Returns [a + u, a, b + u, b] or None.
+    """
+    ctx = E.context
+    p, d = ctx.p, ctx.d
+
+    def add(x, y, sign=1):
+        return tuple((a + sign * b) % p for a, b in zip(x, y))
+
+    zero = (0,) * d
+    neg_v = add(zero, v, -1)
+    best = None
+    for s in sorted(S, key=ctx.index_of):
+        if s in (zero, tuple(v), neg_v):
+            continue
+        overlap = sum(1 for y in E if add(y, s) in E)
+        if overlap > 0 and (best is None or overlap > best[0]):
+            best = (overlap, s)
+    if best is None:
+        return None
+    u = best[1]
+    neg_u = add(zero, u, -1)
+    banned = {zero, u, neg_u, tuple(v), neg_v,
+              add(u, v), add(u, v, -1), add(v, u, -1), add(neg_u, v, -1)}
+    e_u = sorted((y for y in E if add(y, u) in E), key=ctx.index_of)
+    for b in e_u:
+        for a in e_u:
+            w = add(a, b, -1)
+            if w in S and w not in banned:
+                return [add(a, u), a, add(b, u), b]
+    return None
+
+
 def brute_edge_count(E: PointSet, S: PointSet) -> int:
     p = E.context.p
     pts = list(E)

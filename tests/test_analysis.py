@@ -22,11 +22,14 @@ from ffsalem import (
     symmetrized_parabola,
     triple_count,
 )
+from ffsalem import analysis
+from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps
 from oracles import (
     brute_bilinear,
     brute_convolution,
     brute_distance_set,
     brute_edge_count,
+    brute_rhombus,
     brute_triple_count,
 )
 
@@ -104,6 +107,66 @@ def test_edge_count_matches_brute(seed):
     rep = edge_count(E, S)
     assert rep.nu == brute_edge_count(E, S)
     assert rep.fourier_side == pytest.approx(rep.nu, rel=1e-6)
+
+
+FULL_E_FIELDS = [(7, 1), (5, 2), (7, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p, d", FULL_E_FIELDS)
+def test_full_e_closed_forms_match_fft(p, d):
+    ctx = FieldContext(p, d)
+    full = PointSet.full(ctx)
+    fft_overlaps = _exact(_cyclic_convolution(full.membership, None, ctx))
+    assert np.array_equal(_overlaps(full), fft_overlaps)
+    for seed in (1, 2):
+        S = random_set(ctx, ctx.order // (2 + seed), seed=seed + 10 * p + d)
+        counts = _exact(_cyclic_convolution(full.membership, S.membership, ctx))
+        for M in (-1, 0, S.size - 1, S.size, ctx.order):
+            assert prune(full, S, M) == PointSet(ctx, full.membership & (counts > M))
+
+
+@pytest.mark.parametrize("p, d", FULL_E_FIELDS)
+def test_edge_count_nu_matches_brute_asymmetric_s(p, d):
+    ctx = FieldContext(p, d)
+    for seed in (1, 2, 3):
+        E = random_set(ctx, ctx.order // 2, seed=seed + 20 * p + d)
+        S = random_set(ctx, ctx.order // 4 + 1, seed=seed + 40 * p + d)
+        assert not S.is_symmetric()
+        assert edge_count(E, S).nu == brute_edge_count(E, S)
+        full = PointSet.full(ctx)
+        assert edge_count(full, S).nu == brute_edge_count(full, S) == ctx.order * S.size
+
+
+def test_dense_counts_skip_closed_form_transforms(monkeypatch):
+    calls = []
+
+    def counted(f, g, ctx):
+        calls.append(g is None)
+        return _cyclic_convolution(f, g, ctx)
+
+    monkeypatch.setattr(analysis, "_cyclic_convolution", counted)
+    S = sphere(F11, 1).points
+    full = PointSet.full(F11)
+    assert build_cube(prune(full, S, 3), S) is not None
+    assert edge_count(full, S).nu == F11.order * S.size
+    assert calls == []  # the full plane needs no transform at all
+    edge_count(random_set(F11, 40, seed=4), S)
+    assert calls == [True]  # nu from one autocorrelation of E
+
+
+@pytest.mark.parametrize(
+    "p, size, seed", [(5, 25, 1), (7, 49, 2), (7, 30, 3), (7, 14, 4), (11, 60, 5), (11, 121, 6)]
+)
+def test_find_rhombus_matches_brute(p, size, seed):
+    ctx = FieldContext(p, 2)
+    E = random_set(ctx, size, seed=seed)
+    # a symmetric circle and a large symmetric random set
+    random_s = random_set(ctx, ctx.order // 3, seed=seed + 50)
+    for S in (sphere(ctx, 1).points, random_s.union(random_s.negate())):
+        for v in [(1, 0), (2, 3), (0, p - 1)]:
+            w = find_rhombus(E, S, v)
+            expect = brute_rhombus(E, S, v)
+            assert (None if w is None else w.points()) == expect
 
 
 def test_edge_count_gamma_domain():

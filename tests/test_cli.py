@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ffsalem
 from ffsalem import FieldContext, load_points, sphere
 from ffsalem.cli import main
-from ffsalem.presets import WEIL_SUITE_MAX_CELLS
+from ffsalem.presets import CONIC_CENSUS_MAX_CELLS, WEIL_SUITE_MAX_CELLS
 
 
 def run(capsys, *argv):
@@ -105,8 +105,9 @@ def test_header_mismatch_is_usage_error(capsys, tmp_path):
         ["vc", "-p", "5", "--curve", "circle:1", "--k-max", "0"],
         ["shatter", "-p", "5", "--curve", "circle:1", "-k", "2", "--budget", "-1"],
         ["reproduce", "weil-suite", "-p", "1129"],
+        ["reproduce", "conic-census", "-p", "1129", "--seed", "1"],
     ],
-    ids=["construct3", "shatter", "vc", "shatter-budget", "weil-suite-cap"],
+    ids=["construct3", "shatter", "vc", "shatter-budget", "weil-suite-cap", "conic-census-cap"],
 )
 def test_library_value_error_is_usage_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
@@ -546,3 +547,39 @@ def test_reproduce_weil_suite_cap_is_usage_error_before_allocating(capsys):
     err = capsys.readouterr().err
     assert err.startswith("ffsalem reproduce: error: weil-suite at p = 1129")
     assert err.count("\n") == 1
+
+
+def test_reproduce_census_cap_is_usage_error_before_the_first_conic(capsys, monkeypatch):
+    # the benchmark's census fits; the default count at p = 1129 does not
+    assert 101**2 * 200 <= 409**2 * 100 <= CONIC_CENSUS_MAX_CELLS < 1129**2 * 100
+    monkeypatch.setattr(ffsalem.presets, "Quadratic", None)  # any draw would fail
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "conic-census", "-p", "1129", "--seed", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ffsalem reproduce: error: conic-census at p = 1129 with 100 conics")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "-p", "11", "--curve", "circle:1"],
+        ["construct3", "-p", "13", "--curve", "circle:1", "--format", "json"],
+    ],
+    ids=["curve", "construct3"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # a pipe whose reader is gone before the command starts: every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffsalem.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

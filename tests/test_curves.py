@@ -18,6 +18,8 @@ from ffsalem import (
     symmetrized_parabola,
 )
 
+from oracles import brute_points
+
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)
 
@@ -147,6 +149,43 @@ def test_paraboloid_points():
     assert c.points.size == 7
     for x, y in c.points:
         assert y == (x * x) % 7
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (13, 1), (5, 2), (11, 2), (3, 3), (5, 3)])
+def test_sphere_and_paraboloid_match_brute_points(p, d):
+    ctx = FieldContext(p, d)
+    for t in range(p):
+        assert sphere(ctx, t).points == brute_points(
+            ctx, lambda x: sum(c * c for c in x) % p == t
+        )
+    if d >= 2:
+        assert paraboloid(ctx).points == brute_points(
+            ctx, lambda x: sum(c * c for c in x[:-1]) % p == x[-1]
+        )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_zero_set_matches_brute_points(p):
+    ctx = FieldContext(p, 2)
+    rng = np.random.Generator(np.random.Philox(p))
+    checked = 0
+    while checked < 12:
+        coeffs = [int(c) for c in rng.integers(-p, 2 * p, size=6)]
+        try:
+            q = Quadratic(ctx, *coeffs)
+        except ValueError:
+            continue
+        checked += 1
+        assert q.zero_set() == brute_points(ctx, lambda x: q.evaluate(*x) == 0)
+        try:
+            form = reduce_quadratic(q)
+        except DegenerateConic:
+            continue
+        if form.kind == "diagonal":
+            alpha, beta, gamma = form.diag
+            assert form.canonical_zero_set() == brute_points(
+                ctx, lambda x: (alpha * x[0] ** 2 + beta * x[1] ** 2 + gamma) % p == 0
+            )
 
 
 def test_poly_graph():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +50,44 @@ def test_index_round_trip():
     for idx in (0, 1, 6, 7, 48, 342):
         assert ctx.index_of(ctx.point_at(idx)) == idx
     assert ctx.index_of((3, 2, 1)) == 3 + 2 * 7 + 1 * 49
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (5, 2), (11, 2), (3, 3), (7, 3)])
+def test_point_at_coords_of_index_of_round_trip(p, d):
+    ctx = FieldContext(p, d)
+    every = np.arange(ctx.order)
+    coords = ctx.coords_of(every)
+    assert coords.shape == (ctx.order, d)
+    # index order runs x_1 fastest: product() with the coordinates reversed
+    assert [tuple(row) for row in coords.tolist()] == [
+        x[::-1] for x in itertools.product(range(p), repeat=d)
+    ]
+    for idx in every:
+        pt = ctx.point_at(idx)
+        assert pt == tuple(coords[idx].tolist())
+        assert ctx.index_of(pt) == idx
+        assert all(type(c) is int and 0 <= c < p for c in pt)
+    assert np.array_equal(ctx.indices_of(coords), every)
+    rng = np.random.Generator(np.random.Philox(p + d))
+    block = rng.integers(0, ctx.order, size=(3, 4))
+    assert np.array_equal(ctx.coords_of(block)[1, 2], coords[block[1, 2]])
+    for bad in (-1, ctx.order):
+        with pytest.raises(IndexError):
+            ctx.point_at(bad)
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (5, 2), (3, 3), (5, 3)])
+def test_grid_sum_matches_pointwise_sum(p, d):
+    ctx = FieldContext(p, d)
+    rng = np.random.Generator(np.random.Philox(p * d))
+    tables = [rng.integers(0, p, size=p) for _ in range(d)]  # distinct per axis
+    expected = [
+        sum(int(tables[i][c]) for i, c in enumerate(ctx.point_at(idx))) % p
+        for idx in range(ctx.order)
+    ]
+    assert ctx.grid_sum(tables).tolist() == expected
+    with pytest.raises(ValueError):
+        ctx.grid_sum(tables[:-1] if d > 1 else tables * 2)
 
 
 def test_reduce_canonicalizes():

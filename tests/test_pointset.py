@@ -22,7 +22,7 @@ from ffsalem import (
     salem_report,
     sphere,
 )
-from oracles import direct_dft
+from oracles import direct_dft, reference_affine_image
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)
@@ -67,6 +67,26 @@ def test_linear_image_and_singular_rejection():
     assert sorted(T.points()) == [(0, 1), (1, 0)]
     with pytest.raises(SingularMatrix):
         S.linear_image([[1, 2], [2, 4]])
+
+
+TABLE_FIELDS = [(7, 1), (31, 1), (5, 2), (11, 2), (3, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("p,d", TABLE_FIELDS)
+def test_translate_negate_linear_image_match_reference(p, d):
+    ctx = FieldContext(p, d)
+    rng = np.random.Generator(np.random.Philox(p * 10 + d))
+    identity = np.eye(d, dtype=np.int64)
+    for size in (1, ctx.order // 3, ctx.order - 1):
+        S = random_set(ctx, rng, size)
+        v = tuple(int(c) for c in rng.integers(-2 * p, 2 * p, size=d))
+        assert S.translate(v) == reference_affine_image(S, identity, v)
+        assert S.negate() == reference_affine_image(S, -identity, (0,) * d)
+        while True:
+            T = rng.integers(0, p, size=(d, d))
+            if round(np.linalg.det(T)) % p:
+                break
+        assert S.linear_image(T.tolist()) == reference_affine_image(S, T, (0,) * d)
 
 
 def test_symmetry_checks():
@@ -172,6 +192,24 @@ def test_salem_report_examples():
     assert full.passed and full.max_nontrivial < 1e-12
     with pytest.raises(EmptySet):
         salem_report(PointSet.empty(F5), SalemParams())
+
+
+def test_salem_check_path_builds_no_coordinate_table():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ctx = FieldContext(1009, 2)
+        report = salem_report(sphere(ctx, 1).points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert not hasattr(ctx, "coords")
+    # numpy 2.4's fftn peaks near 2.5 complex tables (39.9 MiB in all); a
+    # cached (order, 2) int64 coordinate table adds one more (55.5 MiB)
+    complex_table = 16 * ctx.order
+    assert peak < 3 * complex_table
 
 
 def test_salem_report_json_keys():

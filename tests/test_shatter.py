@@ -268,11 +268,13 @@ FROZEN_CONSTRUCT3 = [
      {0: [1, 0], 1: [10, 0], 2: [7, 4], 3: [6, 3], 4: [10, 1], 5: [0, 0], 6: [1, 1], 7: [5, 4]}),
     (13, "conic:1,1,3,0,0,5", [[2, 4], [0, 8], [6, 2]],
      {0: [2, 0], 1: [8, 0], 2: [3, 0], 3: [7, 6], 4: [1, 0], 5: [0, 0], 6: [11, 4], 7: [8, 6]}),
+    (101, "circle:5", [[99, 1], [45, 2], [2, 1]],
+     {0: [1, 0], 1: [97, 0], 2: [44, 0], 3: [43, 1], 4: [4, 0], 5: [0, 0], 6: [47, 1], 7: [0, 2]}),
 ]
 
 
 @pytest.mark.parametrize(
-    "p,curve,points,centers", FROZEN_CONSTRUCT3, ids=["circle-f11", "conic-f13"]
+    "p,curve,points,centers", FROZEN_CONSTRUCT3, ids=["circle-f11", "conic-f13", "circle-f101"]
 )
 def test_construct3_frozen_witness(p, curve, points, centers):
     ctx = FieldContext(p, 2)
