@@ -283,6 +283,7 @@ def _cmd_shatter(parser, args) -> int:
     if outcome.status is SearchStatus.EXHAUSTED_NO:
         _emit(args, result, "NOT SHATTERABLE", start)
         return 0
+    print(f"BUDGET EXHAUSTED: {outcome.reason}", file=sys.stderr)
     _emit(args, result, "BUDGET EXHAUSTED", start)
     return 1
 

@@ -15,6 +15,13 @@ BudgetExceeded before allocating past NEIGHBORHOOD_BITS_GUARD.
 When E and W are both the full group the class is translation invariant,
 so the Anchored strategy enumerates only the tuples whose first point is
 the origin (index 0).  vc_bounds picks it by itself for such problems.
+
+RandomSearch tries the sorted rows of Generator(Philox(seed)).choice(|E|,
+k, replace=False), one row per tuple; _random_picks draws them RANDOM_BATCH
+at a time from the same Philox stream, so a seed names the same tuples as a
+per-tuple choice loop would.  When 2^k > |W| no tuple can shatter (its 2^k
+regions would be disjoint nonempty subsets of W), and the search spends its
+budget without drawing.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .pointset import PointSet
 DEFAULT_BUDGET = 10**9
 VC_KMAX_GUARD = 5
 NEIGHBORHOOD_BITS_GUARD = 2**31  # 256 MiB of N(x) bitsets: admits p = 211 at d = 2
+RANDOM_BATCH = 1024  # tuples per Philox call in the random search
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,7 @@ class SearchOutcome:
     status: SearchStatus
     witness: ShatterWitness | None = None
     stats: SearchStats = field(default_factory=SearchStats)
+    reason: str = ""  # why a BUDGET_EXHAUSTED search stopped
 
     @property
     def found(self) -> bool:
@@ -129,7 +138,8 @@ class SearchOutcome:
 
 
 def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
-    """True iff x^i - y_I in S exactly when i in I, for every i and I.
+    """True iff every x^i lies in E, every y_I in W, and x^i - y_I in S
+    exactly when i in I, for every i and I.
 
     Shape mismatches (wrong point count, missing or extra subsets, wrong
     coordinate width) raise DimensionMismatch; a witness that is merely
@@ -147,6 +157,10 @@ def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
     for y in witness.witnesses.values():
         if len(y) != ctx.d:
             raise DimensionMismatch("witness centers must have d coordinates")
+    if not all(x in problem.E for x in witness.points):
+        return False
+    if not all(y in problem.W for y in witness.witnesses.values()):
+        return False
     S = problem.S
     p = ctx.p
     for mask, y in witness.witnesses.items():
@@ -259,8 +273,10 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     (with the least witness in every region); ExhaustedNo certifies that a
     complete enumeration found nothing; BudgetExhausted reports an aborted
     run.  Anchored gives the same outcomes from the x^1 = 0 subtree alone and
-    raises ValueError unless E and W are the full group.  Every Found outcome
-    is re-verified before being returned.
+    raises ValueError unless E and W are the full group.  RandomSearch ends
+    Found or BudgetExhausted, or ExhaustedNo when |E| < k.  A BudgetExhausted
+    outcome says why in its reason.  Every Found outcome is re-verified
+    before being returned.
     """
     if not isinstance(strategy, (Exhaustive, Anchored, RandomSearch)):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -328,28 +344,76 @@ def _search_exhaustive(
     if witness is not None:
         return SearchOutcome(SearchStatus.FOUND, witness, stats)
     if out_of_budget:
-        return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, stats)
+        return _budget_spent(budget)
     return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
+
+
+def _budget_spent(budget: int, reason: str = "") -> SearchOutcome:
+    return SearchOutcome(
+        SearchStatus.BUDGET_EXHAUSTED,
+        None,
+        SearchStats(budget),
+        reason or f"{budget} tuples examined, budget {budget}",
+    )
+
+
+def _random_picks(rng: np.random.Generator, n: int, k: int, count: int) -> np.ndarray:
+    """count rows equal to sorted(rng.choice(n, k, replace=False)) called count
+    times, from one rng.integers call; needs 1 <= k <= n and Floyd's branch
+    of choice.
+
+    Per row, choice makes 2k - 1 bounded draws: Floyd's, inclusive highs
+    n - k .. n - 1, then the shuffle of the k picks, highs k - 1 .. 1, which
+    sorting undoes.  Floyd's draw t becomes n - k + t when it repeats an
+    earlier pick of its row.
+    """
+    highs = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(highs, count), endpoint=True, dtype=np.int64)
+    picks = draws.reshape(count, 2 * k - 1)[:, :k].copy()
+    for t in range(1, k):
+        column = picks[:, t]
+        column[(picks[:, :t] == column[:, None]).any(axis=1)] = n - k + t
+    picks.sort(axis=1)
+    return picks
 
 
 def _search_random(
     ctx: FieldContext, e_idx: list, neigh: list, w_bits: int, k: int, strategy
 ) -> SearchOutcome:
-    """Sampled k-subsets of E, positions sorted so points come in index order."""
-    stats = SearchStats()
-    if len(e_idx) < k:
-        return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
+    """Tuple t is row t of sorted(rng.choice(|E|, k, replace=False)) for a
+    Philox(seed) generator, its positions in index order; the rows come
+    RANDOM_BATCH at a time, the last batch cut to the budget left.
+
+    A shattered tuple's 2^k regions are disjoint nonempty subsets of W, so
+    when 2^k > |W| the budget is spent without drawing: the same outcome a
+    draw-by-draw search would reach, and the only case where choice leaves
+    Floyd's algorithm (|E| > 10000 and k > |E| // 50, so k > 200 while
+    |W| <= 2^22).
+    """
+    n, budget = len(e_idx), strategy.budget
+    if n < k:
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, SearchStats())
+    w_size = w_bits.bit_count()
+    if k >= w_size.bit_length():  # 2^k > |W|
+        return _budget_spent(
+            budget,
+            f"2^{k} > |W| = {w_size}: no {k}-tuple can be shattered, "
+            f"budget {budget} spent without drawing",
+        )
     rng = np.random.Generator(np.random.Philox(strategy.seed))
-    for _ in range(strategy.budget):
-        stats.tuples_examined += 1
-        picks = sorted(int(i) for i in rng.choice(len(e_idx), size=k, replace=False))
-        regions = _regions(w_bits, [neigh[i] for i in picks])
-        if regions is not None:
-            chosen = [e_idx[i] for i in picks]
-            return SearchOutcome(
-                SearchStatus.FOUND, _witness_from_regions(ctx, chosen, regions), stats
-            )
-    return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, stats)
+    examined = 0
+    while examined < budget:
+        for picks in _random_picks(rng, n, k, min(RANDOM_BATCH, budget - examined)).tolist():
+            examined += 1
+            regions = _regions(w_bits, [neigh[i] for i in picks])
+            if regions is not None:
+                chosen = [e_idx[i] for i in picks]
+                return SearchOutcome(
+                    SearchStatus.FOUND,
+                    _witness_from_regions(ctx, chosen, regions),
+                    SearchStats(examined),
+                )
+    return _budget_spent(budget)
 
 
 def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]]) -> SearchOutcome:
@@ -361,6 +425,9 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
     ctx = problem.context
     if len(points) != problem.k:
         raise DimensionMismatch(f"expected {problem.k} points, got {len(points)}")
+    for pt in points:
+        if pt not in problem.E:
+            raise ValueError(f"point {tuple(pt)} is not in E")
     start = time.perf_counter()
     chosen = [ctx.index_of(pt) for pt in points]
     w_bits = _bits_from_bool(problem.W.membership)

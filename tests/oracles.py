@@ -4,7 +4,8 @@ Everything here is written for obviousness, not speed: direct double sums
 for transforms, explicit loops for counts, and a dichotomy-materializing
 shattering decider.  None of it shares code with the library internals it
 checks, except `reference_weil_suite`, which pins the row-batched sweep to
-one public character-sum call per sum.
+one public character-sum call per sum, and `reference_random_search`, which
+pins the batched random search to one `Generator.choice` call per tuple.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ffsalem import FieldContext, PointSet, gauss_sum, kloosterman, legendre, weil_poly_sum
+from ffsalem import (
+    FieldContext,
+    PointSet,
+    SearchStatus,
+    ShatterWitness,
+    gauss_sum,
+    kloosterman,
+    legendre,
+    weil_poly_sum,
+)
 
 
 def direct_dft(S: PointSet) -> dict:
@@ -179,6 +189,38 @@ def naive_shatterable(S: PointSet, k: int, E: PointSet, W: PointSet) -> bool:
         if len(np.unique(patterns)) == want:
             return True
     return False
+
+
+def reference_random_search(problem, seed: int, budget: int) -> tuple:
+    """RandomSearch(seed, budget) for k >= 1 as one rng.choice call per
+    tuple: (status, witness or None, tuples_examined).
+
+    Tuple t is sorted(rng.choice(|E|, k, replace=False)) from the t-th call
+    on a Philox(seed) generator, as positions into E in index order.  It is
+    shattered when its centers in W show all 2^k membership patterns; the
+    witness for a pattern is the least-index center showing it.
+    """
+    S, E, W, k = problem.S, problem.E, problem.W, problem.k
+    p = S.context.p
+    e_pts, w_pts = list(E), list(W)
+    if not w_pts or len(e_pts) < k:
+        return SearchStatus.EXHAUSTED_NO, None, 0
+    hits = np.array([
+        [tuple((a - b) % p for a, b in zip(x, y)) in S for y in w_pts] for x in e_pts
+    ], dtype=np.int64)
+    weights = 1 << np.arange(k)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for examined in range(1, budget + 1):
+        picks = sorted(int(i) for i in rng.choice(len(e_pts), size=k, replace=False))
+        patterns = (hits[picks] * weights[:, None]).sum(axis=0)
+        seen, first = np.unique(patterns, return_index=True)
+        if len(seen) == 1 << k:
+            witness = ShatterWitness(
+                [e_pts[i] for i in picks],
+                {int(m): w_pts[j] for m, j in zip(seen, first)},
+            )
+            return SearchStatus.FOUND, witness, examined
+    return SearchStatus.BUDGET_EXHAUSTED, None, budget
 
 
 def reference_weil_suite(p: int) -> dict:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ffsalem
@@ -210,12 +210,27 @@ def test_shatter_refuted_exits_zero(capsys):
 
 
 def test_shatter_budget_exit_one(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         "shatter", "-p", "11", "--curve", "sym-parabola", "-k", "4", "--budget", "100",
     )
     assert code == 1
     assert "BUDGET" in out
+    assert err == "BUDGET EXHAUSTED: 100 tuples examined, budget 100\n"
+
+
+def test_shatter_random_pigeonhole_reason(capsys):
+    # 2^4 regions cannot be disjoint and nonempty in the 12 points of the circle
+    argv = ["shatter", "-p", "11", "--curve", "circle:1", "-k", "4", "--strategy", "random",
+            "--seed", "1", "--witness-domain", "self", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("BUDGET EXHAUSTED: 2^4 > |W| = 12: no 4-tuple can be shattered")
+    assert err.count("\n") == 1
+    data = json.loads(out)
+    assert data["status"] == "BUDGET EXHAUSTED"
+    assert data["result"]["tuples_examined"] == 10_000
+    assert set(data["result"]) == {"set", "k", "strategy", "tuples_examined", "search_seconds"}
 
 
 def test_shatter_zero_budget_examines_nothing(capsys):
@@ -314,8 +329,10 @@ FUZZ_CURVES = [
 @st.composite
 def cli_argv(draw):
     command = draw(st.sampled_from(["shatter", "vc"]))
-    argv = [command, "-p", str(draw(st.integers(-3, 15)))]
-    argv += ["--curve", draw(st.sampled_from(FUZZ_CURVES))]
+    # half the draws are well-formed problems, so the searches themselves run
+    primes, curves = st.sampled_from([5, 7, 11, 13]), st.sampled_from(["circle:1", "sym-parabola"])
+    argv = [command, "-p", str(draw(primes | st.integers(-3, 15)))]
+    argv += ["--curve", draw(curves | st.sampled_from(FUZZ_CURVES))]
     if command == "shatter":
         argv += ["-k", str(draw(st.integers(-2, 6)))]
         argv += ["--strategy", draw(st.sampled_from(["exhaustive", "random"]))]
@@ -339,12 +356,21 @@ def assert_clean_exit(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
 
 
+# 2^k > |W| for the circle's 4 (p = 5) and 12 (p = 11) points: the random
+# search ends at once with the pigeonhole reason
+@example(["shatter", "-p", "5", "--curve", "circle:1", "-k", "6", "--strategy", "random",
+          "--seed", "3", "--witness-domain", "self", "--budget", "100000"])
+@example(["shatter", "-p", "11", "--curve", "circle:1", "-k", "5", "--strategy", "random",
+          "--seed", "0", "--witness-domain", "self", "--budget", "99999", "--format", "csv"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_argv())
 def test_argv_fuzz_shatter_vc(argv):
-    assert_clean_exit(argv)
+    code, err = assert_clean_exit(argv)
+    if code == 1:  # an exhausted budget, with its reason on one stderr line
+        assert err.startswith("BUDGET EXHAUSTED: ") and err.count("\n") == 1, (argv, err)
 
 
 # the least prime whose weil-suite sweep is above WEIL_SUITE_MAX_CELLS

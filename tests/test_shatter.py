@@ -19,6 +19,7 @@ from ffsalem import (
     construct_shatter3,
     make_curve,
     paraboloid,
+    sample_subset,
     shatter_search,
     sphere,
     symmetrize,
@@ -28,7 +29,8 @@ from ffsalem import (
     witness_for_points,
 )
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
-from oracles import naive_shatterable
+from ffsalem.shatter import RANDOM_BATCH, _random_picks
+from oracles import naive_shatterable, reference_random_search
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 2)
@@ -83,6 +85,18 @@ def test_verify_witness_dimension_errors():
     masks[3] = (1, 2, 3)
     with pytest.raises(DimensionMismatch):
         verify_witness(problem, ShatterWitness(list(F11_X_TUPLE), masks))
+
+
+def test_verify_witness_needs_points_in_e_and_centers_in_w():
+    S = symmetrized_parabola(F11).points
+    full = PointSet.full(F11)
+    witness = shatter_search(ShatterProblem.over(S, 2)).witness
+    # centers (2, 0) and (1, 0) of the full-plane witness lie off S
+    assert {(2, 0), (1, 0)} <= set(witness.witnesses.values())
+    assert verify_witness(ShatterProblem(S, full, full, 2), witness)
+    assert not verify_witness(ShatterProblem(S, full, S, 2), witness)
+    # its points (0, 0) and (1, 0): the second lies off S
+    assert not verify_witness(ShatterProblem(S, S, full, 2), witness)
 
 
 def test_verify_witness_duplicate_points_fail():
@@ -193,6 +207,62 @@ def test_random_search_frozen_f11():
     assert out.witness.points == [(1, 0), (2, 3), (6, 6), (9, 7)]
 
 
+def choice_rows(seed, n, k, count):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return np.array([sorted(rng.choice(n, size=k, replace=False)) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n,k", [(9, 9), (50, 1), (529, 4), (2**22, 22), (20000, 400)])
+@pytest.mark.parametrize("seed", [0, 1, 2017])
+def test_random_picks_replay_generator_choice(seed, n, k):
+    # (20000, 400) is the last Floyd case: choice shuffles a full range
+    # once n > 10000 and k > n // 50
+    count = 6 if k > 100 else 300
+    rng = np.random.Generator(np.random.Philox(seed))
+    # the second call picks up the stream where the first left it
+    got = np.concatenate([_random_picks(rng, n, k, c) for c in (count // 3, count - count // 3)])
+    assert np.array_equal(got, choice_rows(seed, n, k, count))
+
+
+def _sampled(p, size, seed):
+    return sample_subset(FieldContext(p, 2), size, seed)
+
+
+RANDOM_ORACLE_CASES = {
+    # id: (S, E, W, k, search seed); the comment gives the outcome at budget
+    # 2049 with RANDOM_BATCH = 1024
+    "full-f11-seed1": (symmetrized_parabola(F11).points, None, None, 4, 1),  # FOUND at 864
+    "full-f11-seed3": (symmetrized_parabola(F11).points, None, None, 4, 3),  # FOUND at 1656
+    "full-f11-circle": (sphere(F11, 1).points, None, None, 4, 2),  # VC = 3: exhausted
+    "full-f5-k2": (sphere(F5, 1).points, None, None, 2, 4),  # FOUND at once
+    "self-f7": (symmetrized_parabola(F7).points, None, "S", 3, 5),  # FOUND at 1182
+    "sampled-self": (symmetrized_parabola(F11).points, _sampled(11, 100, 3), "E", 4, 1),  # 1054
+    "sampled-full": (symmetrized_parabola(F11).points, _sampled(11, 80, 2), None, 4, 3),  # 1047
+    "pigeonhole": (sphere(F11, 1).points, None, "S", 4, 1),  # 2^4 > |S| = 12
+}
+
+
+# budgets on both sides of the first batch's end, and a cut second batch
+@pytest.mark.parametrize(
+    "budget", [0, 1, RANDOM_BATCH - 1, RANDOM_BATCH, RANDOM_BATCH + 1, 2 * RANDOM_BATCH + 1]
+)
+@pytest.mark.parametrize("case", sorted(RANDOM_ORACLE_CASES))
+def test_random_search_matches_per_tuple_reference(case, budget):
+    S, E, W, k, seed = RANDOM_ORACLE_CASES[case]
+    E = PointSet.full(S.context) if E is None else E
+    W = {None: PointSet.full(S.context), "S": S, "E": E}[W]
+    problem = ShatterProblem(S, E, W, k)
+    out = shatter_search(problem, RandomSearch(seed=seed, budget=budget))
+    status, witness, examined = reference_random_search(problem, seed, budget)
+    assert out.status is status
+    assert out.witness == witness
+    assert out.stats.tuples_examined == examined
+    if case == "pigeonhole":
+        assert out.reason.startswith("2^4 > |W| = 12: no 4-tuple can be shattered")
+    elif status is SearchStatus.BUDGET_EXHAUSTED:
+        assert out.reason == f"{budget} tuples examined, budget {budget}"
+
+
 def test_random_search_gives_up_with_budget_status():
     # k = 3 on the plain parabola is refuted, so random search can only give up
     problem = ShatterProblem.over(paraboloid(F11).points, 3)
@@ -231,6 +301,12 @@ def test_witness_for_points_rejections():
         witness_for_points(problem, [(0, 0)])
     bad = witness_for_points(problem, [(0, 0), (0, 1), (0, 2), (0, 3)])
     assert bad.status is SearchStatus.NOT_FOUND
+    # a proposed point outside E is an input error, whatever its regions
+    on_curve = ShatterProblem(problem.S, problem.S, PointSet.full(F11), 2)
+    with pytest.raises(ValueError, match=r"point \(0, 1\) is not in E"):
+        witness_for_points(on_curve, [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match=r"point \(0, 2\) is not in E"):
+        witness_for_points(on_curve, [(0, 0), (0, 2)])
     # an empty W leaves the one k = 0 region empty too
     no_centers = ShatterProblem(problem.S, PointSet.full(F11), PointSet.empty(F11), 0)
     assert witness_for_points(no_centers, []).status is SearchStatus.NOT_FOUND
