@@ -321,9 +321,9 @@ def find_rhombus(
     (ties to the least index), then scan E_u for the first pair with
     difference in S minus {0, +-u, +-v, +-u+-v}; None when the scan exhausts.
 
-    extra_excluded removes further difference candidates: either a PointSet,
-    or a callable (u, v) -> PointSet evaluated once u is fixed.  Callers
-    assembling larger graphs use it to rule out accidental adjacencies.
+    extra_excluded, a callable (u, v) -> PointSet evaluated once u is fixed,
+    removes further difference candidates.  Callers assembling larger graphs
+    use it to rule out accidental adjacencies.
     """
     ctx = E.context
     if ctx != S.context:
@@ -360,8 +360,7 @@ def find_rhombus(
     for pt in excluded:
         allowed[ctx.index_of(pt)] = False
     if extra_excluded is not None:
-        exc = extra_excluded(u, tuple(v)) if callable(extra_excluded) else extra_excluded
-        allowed &= ~exc.membership
+        allowed &= ~extra_excluded(u, tuple(v)).membership
 
     # for b in E_u in index order, the least a in E_u with a - b allowed,
     # among the candidates a = b + w over the allowed differences w (a = b
@@ -448,7 +447,8 @@ def build_cube(
 ) -> CubeWitness | None:
     """Pigeonhole a shift v in S maximizing |E ^ (E - v)|, then look for a
     rhombus avoiding +-v inside that slice; None if either stage fails.
-    extra_excluded is forwarded to the rhombus pair scan."""
+    extra_excluded, a callable (u, v) -> PointSet, is forwarded to the
+    rhombus pair scan."""
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")

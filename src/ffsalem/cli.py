@@ -1,13 +1,16 @@
 """Command-line surface: one subcommand per library operation plus presets.
 
-Exit codes: 0 for success (including a completed negative search), 1 for a
-mathematical FAIL or an exhausted budget, 2 for usage errors, 141 (the
-shell's SIGPIPE code) when the reader of stdout goes away, as in `| head`.
-Every rejected input (the errors.py ValueError family included) ends in one
-stderr line and exit 2, never a traceback.  Randomized
-paths all require an explicit --seed.  JSON output echoes the full run
-configuration with the library version and elapsed wall time; floats print
-with 12 significant digits.
+Each handler returns (result, status) and `main` is the one boundary: it
+times the handler, emits the envelope and maps the status to the exit code
+through EXIT_CODES (FAIL, NOT FOUND and BUDGET EXHAUSTED exit 1; every other
+status, and no status, exits 0).  2 is for usage errors and 141 (the shell's
+SIGPIPE code) for a reader of stdout that went away, as in `| head`.  Every
+input a handler rejects (the errors.py ValueError family included) ends in
+one stderr line `ffsalem CMD: error: ...` and exit 2, never a traceback;
+argparse's own parse errors print its usage first.  Randomized paths all
+require an explicit --seed.  JSON output echoes the full run configuration
+with the library version and elapsed wall time; floats print with 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .field import FieldContext
 from .pointset import PointSet, SalemParams, dump_points, fourier_spectrum, load_points, salem_report
 from .randomsets import monte_carlo, sample_subset
 from .shatter import (
-    DEFAULT_BUDGET,
     Exhaustive,
     RandomSearch,
     SearchStatus,
@@ -38,6 +40,8 @@ from .shatter import (
 
 
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGPIPE
+# the statuses that exit 1; every other status, and no status, exits 0
+EXIT_CODES = {"FAIL": 1, "NOT FOUND": 1, "BUDGET EXHAUSTED": 1}
 
 
 def _fmt(v) -> str:
@@ -71,9 +75,8 @@ def _flatten_rows(obj):
     return rows
 
 
-def _emit(args, result: dict, status: str | None, start: float) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")}
-    elapsed = time.perf_counter() - start
+def _emit(args, result: dict, status: str | None, elapsed: float) -> None:
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     if args.format == "json":
         payload = {
             "config": config,
@@ -100,31 +103,41 @@ def _emit(args, result: dict, status: str | None, start: float) -> None:
 # -- input resolution -----------------------------------------------------------
 
 
-def _context(parser, args) -> FieldContext:
+def _context(args) -> FieldContext:
     if args.prime is None:
-        parser.error("--prime is required")
+        raise ValueError("--prime is required")
     return FieldContext(args.prime, args.dim)
 
 
-def _resolve_set(parser, args) -> tuple:
+def _label(args) -> str:
+    """How results name the set read from --curve or --points."""
+    return f"file:{args.points}" if args.points else args.curve
+
+
+def _resolve_set(args) -> tuple:
     """(context, point set, label) from --curve or --points."""
     curve, path = args.curve, args.points
     if curve and path:
-        parser.error("--curve and --points are mutually exclusive")
+        raise ValueError("--curve and --points are mutually exclusive")
     if path:
         try:
             S = load_points(path)
         except OSError as exc:
-            parser.error(f"--points: {exc}")
+            raise ValueError(f"--points: {exc}") from exc
         if args.prime is not None and args.prime != S.context.p:
-            parser.error(
+            raise ValueError(
                 f"--prime {args.prime} disagrees with the point file header p = {S.context.p}"
             )
-        return S.context, S, f"file:{path}"
+        return S.context, S, _label(args)
     if not curve:
-        parser.error("one of --curve or --points is required")
-    ctx = _context(parser, args)
-    return ctx, make_curve(ctx, curve).points, curve
+        raise ValueError("one of --curve or --points is required")
+    ctx = _context(args)
+    return ctx, make_curve(ctx, curve).points, _label(args)
+
+
+def _budget(args) -> dict:
+    """--budget as a keyword argument, only when given: each search states its own default."""
+    return {} if args.budget is None else {"budget": args.budget}
 
 
 def _add_field(sub):
@@ -145,26 +158,19 @@ def _add_format(sub):
 
 
 # -- subcommand handlers -----------------------------------------------------------
+#
+# Each handler takes the parsed args and returns (result, status); main emits
+# them.  A handler that prints its own output returns (None, None).
 
 
-def _budget_exhausted(args, label: str, exc: BudgetExceeded, start: float) -> int:
-    print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
-    _emit(args, {"set": label, "reason": str(exc)}, "BUDGET EXHAUSTED", start)
-    return 1
-
-
-def _cmd_salem_check(parser, args) -> int:
-    start = time.perf_counter()
-    _, S, label = _resolve_set(parser, args)
+def _cmd_salem_check(args) -> tuple:
+    _, S, label = _resolve_set(args)
     report = salem_report(S, SalemParams(gamma=args.gamma, constant=args.const))
-    result = {"set": label, **report.to_json()}
-    _emit(args, result, "PASS" if report.passed else "FAIL", start)
-    return 0 if report.passed else 1
+    return {"set": label, **report.to_json()}, "PASS" if report.passed else "FAIL"
 
 
-def _cmd_spectrum(parser, args) -> int:
-    start = time.perf_counter()
-    ctx, S, label = _resolve_set(parser, args)
+def _cmd_spectrum(args) -> tuple:
+    ctx, S, label = _resolve_set(args)
     spec = fourier_spectrum(S)
     result = {
         "set": label,
@@ -172,33 +178,29 @@ def _cmd_spectrum(parser, args) -> int:
         "max_nontrivial": spec.max_nontrivial,
         "scaled_max": ctx.order * spec.max_nontrivial,
     }
-    _emit(args, result, None, start)
-    return 0
+    return result, None
 
 
-def _cmd_curve(parser, args) -> int:
-    start = time.perf_counter()
-    handle = make_curve(_context(parser, args), args.curve)
+def _cmd_curve(args) -> tuple:
+    handle = make_curve(_context(args), args.curve)
     if args.format == "text":
         # plain text doubles as the point-file format, ready to pipe to a file
         dump_points(handle.points, sys.stdout)
-        return 0
+        return None, None
     result = {
         "family": handle.family,
         "parameters": dict(handle.parameters),
         "size": handle.points.size,
         "points": [list(pt) for pt in handle.points],
     }
-    _emit(args, result, None, start)
-    return 0
+    return result, None
 
 
-def _cmd_classify(parser, args) -> int:
-    start = time.perf_counter()
-    ctx = _context(parser, args)
+def _cmd_classify(args) -> tuple:
+    ctx = _context(args)
     vals = [int(v) for v in args.coeffs.split(",")]
     if len(vals) != 6:
-        parser.error("--coeffs: need exactly 6 comma-separated integers")
+        raise ValueError("--coeffs: need exactly 6 comma-separated integers")
     quad = Quadratic(ctx, *vals)
     cls = classify_quadratic(quad)
     result = {
@@ -215,60 +217,49 @@ def _cmd_classify(parser, args) -> int:
         result["zero_set_size"] = quad.zero_set().size
     else:
         result["kind"] = "degenerate"
-    _emit(args, result, None, start)
-    return 0
+    return result, None
 
 
-def _cmd_intersect_profile(parser, args) -> int:
-    start = time.perf_counter()
-    _, S, label = _resolve_set(parser, args)
-    profile = intersection_profile(S)
-    _emit(args, {"set": label, **profile.to_json()}, None, start)
-    return 0
+def _cmd_intersect_profile(args) -> tuple:
+    _, S, label = _resolve_set(args)
+    return {"set": label, **intersection_profile(S).to_json()}, None
 
 
-def _cmd_edge_count(parser, args) -> int:
-    start = time.perf_counter()
-    ctx, S, label = _resolve_set(parser, args)
+def _cmd_edge_count(args) -> tuple:
+    ctx, S, label = _resolve_set(args)
     if args.set is not None:
         try:
             E = load_points(args.set)
         except OSError as exc:
-            parser.error(f"--set: {exc}")
+            raise ValueError(f"--set: {exc}") from exc
         if E.context != ctx:
-            parser.error("--set: point file context differs from the shape set's")
+            raise ValueError("--set: point file context differs from the shape set's")
         e_label = f"file:{args.set}"
     elif args.sample is not None:
         if args.seed is None:
-            parser.error("--seed is required with --sample")
+            raise ValueError("--seed is required with --sample")
         E = sample_subset(ctx, args.sample, args.seed)
         e_label = f"sample:{args.sample}:{args.seed}"
     else:
-        parser.error("one of --set or --sample is required for the counted set")
+        raise ValueError("one of --set or --sample is required for the counted set")
     if E.size == 0 or S.size == 0:
-        parser.error("edge counting needs nonempty sets")
+        raise ValueError("edge counting needs nonempty sets")
     report = edge_count(E, S, gamma=args.gamma)
-    result = {"shape": label, "counted_set": e_label, "set_size": E.size, **report.to_json()}
-    _emit(args, result, None, start)
-    return 0
+    return {"shape": label, "counted_set": e_label, "set_size": E.size, **report.to_json()}, None
 
 
-def _cmd_shatter(parser, args) -> int:
-    start = time.perf_counter()
-    ctx, S, label = _resolve_set(parser, args)
+def _cmd_shatter(args) -> tuple:
+    ctx, S, label = _resolve_set(args)
     full = PointSet.full(ctx)
     W = full if args.witness_domain == "full" else S
     problem = ShatterProblem(S, full, W, args.k)
     if args.strategy == "random":
         if args.seed is None:
-            parser.error("--seed is required with --strategy random")
-        strategy = RandomSearch(args.seed, 10_000 if args.budget is None else args.budget)
+            raise ValueError("--seed is required with --strategy random")
+        strategy = RandomSearch(args.seed, **_budget(args))
     else:
-        strategy = Exhaustive(DEFAULT_BUDGET if args.budget is None else args.budget)
-    try:
-        outcome = shatter_search(problem, strategy)
-    except BudgetExceeded as exc:
-        return _budget_exhausted(args, label, exc, start)
+        strategy = Exhaustive(**_budget(args))
+    outcome = shatter_search(problem, strategy)
     result = {
         "set": label,
         "k": args.k,
@@ -278,49 +269,35 @@ def _cmd_shatter(parser, args) -> int:
     }
     if outcome.status is SearchStatus.FOUND:
         result["witness"] = outcome.witness.to_json()
-        _emit(args, result, "FOUND", start)
-        return 0
+        return result, "FOUND"
     if outcome.status is SearchStatus.EXHAUSTED_NO:
-        _emit(args, result, "NOT SHATTERABLE", start)
-        return 0
+        return result, "NOT SHATTERABLE"
     print(f"BUDGET EXHAUSTED: {outcome.reason}", file=sys.stderr)
-    _emit(args, result, "BUDGET EXHAUSTED", start)
-    return 1
+    return result, "BUDGET EXHAUSTED"
 
 
-def _cmd_construct3(parser, args) -> int:
-    start = time.perf_counter()
-    ctx, S, label = _resolve_set(parser, args)
+def _cmd_construct3(args) -> tuple:
+    ctx, S, label = _resolve_set(args)
     outcome = construct_shatter3(S, PointSet.full(ctx))
     result = {"set": label, "k": 3}
     if outcome.status is SearchStatus.FOUND:
         result["witness"] = outcome.witness.to_json()
-        _emit(args, result, "FOUND", start)
-        return 0
-    _emit(args, result, "NOT FOUND", start)
-    return 1
+        return result, "FOUND"
+    return result, "NOT FOUND"
 
 
-def _cmd_vc(parser, args) -> int:
-    start = time.perf_counter()
-    ctx, S, label = _resolve_set(parser, args)
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    try:
-        bounds = vc_bounds(S, k_max=args.k_max, budget=budget)
-    except BudgetExceeded as exc:
-        return _budget_exhausted(args, label, exc, start)
-    result = {"set": label, **bounds.to_json()}
-    _emit(args, result, None, start)
-    return 0
+def _cmd_vc(args) -> tuple:
+    _, S, label = _resolve_set(args)
+    bounds = vc_bounds(S, k_max=args.k_max, **_budget(args))
+    return {"set": label, **bounds.to_json()}, None
 
 
-def _cmd_random_trials(parser, args) -> int:
-    start = time.perf_counter()
-    ctx = _context(parser, args)
+def _cmd_random_trials(args) -> tuple:
+    ctx = _context(args)
     if not 0 <= args.size <= ctx.order:
-        parser.error(f"--size must lie in [0, {ctx.order}]")
+        raise ValueError(f"--size must lie in [0, {ctx.order}]")
     if args.trials < 1:
-        parser.error("--trials must be >= 1")
+        raise ValueError("--trials must be >= 1")
     summary = monte_carlo(
         ctx,
         args.size,
@@ -330,16 +307,14 @@ def _cmd_random_trials(parser, args) -> int:
         beta=args.beta,
         workers=args.threads,
     )
-    _emit(args, summary.to_json(), None, start)
-    return 0
+    return summary.to_json(), None
 
 
 # the flags each preset reads, all required but --count (default 100)
 _PRESET_FLAGS = {"conic-census": ("prime", "seed", "count"), "weil-suite": ("prime",)}
 
 
-def _cmd_reproduce(parser, args) -> int:
-    start = time.perf_counter()
+def _cmd_reproduce(args) -> tuple:
     name = args.preset
     reads = _PRESET_FLAGS.get(name, ())
     for dest in ("prime", "seed", "count"):
@@ -347,21 +322,19 @@ def _cmd_reproduce(parser, args) -> int:
         if given and dest not in reads:
             raise ValueError(f"preset {name} does not read --{dest}")
         if not given and dest in reads and dest != "count":
-            parser.error(f"--{dest} is required for {name}")
+            raise ValueError(f"--{dest} is required for {name}")
     if name == "f11-table":
         result = presets.f11_table()
     elif name == "conic-census":
         count = 100 if args.count is None else args.count
         if count < 1:
-            parser.error("--count must be >= 1")
+            raise ValueError("--count must be >= 1")
         result = presets.conic_census(args.prime, args.seed, count=count)
     elif name == "weil-suite":
         result = presets.weil_suite(args.prime)
     else:
         result = presets.x_tuple_check(int(name[1:3]))
-    ok = bool(result.get("pass"))
-    _emit(args, result, "PASS" if ok else "FAIL", start)
-    return 0 if ok else 1
+    return result, "PASS" if result.get("pass") else "FAIL"
 
 
 # -- parser ---------------------------------------------------------------------
@@ -479,9 +452,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(parser, args)
+        start = time.perf_counter()
+        try:
+            result, status = args.func(args)
+        except BudgetExceeded as exc:
+            # only shatter and vc raise it, and both read a set
+            print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
+            result, status = {"set": _label(args), "reason": str(exc)}, "BUDGET EXHAUSTED"
+        if result is not None:
+            _emit(args, result, status, time.perf_counter() - start)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
+        return EXIT_CODES.get(status, 0)
     except ValueError as exc:
         # the usage-error exit, like argparse's own; internal errors propagate
         parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")

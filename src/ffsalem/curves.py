@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadDegree, DegenerateConic
-from .field import FieldContext
+from .field import FieldContext, poly_values
 from .pointset import PointSet
 
 
@@ -271,20 +271,14 @@ def poly_graph(ctx: FieldContext, coefficients: Sequence[int]) -> CurveHandle:
     if ctx.d != 2:
         raise ValueError("polynomial graphs live in d = 2")
     p = ctx.p
-    coeffs = [c % p for c in coefficients]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs, vals = poly_values(p, coefficients)
     deg = len(coeffs) - 1
     if deg < 2:
         raise BadDegree(f"graph Salem certification needs degree >= 2, got {deg}")
     if deg % p == 0:
         raise BadDegree(f"degree {deg} divisible by p = {p}: Weil bound unavailable")
-    x = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals = (vals * x + c) % p
     mem = np.zeros(ctx.order, dtype=bool)
-    mem[x + p * vals] = True
+    mem[np.arange(p) + p * vals] = True
     return CurveHandle("polygraph", {"coefficients": tuple(coeffs)}, PointSet(ctx, mem))
 
 

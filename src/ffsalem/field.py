@@ -226,6 +226,19 @@ def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
     return complex(character_row_sums(ctx, (a * j + b * ctx.inverse_table[j]) % p))
 
 
+def poly_values(p: int, coefficients: Sequence[int]) -> tuple:
+    """(coefficients mod p without trailing zeros, f(x) for x = 0..p-1) for f
+    given by coefficients (constant term first); Horner, entirely mod p."""
+    coeffs = [c % p for c in coefficients]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    x = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        vals = (vals * x + c) % p
+    return coeffs, vals
+
+
 def weil_poly_sum(ctx: FieldContext, coefficients: Sequence[int]) -> complex:
     """sum_x chi(f(x)) for f given by coefficients (constant term first).
 
@@ -233,16 +246,10 @@ def weil_poly_sum(ctx: FieldContext, coefficients: Sequence[int]) -> complex:
     the Weil bound |sum| <= (deg f - 1) * sqrt(p) applies.
     """
     p = ctx.p
-    coeffs = [c % p for c in coefficients]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs, vals = poly_values(p, coefficients)
     deg = len(coeffs) - 1
     if deg < 1:
         raise ConstantPolynomial("polynomial is constant mod p")
     if deg % p == 0:
         raise DegreeDivisibleByP(f"degree {deg} is divisible by p = {p}")
-    x = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):  # Horner, entirely mod p
-        vals = (vals * x + c) % p
     return complex(character_row_sums(ctx, vals))

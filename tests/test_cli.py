@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ffsalem
-from ffsalem import FieldContext, load_points, sphere
+from ffsalem import FieldContext, dump_points, load_points, sphere
 from ffsalem.cli import main
 from ffsalem.presets import CONIC_CENSUS_MAX_CELLS, WEIL_SUITE_MAX_CELLS
 
@@ -119,6 +119,67 @@ def test_library_value_error_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith(f"ffsalem {argv[0]}: error: ")
+
+
+# {c7}, {c11} and {empty} stand for point files the test writes, {missing} for one it does not
+HANDLER_USAGE_ERRORS = {
+    "no-prime": ["spectrum", "--curve", "circle:1"],
+    "no-source": ["salem-check", "-p", "7"],
+    "curve-and-points": ["salem-check", "-p", "7", "--curve", "circle:1", "--points", "{c7}"],
+    "points-unreadable": ["spectrum", "--points", "{missing}"],
+    "points-header-mismatch": ["spectrum", "-p", "11", "--points", "{c7}"],
+    "coeffs-count": ["classify", "-p", "7", "--coeffs", "1,2"],
+    "set-unreadable": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{missing}"],
+    "set-context": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{c11}"],
+    "sample-no-seed": ["edge-count", "-p", "11", "--curve", "circle:1", "--sample", "20"],
+    "no-counted-set": ["edge-count", "-p", "7", "--curve", "circle:1"],
+    "empty-counted-set": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{empty}"],
+    "random-no-seed": ["shatter", "-p", "5", "--curve", "circle:1", "-k", "1", "--strategy", "random"],
+    "size-range": ["random-trials", "-p", "3", "--size", "10", "--trials", "1", "--seed", "1"],
+    "trials-zero": ["random-trials", "-p", "3", "--size", "1", "--trials", "0", "--seed", "1"],
+    "preset-flag-missing": ["reproduce", "conic-census", "--seed", "1"],
+    "count-zero": ["reproduce", "conic-census", "-p", "7", "--seed", "1", "--count", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", HANDLER_USAGE_ERRORS.values(), ids=HANDLER_USAGE_ERRORS.keys())
+def test_handler_usage_error_is_one_line_naming_the_subcommand(capsys, tmp_path, argv):
+    files = {
+        "{c7}": write_points(tmp_path, "c7.txt", 7, 2, [(1, 0), (6, 0), (0, 1), (0, 6)]),
+        "{c11}": write_points(tmp_path, "c11.txt", 11, 2, [(1, 0), (10, 0)]),
+        "{empty}": write_points(tmp_path, "empty.txt", 7, 2, []),
+        "{missing}": str(tmp_path / "missing.txt"),
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"ffsalem {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,status,code",
+    [
+        (["salem-check", "-p", "7", "--curve", "circle:1"], "PASS", 0),
+        (["salem-check", "--points", "{line}"], "FAIL", 1),
+        (["shatter", "-p", "5", "--curve", "circle:1", "-k", "2"], "FOUND", 0),
+        (["shatter", "-p", "11", "--curve", "paraboloid", "-k", "3"], "NOT SHATTERABLE", 0),
+        (["construct3", "-p", "5", "--curve", "circle:1"], "NOT FOUND", 1),
+        (["shatter", "-p", "11", "--curve", "sym-parabola", "-k", "4", "--budget", "100"],
+         "BUDGET EXHAUSTED", 1),
+        (["reproduce", "f11-table"], "PASS", 0),
+        (["spectrum", "-p", "5", "--curve", "circle:1"], None, 0),
+    ],
+    ids=["pass", "fail", "found", "not-shatterable", "not-found", "budget-exhausted",
+         "preset-pass", "no-status"],
+)
+def test_exit_code_follows_from_status(capsys, tmp_path, argv, status, code):
+    line = write_points(tmp_path, "line.txt", 11, 2, [(x, 0) for x in range(11)])
+    argv = [line if a == "{line}" else a for a in argv]
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out).get("status") == status
+    assert got == code
 
 
 def test_spectrum_csv(capsys):
@@ -316,6 +377,19 @@ def test_neighborhood_table_guard(capsys, argv):
     assert err.startswith("BUDGET EXHAUSTED: neighborhood table needs")
     data = json.loads(out)
     assert data["status"] == "BUDGET EXHAUSTED"
+    assert "above the guard" in data["result"]["reason"]
+
+
+def test_neighborhood_table_guard_names_the_point_file(capsys, tmp_path):
+    path = tmp_path / "circle409.txt"
+    with path.open("w") as fh:
+        dump_points(sphere(FieldContext(409, 2), 1).points, fh)
+    code, out, err = run(capsys, "shatter", "--points", str(path), "-k", "2", "--format", "json")
+    assert code == 1
+    assert err.startswith("BUDGET EXHAUSTED: neighborhood table needs")
+    data = json.loads(out)
+    assert data["status"] == "BUDGET EXHAUSTED"
+    assert data["result"]["set"] == f"file:{path}"
     assert "above the guard" in data["result"]["reason"]
 
 
