@@ -36,7 +36,6 @@ from .curves import (
 )
 from .errors import (
     BadDegree,
-    BudgetExceeded,
     ConstantPolynomial,
     DegenerateConic,
     DegenerateSize,

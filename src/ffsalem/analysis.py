@@ -287,26 +287,22 @@ class RhombusWitness:
         return [self.x1, self.x2, self.x3, self.x4]
 
     def verify(self, E: PointSet, S: PointSet, v: tuple) -> bool:
-        p = E.context.p
-
-        def sub(a, b):
-            return tuple((c1 - c2) % p for c1, c2 in zip(a, b))
-
+        ctx = E.context
         pts = self.points()
         if len(set(pts)) != 4:
             return False
         if any(pt not in E for pt in pts):
             return False
-        if sub(self.x1, self.x2) != self.u or sub(self.x3, self.x4) != self.u:
+        if ctx.sub(self.x1, self.x2) != self.u or ctx.sub(self.x3, self.x4) != self.u:
             return False
-        if sub(self.x1, self.x3) != self.w or sub(self.x2, self.x4) != self.w:
+        if ctx.sub(self.x1, self.x3) != self.w or ctx.sub(self.x2, self.x4) != self.w:
             return False
         if self.u not in S or self.w not in S:
             return False
-        neg_v = tuple(-c % p for c in v)
+        neg_v = ctx.neg(v)
         for i in range(4):
             for j in range(4):
-                if i != j and sub(pts[i], pts[j]) in (tuple(v), neg_v):
+                if i != j and ctx.sub(pts[i], pts[j]) in (tuple(v), neg_v):
                     return False
         return True
 
@@ -334,13 +330,12 @@ def find_rhombus(
     if all(c == 0 for c in v):
         raise ValueError("v must be nonzero")
 
-    p = ctx.p
     zero = (0,) * ctx.d
-    neg_v = tuple(-c % p for c in v)
+    neg_v = ctx.neg(v)
     u = _densest_shift(E, S, (zero, v, neg_v))
     if u is None:
         return None
-    neg_u = tuple(-c % p for c in u)
+    neg_u = ctx.neg(u)
     # y in E and y + u in E
     e_u_set = E.intersect(E.translate(neg_u))
     e_u = e_u_set.indices()
@@ -349,18 +344,18 @@ def find_rhombus(
         zero,
         u,
         neg_u,
-        tuple(v),
+        v,
         neg_v,
-        tuple((a + b) % p for a, b in zip(u, v)),
-        tuple((a - b) % p for a, b in zip(u, v)),
-        tuple((b - a) % p for a, b in zip(u, v)),
-        tuple((-a - b) % p for a, b in zip(u, v)),
+        ctx.add(u, v),
+        ctx.sub(u, v),
+        ctx.sub(v, u),
+        ctx.neg(ctx.add(u, v)),
     }
     allowed = S.membership.copy()
     for pt in excluded:
         allowed[ctx.index_of(pt)] = False
     if extra_excluded is not None:
-        allowed &= ~extra_excluded(u, tuple(v)).membership
+        allowed &= ~extra_excluded(u, v).membership
 
     # for b in E_u in index order, the least a in E_u with a - b allowed,
     # among the candidates a = b + w over the allowed differences w (a = b
@@ -372,11 +367,8 @@ def find_rhombus(
         if cand.size:
             a = ctx.point_at(cand.min())
             b = ctx.point_at(int(bi))
-            x1 = tuple((c1 + c2) % p for c1, c2 in zip(a, u))
-            x3 = tuple((c1 + c2) % p for c1, c2 in zip(b, u))
-            w = tuple((c1 - c2) % p for c1, c2 in zip(a, b))
-            witness = RhombusWitness(x1, a, x3, b, u, w)
-            if not witness.verify(E, S, tuple(v)):
+            witness = RhombusWitness(ctx.add(a, u), a, ctx.add(b, u), b, u, ctx.sub(a, b))
+            if not witness.verify(E, S, v):
                 raise AssertionError("internal error: rhombus failed re-verification")
             return witness
     return None
@@ -435,7 +427,7 @@ class CubeWitness:
         if self.v not in S:
             return False
         for a, b in self.edges():
-            if tuple((c1 - c2) % self.p for c1, c2 in zip(a, b)) not in S:
+            if E.context.sub(a, b) not in S:
                 return False
         return True
 
@@ -454,15 +446,14 @@ def build_cube(
         raise ValueError("point sets live over different contexts")
     if not S.is_symmetric():
         raise NotSymmetric("cube construction requires S = -S")
-    p = ctx.p
     v = _densest_shift(E, S, [(0,) * ctx.d])
     if v is None:
         return None
-    e_v = E.intersect(E.translate(tuple(-c % p for c in v)))
+    e_v = E.intersect(E.translate(ctx.neg(v)))
     rhombus = find_rhombus(e_v, S, v, extra_excluded=extra_excluded)
     if rhombus is None:
         return None
-    witness = CubeWitness(p, rhombus, v)
+    witness = CubeWitness(ctx.p, rhombus, v)
     if not witness.verify(E, S):
         raise AssertionError("internal error: cube failed re-verification")
     return witness

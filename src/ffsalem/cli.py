@@ -3,14 +3,18 @@
 Each handler returns (result, status) and `main` is the one boundary: it
 times the handler, emits the envelope and maps the status to the exit code
 through EXIT_CODES (FAIL, NOT FOUND and BUDGET EXHAUSTED exit 1; every other
-status, and no status, exits 0).  2 is for usage errors and 141 (the shell's
-SIGPIPE code) for a reader of stdout that went away, as in `| head`.  Every
-input a handler rejects (the errors.py ValueError family included) ends in
-one stderr line `ffsalem CMD: error: ...` and exit 2, never a traceback;
-argparse's own parse errors print its usage first.  Randomized paths all
-require an explicit --seed.  JSON output echoes the full run configuration
-with the library version and elapsed wall time; floats print with 12
-significant digits.
+status, and no status, exits 0).  BUDGET EXHAUSTED means only that a search
+spent its tuple budget; `shatter` and `vc` then print the reason on one
+stderr line, and `vc` reports the largest certified k with exact null.  2 is
+for usage errors and 141 (the shell's SIGPIPE code) for a reader of stdout
+that went away, as in `| head`.  Every input a handler rejects (the errors.py
+ValueError family included, so every up-front cost cap: the neighborhood
+table, vc's k_max, the weil-suite and conic-census sweeps and the p^d cap)
+ends in one stderr line `ffsalem CMD: error: ...` and exit 2, never a
+traceback; argparse's own parse errors print its usage first.  Randomized
+paths all require an explicit --seed.  JSON output echoes the full run
+configuration with the library version and elapsed wall time; floats print
+with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import time
 from . import __version__, presets
 from .analysis import edge_count, intersection_profile
 from .curves import Quadratic, classify_quadratic, make_curve, reduce_quadratic
-from .errors import BudgetExceeded
 from .field import FieldContext
 from .pointset import PointSet, SalemParams, dump_points, fourier_spectrum, load_points, salem_report
 from .randomsets import monte_carlo, sample_subset
@@ -109,11 +112,6 @@ def _context(args) -> FieldContext:
     return FieldContext(args.prime, args.dim)
 
 
-def _label(args) -> str:
-    """How results name the set read from --curve or --points."""
-    return f"file:{args.points}" if args.points else args.curve
-
-
 def _resolve_set(args) -> tuple:
     """(context, point set, label) from --curve or --points."""
     curve, path = args.curve, args.points
@@ -128,11 +126,11 @@ def _resolve_set(args) -> tuple:
             raise ValueError(
                 f"--prime {args.prime} disagrees with the point file header p = {S.context.p}"
             )
-        return S.context, S, _label(args)
+        return S.context, S, f"file:{path}"
     if not curve:
         raise ValueError("one of --curve or --points is required")
     ctx = _context(args)
-    return ctx, make_curve(ctx, curve).points, _label(args)
+    return ctx, make_curve(ctx, curve).points, curve
 
 
 def _budget(args) -> dict:
@@ -289,7 +287,11 @@ def _cmd_construct3(args) -> tuple:
 def _cmd_vc(args) -> tuple:
     _, S, label = _resolve_set(args)
     bounds = vc_bounds(S, k_max=args.k_max, **_budget(args))
-    return {"set": label, **bounds.to_json()}, None
+    result = {"set": label, **bounds.to_json()}
+    if bounds.reason:
+        print(f"BUDGET EXHAUSTED: {bounds.reason}", file=sys.stderr)
+        return result, "BUDGET EXHAUSTED"
+    return result, None
 
 
 def _cmd_random_trials(args) -> tuple:
@@ -411,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("vc", help="exhaustive shattering bounds up to k-max")
     _add_set_source(sub)
-    sub.add_argument("--k-max", type=int, default=4)
-    sub.add_argument("--budget", type=int, default=None)
+    sub.add_argument("--k-max", type=int, default=4, help="largest k to certify (at most 5)")
+    sub.add_argument("--budget", type=int, default=None, help="tuple budget per k")
     _add_format(sub)
     sub.set_defaults(func=_cmd_vc)
 
@@ -453,12 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         start = time.perf_counter()
-        try:
-            result, status = args.func(args)
-        except BudgetExceeded as exc:
-            # only shatter and vc raise it, and both read a set
-            print(f"BUDGET EXHAUSTED: {exc}", file=sys.stderr)
-            result, status = {"set": _label(args), "reason": str(exc)}, "BUDGET EXHAUSTED"
+        result, status = args.func(args)
         if result is not None:
             _emit(args, result, status, time.perf_counter() - start)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

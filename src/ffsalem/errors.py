@@ -50,11 +50,7 @@ class DegenerateSize(ValueError):
 
 
 class SweepTooLarge(ValueError):
-    """A deterministic sweep whose cost grows with p would exceed its fixed cap."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Exhaustive certification would exceed the configured search budget."""
+    """A sweep or search whose cost grows with p would exceed its fixed cap."""
 
 
 class PointSetParseError(ValueError):

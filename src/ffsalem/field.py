@@ -126,6 +126,18 @@ class FieldContext:
 
     # -- modular arithmetic ------------------------------------------------
 
+    def add(self, x: Sequence[int], y: Sequence[int]) -> tuple:
+        """The point x + y, reduced mod p, as a tuple of Python ints."""
+        return tuple((int(a) + int(b)) % self.p for a, b in zip(x, y))
+
+    def sub(self, x: Sequence[int], y: Sequence[int]) -> tuple:
+        """The point x - y, reduced mod p, as a tuple of Python ints."""
+        return tuple((int(a) - int(b)) % self.p for a, b in zip(x, y))
+
+    def neg(self, x: Sequence[int]) -> tuple:
+        """The point -x, reduced mod p, as a tuple of Python ints."""
+        return tuple(-int(a) % self.p for a in x)
+
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

@@ -10,7 +10,8 @@ them; the exhaustive search takes one _regions_extend step per level, so
 tuples share prefixes and a prefix is pruned as soon as a region empties.
 shatter_search does the set-up once: the empty-W and k = 0 answers, and the
 N(x) table for all of E, |E| bitsets of q^d bits, for which it raises
-BudgetExceeded before allocating past NEIGHBORHOOD_BITS_GUARD.
+SweepTooLarge (a ValueError) before allocating past NEIGHBORHOOD_BITS_GUARD.
+BUDGET_EXHAUSTED means only that a search spent its tuple budget.
 
 When E and W are both the full group the class is translation invariant,
 so the Anchored strategy enumerates only the tuples whose first point is
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import build_cube, intersection_profile, prune
-from .errors import BudgetExceeded, DimensionMismatch, EmptySet, NotSymmetric
+from .errors import DimensionMismatch, EmptySet, NotSymmetric, SweepTooLarge
 from .field import FieldContext
 from .pointset import PointSet
 
@@ -162,11 +163,9 @@ def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
     if not all(y in problem.W for y in witness.witnesses.values()):
         return False
     S = problem.S
-    p = ctx.p
     for mask, y in witness.witnesses.items():
         for i, x in enumerate(witness.points):
-            diff = tuple((a - b) % p for a, b in zip(x, y))
-            if (diff in S) != bool(mask >> i & 1):
+            if (ctx.sub(x, y) in S) != bool(mask >> i & 1):
                 return False
     return True
 
@@ -291,7 +290,7 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     else:
         table_bits = problem.E.size * ctx.order
         if table_bits > NEIGHBORHOOD_BITS_GUARD:
-            raise BudgetExceeded(
+            raise SweepTooLarge(
                 f"neighborhood table needs |E| * q^d = {table_bits} bits, "
                 f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
             )
@@ -448,6 +447,7 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
 class VCBounds:
     lower: int  # largest k with a verified shattered tuple
     exact: int | None  # set when k = lower + 1 was exhaustively refuted
+    reason: str = ""  # why the search at k = lower + 1 stopped, when it spent its budget
 
     def to_json(self) -> dict:
         return {"lower": self.lower, "exact": self.exact}
@@ -465,10 +465,12 @@ def vc_bounds(
     When E and W are both the full group (the defaults) each k is searched
     with Anchored, i.e. only tuples with x^1 = 0; otherwise with Exhaustive.
     Both give the same answers.  k_max is capped at 5: beyond that a full
-    enumeration stops being a desk computation.  BudgetExceeded signals that
-    certification, not mathematics, gave out."""
+    enumeration stops being a desk computation, so a larger k_max raises
+    SweepTooLarge up front.  When the search at some k spends its budget,
+    certification, not mathematics, gave out: the bounds keep the lower
+    bound certified so far, with exact None and a reason naming k."""
     if k_max > VC_KMAX_GUARD:
-        raise BudgetExceeded(f"k_max = {k_max} exceeds the exhaustive guard {VC_KMAX_GUARD}")
+        raise SweepTooLarge(f"k_max = {k_max} exceeds the exhaustive guard {VC_KMAX_GUARD}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     E = E if E is not None else PointSet.full(S.context)
@@ -484,7 +486,7 @@ def vc_bounds(
             continue
         if outcome.status is SearchStatus.EXHAUSTED_NO:
             return VCBounds(lower=lower, exact=lower)
-        raise BudgetExceeded(f"exhaustive certification at k = {k} ran out of budget")
+        return VCBounds(lower=lower, exact=None, reason=f"k = {k}: {outcome.reason}")
     return VCBounds(lower=lower, exact=None)
 
 
@@ -499,16 +501,14 @@ def _phantom_filter(S: PointSet):
     translates S + (u - v), S + (u + v), S - (u + v)."""
 
     def filt(u: tuple, v: tuple) -> PointSet:
-        p = S.context.p
-        t_minus = tuple((a - b) % p for a, b in zip(u, v))
-        t_plus = tuple((a + b) % p for a, b in zip(u, v))
-        t_neg = tuple((-a - b) % p for a, b in zip(u, v))
+        ctx = S.context
+        t_plus = ctx.add(u, v)
         mem = (
-            S.translate(t_minus).membership
+            S.translate(ctx.sub(u, v)).membership
             | S.translate(t_plus).membership
-            | S.translate(t_neg).membership
+            | S.translate(ctx.neg(t_plus)).membership
         )
-        return PointSet(S.context, mem)
+        return PointSet(ctx, mem)
 
     return filt
 
@@ -530,7 +530,6 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     if S.size == 0:
         raise EmptySet("constructive shattering needs a nonempty S")
     ctx = S.context
-    p = ctx.p
 
     def fail():
         return SearchOutcome(
@@ -547,18 +546,14 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
         return fail()
 
     r = cube.rhombus
-
-    def add(a, b):
-        return tuple((c1 + c2) % p for c1, c2 in zip(a, b))
-
     # relabel the seven cube vertices: three shattered points and the four
     # upper witnesses come straight off the graph
-    xs = [r.x2, add(r.x1, cube.v), r.x3]
+    xs = [r.x2, ctx.add(r.x1, cube.v), r.x3]
     witnesses = {
         0b111: r.x1,
-        0b011: add(r.x2, cube.v),
+        0b011: ctx.add(r.x2, cube.v),
         0b101: r.x4,
-        0b110: add(r.x3, cube.v),
+        0b110: ctx.add(r.x3, cube.v),
     }
     problem = ShatterProblem(S, E, E, 3)
     regions = _regions(

@@ -106,8 +106,14 @@ def test_header_mismatch_is_usage_error(capsys, tmp_path):
         ["shatter", "-p", "5", "--curve", "circle:1", "-k", "2", "--budget", "-1"],
         ["reproduce", "weil-suite", "-p", "1129"],
         ["reproduce", "conic-census", "-p", "1129", "--seed", "1"],
+        ["vc", "-p", "5", "--curve", "circle:1", "--k-max", "7"],
+        ["shatter", "-p", "409", "--curve", "circle:1", "-k", "2"],
+        ["vc", "-p", "409", "--curve", "circle:1"],
     ],
-    ids=["construct3", "shatter", "vc", "shatter-budget", "weil-suite-cap", "conic-census-cap"],
+    ids=[
+        "construct3", "shatter", "vc", "shatter-budget", "weil-suite-cap", "conic-census-cap",
+        "vc-k-max-cap", "shatter-table-cap", "vc-table-cap",
+    ],
 )
 def test_library_value_error_is_usage_error(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
@@ -116,6 +122,7 @@ def test_library_value_error_is_usage_error(argv):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith(f"ffsalem {argv[0]}: error: ")
@@ -337,21 +344,16 @@ def test_vc_circle(capsys):
     assert data["result"]["exact"] == 3
 
 
-def test_vc_guard_exits_one(capsys):
-    code, out, err = run(capsys, "vc", "-p", "5", "--curve", "circle:1", "--k-max", "7")
-    assert code == 1
-    assert "guard" in err or "exceeds" in err
-
-
-def test_vc_budget_emits_envelope(capsys):
+def test_vc_budget_keeps_the_certified_lower_bound(capsys):
     code, out, err = run(
-        capsys, "vc", "-p", "5", "--curve", "circle:1", "--k-max", "7", "--format", "json"
+        capsys, "vc", "-p", "7", "--curve", "circle:1", "--k-max", "4", "--budget", "50",
+        "--format", "json",
     )
     assert code == 1
-    assert "BUDGET EXHAUSTED" in err
+    assert err == "BUDGET EXHAUSTED: k = 3: 50 tuples examined, budget 50\n"
     data = json.loads(out)
     assert data["status"] == "BUDGET EXHAUSTED"
-    assert "exceeds the exhaustive guard" in data["result"]["reason"]
+    assert data["result"] == {"set": "circle:1", "lower": 2, "exact": None}
 
 
 def test_vc_certifies_circle_p31(capsys):
@@ -363,34 +365,17 @@ def test_vc_certifies_circle_p31(capsys):
     assert (data["result"]["lower"], data["result"]["exact"]) == (3, 3)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["shatter", "-p", "409", "--curve", "circle:1", "-k", "2"],
-        ["vc", "-p", "409", "--curve", "circle:1"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_neighborhood_table_guard(capsys, argv):
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == 1
-    assert err.startswith("BUDGET EXHAUSTED: neighborhood table needs")
-    data = json.loads(out)
-    assert data["status"] == "BUDGET EXHAUSTED"
-    assert "above the guard" in data["result"]["reason"]
-
-
 def test_neighborhood_table_guard_names_the_point_file(capsys, tmp_path):
     path = tmp_path / "circle409.txt"
     with path.open("w") as fh:
         dump_points(sphere(FieldContext(409, 2), 1).points, fh)
-    code, out, err = run(capsys, "shatter", "--points", str(path), "-k", "2", "--format", "json")
-    assert code == 1
-    assert err.startswith("BUDGET EXHAUSTED: neighborhood table needs")
-    data = json.loads(out)
-    assert data["status"] == "BUDGET EXHAUSTED"
-    assert data["result"]["set"] == f"file:{path}"
-    assert "above the guard" in data["result"]["reason"]
+    with pytest.raises(SystemExit) as exc:
+        main(["shatter", "--points", str(path), "-k", "2", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("ffsalem shatter: error: neighborhood table needs")
 
 
 FUZZ_CURVES = [

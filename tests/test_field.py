@@ -94,6 +94,13 @@ def test_reduce_canonicalizes():
     assert F5.reduce((-1, 7)) == (4, 2)
 
 
+def test_point_arithmetic_returns_python_ints():
+    x, y = (np.int64(3), 4), (4, np.int64(-1))
+    for got, want in [(F5.add(x, y), (2, 3)), (F5.sub(x, y), (4, 0)), (F5.neg(x), (2, 1))]:
+        assert got == want
+        assert all(type(c) is int for c in got)
+
+
 def test_inverse_table():
     for p in (3, 5, 7, 11):
         ctx = FieldContext(p, 1)

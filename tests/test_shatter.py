@@ -5,7 +5,6 @@ import pytest
 
 from ffsalem import (
     Anchored,
-    BudgetExceeded,
     DimensionMismatch,
     EmptySet,
     Exhaustive,
@@ -16,6 +15,7 @@ from ffsalem import (
     SearchStatus,
     ShatterProblem,
     ShatterWitness,
+    SweepTooLarge,
     construct_shatter3,
     make_curve,
     paraboloid,
@@ -320,10 +320,21 @@ def test_vc_bounds_circle_f11():
 
 def test_vc_bounds_edge_cases():
     assert vc_bounds(PointSet.empty(F5), k_max=2).exact == 0
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(SweepTooLarge):
         vc_bounds(sphere(F5, 1).points, k_max=6)
     with pytest.raises(EmptySet):
         vc_bounds(sphere(F5, 1).points, W=PointSet.empty(F5), k_max=2)
+
+
+def test_vc_bounds_keep_the_certified_lower_bound():
+    S = sphere(F7, 1).points
+    b = vc_bounds(S, k_max=4, budget=50)
+    assert (b.lower, b.exact) == (2, None)
+    assert b.reason.startswith("k = 3: ")
+    assert b.to_json() == {"lower": 2, "exact": None}
+    outcome = shatter_search(ShatterProblem.over(S, b.lower))
+    assert outcome.found and verify_witness(ShatterProblem.over(S, b.lower), outcome.witness)
+    assert vc_bounds(S, k_max=4, budget=0).lower == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
