@@ -48,6 +48,8 @@ EXIT_CODES = {"FAIL": 1, "NOT FOUND": 1, "BUDGET EXHAUSTED": 1}
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):

@@ -108,7 +108,7 @@ def x_tuple_check(p: int) -> dict:
 
 
 # Plane cells a conic census may transform, p^2 per conic.  The default
-# count of 100 fits up to p = 409; at the cap a census takes about 5 s.
+# count of 100 fits up to p = 409; at the cap a census takes about 1 s.
 CONIC_CENSUS_MAX_CELLS = 1 << 24
 
 
@@ -118,10 +118,11 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
     Rejection-samples coefficient tuples until `count` conics with a genuine
     quadratic part and nonzero bordered determinant are collected, then
     checks |Z| in {q-1, q, q+1}, q^2 max|S^| <= 2 sqrt(q) + 1e-6, and
-    intersection profile max <= 2.  Each conic costs three FFTs over the
-    plane, so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
-    before the first conic is drawn (about 0.3 us per cell on one core of a
-    2-vCPU Xeon VM).
+    intersection profile max <= 2.  Each conic costs one complex FFT over
+    the plane (the spectrum) and a listing of its ~p^2 point pairs (the
+    profile), so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
+    before the first conic is drawn (about 0.06 us per cell on one core of a
+    2-vCPU Xeon VM: 0.95 s for 100 conics at p = 409).
     """
     ctx = FieldContext(p, 2)
     if p * p * count > CONIC_CENSUS_MAX_CELLS:

@@ -23,7 +23,7 @@ from ffsalem import (
     triple_count,
 )
 from ffsalem import analysis
-from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps
+from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps, _pair_counts
 from oracles import (
     brute_bilinear,
     brute_convolution,
@@ -74,8 +74,11 @@ def test_fft_exactness_guard(monkeypatch):
     S = sphere(F7, 1).points
     with pytest.raises(AssertionError, match="internal error"):
         convolve(PointSet.full(F7), S)
+    # a set too large for the pair route, so the autocorrelation is transformed
+    E = random_set(F7, 30, seed=7)
+    assert not analysis._pairs_are_cheaper(E, E)
     with pytest.raises(AssertionError, match="internal error"):
-        intersection_profile(S)
+        intersection_profile(E)
 
 
 def test_convolve_context_mismatch():
@@ -137,7 +140,9 @@ def test_edge_count_nu_matches_brute_asymmetric_s(p, d):
         assert edge_count(full, S).nu == brute_edge_count(full, S) == ctx.order * S.size
 
 
-def test_dense_counts_skip_closed_form_transforms(monkeypatch):
+@pytest.fixture
+def transforms(monkeypatch):
+    """Records, per _cyclic_convolution call, whether it was an autocorrelation."""
     calls = []
 
     def counted(f, g, ctx):
@@ -145,13 +150,124 @@ def test_dense_counts_skip_closed_form_transforms(monkeypatch):
         return _cyclic_convolution(f, g, ctx)
 
     monkeypatch.setattr(analysis, "_cyclic_convolution", counted)
+    return calls
+
+
+def test_dense_counts_skip_closed_form_transforms(transforms):
+    calls = transforms
     S = sphere(F11, 1).points
     full = PointSet.full(F11)
     assert build_cube(prune(full, S, 3), S) is not None
     assert edge_count(full, S).nu == F11.order * S.size
     assert calls == []  # the full plane needs no transform at all
+    intersection_profile(S)
+    convolve(random_set(F11, S.size, seed=3), S)
+    assert calls == []  # curve-sized counts list their pairs
     edge_count(random_set(F11, 40, seed=4), S)
     assert calls == [True]  # nu from one autocorrelation of E
+
+
+# d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle
+PAIR_FIELDS = [(7, 1), (101, 1), (7, 2), (11, 2), (5, 3)]
+
+
+def sets_near_crossover(ctx, offset, seed):
+    """Random A, B with |A| |B| = C q^d + offset |B|, C the pair-route ratio."""
+    b_size = ctx.p if ctx.d == 1 else ctx.order // ctx.p
+    a_size = analysis.PAIR_ROUTE_RATIO * ctx.order // b_size + offset
+    return random_set(ctx, a_size, seed), random_set(ctx, b_size, seed + 1)
+
+
+def pair_cases(ctx):
+    one = (1,) + (0,) * (ctx.d - 1)
+    curve = sphere(ctx, 1).points
+    small = random_set(ctx, min(ctx.p, ctx.order // 3), seed=ctx.order)
+    asym = random_set(ctx, ctx.p // 2 + 2, seed=ctx.order + 1)
+    assert not asym.is_symmetric() and not small.is_symmetric()
+    cases = {
+        "singletons": (PointSet.from_points(ctx, [one]), PointSet.from_points(ctx, [ctx.neg(one)])),
+        "E = S": (small, small),
+        "asymmetric S": (small, asym),
+        "curve": (curve, curve),
+        "set and curve": (small, curve),
+    }
+    for offset, name in ((-1, "below"), (0, "at"), (1, "above")):
+        cases[f"random {name} the crossover"] = sets_near_crossover(ctx, offset, seed=ctx.order + offset)
+    return cases
+
+
+@pytest.mark.parametrize("p, d", PAIR_FIELDS)
+def test_pair_counts_match_fft_and_brute(p, d):
+    ctx = FieldContext(p, d)
+    for name, (A, B) in pair_cases(ctx).items():
+        fft = _exact(_cyclic_convolution(A.membership, B.membership, ctx))
+        brute = brute_convolution(A, B)
+        assert [brute[ctx.point_at(i)] for i in range(ctx.order)] == fft.tolist(), name
+        assert np.array_equal(_pair_counts(A, B), fft), name
+        assert np.array_equal(convolve(A, B).values, fft), name
+        # overlaps count the sums a + b over A x (-A)
+        autocorrelation = _exact(_cyclic_convolution(A.membership, None, ctx))
+        assert np.array_equal(_pair_counts(A, A.negate()), autocorrelation), name
+        assert np.array_equal(_overlaps(A), autocorrelation), name
+
+
+@pytest.mark.parametrize("p, d", PAIR_FIELDS)
+def test_pair_route_runs_up_to_the_crossover(p, d, transforms):
+    ctx = FieldContext(p, d)
+    for offset, expected in ((-1, []), (0, []), (1, [False])):
+        A, B = sets_near_crossover(ctx, offset, seed=offset + 3)
+        assert A.size * B.size - analysis.PAIR_ROUTE_RATIO * ctx.order == offset * B.size
+        transforms.clear()
+        convolve(A, B)
+        assert transforms == expected, offset
+
+
+@pytest.mark.parametrize(
+    "p, d, a_size, b_size",
+    [
+        (7, 2, 21, 10),  # blocks of 4 rows (49 = 4 * 10 + 9), the last one of 1
+        (7, 2, 30, 30),  # |B| > q^d / 2: one row per block
+        (7, 2, 49, 49),  # |B| = q^d, the most B can hold
+        (7, 2, 49, 1),  # all of A in one block
+        (7, 2, 0, 5),
+        (7, 2, 5, 0),
+        (5, 3, 50, 40),  # blocks of 3 rows, the last one of 2
+        (101, 1, 101, 30),  # blocks of 3 rows, the last one of 2
+    ],
+)
+def test_pair_counts_across_block_boundaries(p, d, a_size, b_size):
+    ctx = FieldContext(p, d)
+    A = random_set(ctx, a_size, seed=a_size)
+    B = random_set(ctx, b_size, seed=b_size + 1000)
+    fft = _exact(_cyclic_convolution(A.membership, B.membership, ctx))
+    assert np.array_equal(_pair_counts(A, B), fft)
+    assert int(fft.sum()) == a_size * b_size
+
+
+def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch):
+    import tracemalloc
+
+    ctx = FieldContext(1009, 2)
+    S = sphere(ctx, 1).points
+    # 2p random points: |A|^2 = 4 q^d pairs, four blocks
+    A = random_set(ctx, 2 * ctx.p, seed=9)
+    assert analysis._pairs_are_cheaper(S, S) and analysis._pairs_are_cheaper(A, A)
+
+    def traced(X):
+        tracemalloc.start()
+        try:
+            profile = intersection_profile(X)
+            return profile, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pair_runs = [traced(S), traced(A)]
+    monkeypatch.setattr(analysis, "PAIR_ROUTE_RATIO", 0)
+    assert not analysis._pairs_are_cheaper(S, S)
+    fft_runs = [traced(S), traced(A)]
+    for (pair_profile, pair_peak), (fft_profile, fft_peak) in zip(pair_runs, fft_runs):
+        assert pair_profile == fft_profile
+        assert pair_peak <= fft_peak
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,22 @@ def test_vc_budget_keeps_the_certified_lower_bound(capsys):
     assert data["result"] == {"set": "circle:1", "lower": 2, "exact": None}
 
 
+@pytest.mark.parametrize(
+    "fmt, rows",
+    [
+        ("text", "BUDGET EXHAUSTED\nset = circle:1\nlower = 2\nexact = null\n"),
+        ("csv", "key,value\nstatus,BUDGET EXHAUSTED\nset,circle:1\nlower,2\nexact,null\n"),
+    ],
+)
+def test_null_prints_as_null_in_text_and_csv(capsys, fmt, rows):
+    code, out, _ = run(
+        capsys, "vc", "-p", "7", "--curve", "circle:1", "--k-max", "4", "--budget", "50",
+        "--format", fmt,
+    )
+    assert code == 1
+    assert out == rows
+
+
 def test_vc_certifies_circle_p31(capsys):
     code, out, _ = run(
         capsys, "vc", "-p", "31", "--curve", "circle:1", "--k-max", "4", "--format", "json"
