@@ -50,7 +50,6 @@ from .errors import (
     ZeroParameter,
 )
 from .field import (
-    CharacterEvaluator,
     FieldContext,
     character_row_sums,
     gauss_sum,

@@ -62,21 +62,19 @@ def _pairs_are_cheaper(A: PointSet, B: PointSet) -> bool:
     return A.size * B.size <= PAIR_ROUTE_RATIO * A.context.order
 
 
-def _pair_counts(A: PointSet, B: PointSet) -> np.ndarray:
-    """counts[index(x)] = |{(a, b) in A x B : a + b = x}|, by listing every pair.
+def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """counts[index(x)] = |{(s, t) : s + t = x}| over the rows s of a and t of b,
+    coordinate arrays of shape (n, d) with entries in [0, p), by listing every pair.
 
-    Rows of A go in blocks of at most q^d pairs, and a block holds two pair
+    Rows of a go in blocks of at most q^d pairs, and a block holds two pair
     arrays, so memory stays O(q^d) however many pairs there are.
     """
-    ctx = A.context
     p = ctx.p
     # wrap[i][s] = (s mod p) p^i for a coordinate sum 0 <= s < 2p
     wrap = np.outer(p ** np.arange(ctx.d, dtype=np.int64), np.arange(2 * p, dtype=np.int64) % p)
-    a = ctx.coords_of(A.indices())
-    b = ctx.coords_of(B.indices())
-    rows = max(1, ctx.order // max(1, B.size))
+    rows = max(1, ctx.order // max(1, len(b)))
     counts = np.bincount(_sum_index(a[:rows], b, wrap).ravel(), minlength=ctx.order)
-    for start in range(rows, A.size, rows):
+    for start in range(rows, len(a), rows):
         block = a[start : start + rows]
         counts += np.bincount(_sum_index(block, b, wrap).ravel(), minlength=ctx.order)
     return counts
@@ -103,7 +101,8 @@ def _overlaps(E: PointSet) -> np.ndarray:
     if E.size == ctx.order:
         return np.full(ctx.order, ctx.order, dtype=np.int64)
     if _pairs_are_cheaper(E, E):
-        return _pair_counts(E, E.negate())
+        a = ctx.coords_of(E.indices())
+        return _pair_counts(ctx, a, -a % ctx.p)
     return _exact(_cyclic_convolution(E.membership, None, ctx))
 
 
@@ -133,7 +132,9 @@ def convolve(E: PointSet, S: PointSet) -> ConvolutionTable:
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")
     if _pairs_are_cheaper(E, S):
-        return ConvolutionTable(ctx, _pair_counts(E, S))
+        return ConvolutionTable(
+            ctx, _pair_counts(ctx, ctx.coords_of(E.indices()), ctx.coords_of(S.indices()))
+        )
     return ConvolutionTable(ctx, _exact(_cyclic_convolution(E.membership, S.membership, ctx)))
 
 
@@ -263,6 +264,8 @@ class BilinearReport:
 
 def bilinear_form(f: WeightTable, g: WeightTable, S: PointSet, gamma: float = 0.0) -> BilinearReport:
     """sum_{x,y} f(x) g(y) S(x - y), against the main term (K/q) ||f||_1 ||g||_1."""
+    if not gamma >= 0:  # written so that nan fails too
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     ctx = f.context
     if ctx != g.context or ctx != S.context:
         raise ValueError("arguments live over different contexts")

@@ -81,7 +81,8 @@ def _flatten_rows(obj):
 
 
 def _emit(args, result: dict, status: str | None, elapsed: float) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "format")}
+    config["format"] = args.format  # last, after set_defaults entries too
     if args.format == "json":
         payload = {
             "config": config,
@@ -309,7 +310,6 @@ def _cmd_random_trials(args) -> tuple:
         args.seed,
         epsilon=args.epsilon,
         beta=args.beta,
-        workers=args.threads,
     )
     return summary.to_json(), None
 
@@ -427,14 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, required=True, help="master seed")
     sub.add_argument("--epsilon", type=float, default=0.5)
     sub.add_argument("--beta", type=float, default=0.45)
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for the trial sweep (default 1; never changes the result)",
-    )
     _add_format(sub)
-    sub.set_defaults(func=_cmd_random_trials)
+    # no flag sets threads: bench/run.py reads it for its machine record
+    sub.set_defaults(func=_cmd_random_trials, threads=1)
 
     sub = subs.add_parser("reproduce", help="run a stored reference configuration")
     sub.add_argument(

@@ -298,10 +298,13 @@ def make_curve(ctx: FieldContext, descriptor: str) -> CurveHandle:
     """Build a curve from a text descriptor.
 
     Accepted forms: "circle:t", "paraboloid", "conic:a,b,c,d,e,f",
-    "polygraph:c0,c1,...,cn" (constant term first), "sym-parabola".
+    "polygraph:c0,c1,...,cn" (constant term first), "sym-parabola".  The two
+    families without a parameter reject any ":" suffix.
     """
-    name, _, arg = descriptor.partition(":")
+    name, sep, arg = descriptor.partition(":")
     name = name.strip().lower()
+    if sep and name in ("paraboloid", "sym-parabola"):
+        raise ValueError(f"bad curve descriptor {descriptor!r}: {name} takes no argument")
     try:
         if name == "circle":
             return sphere(ctx, int(arg))

@@ -170,24 +170,6 @@ class FieldContext:
         return gauss_sum(self, 1) / (legendre(self, 1) * math.sqrt(self.p))
 
 
-class CharacterEvaluator:
-    """The fixed additive character chi(x) = exp(2*pi*i*x/p) and its pairings."""
-
-    def __init__(self, context: FieldContext):
-        self.context = context
-
-    def __call__(self, value: int) -> complex:
-        return self.context.chi(value)
-
-    def pair(self, m: Sequence[int], x: Sequence[int]) -> complex:
-        """chi(m . x) for points m, x of the ambient group."""
-        ctx = self.context
-        if len(m) != ctx.d or len(x) != ctx.d:
-            raise ValueError("points must have d coordinates")
-        dot = sum(int(a) * int(b) for a, b in zip(m, x)) % ctx.p
-        return ctx.chi(dot)
-
-
 # -- complete character sums ------------------------------------------------
 
 

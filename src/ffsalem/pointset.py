@@ -138,8 +138,9 @@ class PointSet:
         return PointSet(self.context, self.membership & ~other.membership)
 
     def is_symmetric(self) -> bool:
-        """True iff S = -S."""
-        return self == self.negate()
+        """True iff S = -S: -S has |S| points, so S = -S when each lies in S."""
+        ctx = self.context
+        return bool(self.membership[ctx.indices_of(-ctx.coords_of(self.indices()))].all())
 
     def _check_same_context(self, other: "PointSet") -> None:
         if self.context != other.context:

@@ -10,7 +10,6 @@ Monte Carlo sweeps over seeds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,34 +150,23 @@ def monte_carlo(
     seed: int,
     epsilon: float = 0.5,
     beta: float = 0.45,
-    workers: int = 1,
 ) -> TrialSummary:
     """Sweep `trials` independent samples, one derived seed per trial.
 
     Degenerate sizes (0 or the whole group) are counted as skipped rather
     than failed.  Omega = max_{x != 0} |S cap (S - x)| is compared against
-    p^beta per trial; aggregation is order-insensitive, so workers > 1 runs
-    trials on a thread pool without changing the summary.
+    p^beta per trial.  Trials run serially in seed order: a thread pool
+    measured no better on every metric at once (README, "Determinism").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if not -1.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be a finite number, got {beta}")
     seeds = [trial_seed(seed, i) for i in range(trials)]
     degenerate = size == 0 or size == ctx.order
-    results: list = []
-    if not degenerate:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda ts: _one_trial(ctx, size, ts, epsilon), seeds)
-                )
-        else:
-            results = [_one_trial(ctx, size, ts, epsilon) for ts in seeds]
+    results = [] if degenerate else [_one_trial(ctx, size, ts, epsilon) for ts in seeds]
     phis = [r[0] for r in results]
     omegas = [r[2] for r in results]
     effective = len(results)

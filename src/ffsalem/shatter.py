@@ -520,9 +520,9 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     with its translates), build a cube-minus-vertex graph there, relabel its
     vertices as x^1, x^2, x^3 with the four upper witnesses, then take y^1,
     y^2, y^3 (off the cube) and y^empty as the least points of their witness
-    regions in E.  Deterministic; the result is
-    re-verified before it is returned.  NOT_FOUND is a legitimate outcome at
-    desk scale, not an error.
+    regions in E.  Deterministic; the result is re-verified before it is
+    returned, and a failed re-verification is an internal error.  NOT_FOUND
+    is a legitimate outcome at desk scale, not an error.
     """
     start = time.perf_counter()
     if not S.is_symmetric():
@@ -571,7 +571,7 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
 
     witness = ShatterWitness(points=xs, witnesses=witnesses)
     if not verify_witness(problem, witness):
-        return fail()
+        raise AssertionError("internal error: constructed witness failed re-verification")
     return SearchOutcome(
         SearchStatus.FOUND, witness, SearchStats(1, time.perf_counter() - start)
     )

@@ -44,6 +44,11 @@ def random_set(ctx, size, seed):
     return PointSet.from_points(ctx, [ctx.point_at(int(i)) for i in idx])
 
 
+def coords(A):
+    """The (|A|, d) coordinate array _pair_counts takes."""
+    return A.context.coords_of(A.indices())
+
+
 def test_convolve_against_full_plane():
     S = sphere(F5, 1).points
     conv = convolve(PointSet.full(F5), S)
@@ -203,11 +208,12 @@ def test_pair_counts_match_fft_and_brute(p, d):
         fft = _exact(_cyclic_convolution(A.membership, B.membership, ctx))
         brute = brute_convolution(A, B)
         assert [brute[ctx.point_at(i)] for i in range(ctx.order)] == fft.tolist(), name
-        assert np.array_equal(_pair_counts(A, B), fft), name
+        assert np.array_equal(_pair_counts(ctx, coords(A), coords(B)), fft), name
         assert np.array_equal(convolve(A, B).values, fft), name
         # overlaps count the sums a + b over A x (-A)
         autocorrelation = _exact(_cyclic_convolution(A.membership, None, ctx))
-        assert np.array_equal(_pair_counts(A, A.negate()), autocorrelation), name
+        negated = _pair_counts(ctx, coords(A), coords(A.negate()))
+        assert np.array_equal(negated, autocorrelation), name
         assert np.array_equal(_overlaps(A), autocorrelation), name
 
 
@@ -240,7 +246,7 @@ def test_pair_counts_across_block_boundaries(p, d, a_size, b_size):
     A = random_set(ctx, a_size, seed=a_size)
     B = random_set(ctx, b_size, seed=b_size + 1000)
     fft = _exact(_cyclic_convolution(A.membership, B.membership, ctx))
-    assert np.array_equal(_pair_counts(A, B), fft)
+    assert np.array_equal(_pair_counts(ctx, coords(A), coords(B)), fft)
     assert int(fft.sum()) == a_size * b_size
 
 
@@ -357,6 +363,15 @@ def test_bilinear_zero_weight():
     rep = bilinear_form(zero, f, S)
     assert rep.value == 0.0
     assert rep.main_term == 0.0
+
+
+def test_bilinear_gamma_domain():
+    f = WeightTable.from_pointset(random_set(F7, 12, seed=8))
+    S = sphere(F7, 2).points
+    assert math.isinf(bilinear_form(f, f, S, gamma=1492.0).error_bound)
+    for gamma in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            bilinear_form(f, f, S, gamma=gamma)
 
 
 @pytest.mark.parametrize("seed", [11, 12])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ffsalem
 from ffsalem import FieldContext, dump_points, load_points, sphere
-from ffsalem.cli import main
+from ffsalem.cli import build_parser, main
 from ffsalem.presets import CONIC_CENSUS_MAX_CELLS, WEIL_SUITE_MAX_CELLS
 
 
@@ -136,6 +136,8 @@ HANDLER_USAGE_ERRORS = {
     "points-unreadable": ["spectrum", "--points", "{missing}"],
     "points-header-mismatch": ["spectrum", "-p", "11", "--points", "{c7}"],
     "coeffs-count": ["classify", "-p", "7", "--coeffs", "1,2"],
+    "sym-parabola-arg": ["spectrum", "-p", "7", "--curve", "sym-parabola:9"],
+    "paraboloid-arg": ["salem-check", "-p", "7", "--curve", "paraboloid:junk"],
     "set-unreadable": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{missing}"],
     "set-context": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{c11}"],
     "sample-no-seed": ["edge-count", "-p", "11", "--curve", "circle:1", "--sample", "20"],
@@ -476,8 +478,6 @@ def reproduce_or_trials_argv(draw):
         argv += ["--seed", str(draw(st.integers(0, 2**31)))]
         # the = form keeps argparse from reading "-inf" as a flag
         argv += [f"--epsilon={draw(FUZZ_FLOATS)}", f"--beta={draw(FUZZ_FLOATS)}"]
-        # values below 1 are rejected before any thread starts
-        argv += ["--threads", str(draw(st.integers(-2, 4)))]
     argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
     return argv
 
@@ -535,12 +535,23 @@ def test_random_trials_deterministic(capsys):
         "random-trials", "-p", "11", "--size", "11", "--trials", "10",
         "--seed", "5", "--format", "json",
     ]
-    code1, out1, _ = run(capsys, *args, "--threads", "1")
-    code2, out2, _ = run(capsys, *args, "--threads", "4")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
     assert a["result"] == b["result"]
     assert a["result"]["generator"] == "philox"
+
+
+def test_random_trials_threads_is_a_constant_no_flag_sets(capsys):
+    # bench/run.py reads .threads for its machine record
+    argv = ["random-trials", "-p", "3", "--size", "1", "--trials", "1", "--seed", "0"]
+    assert build_parser().parse_args(argv).threads == 1
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["threads"] == 1
+    assert list(config)[-3:] == ["beta", "threads", "format"]
 
 
 def test_reproduce_f11_table(capsys):
@@ -594,10 +605,12 @@ def test_reproduce_census_default_count(capsys):
     "argv,message",
     [
         ([], "--prime is required"),
-        (["-p", "7", "--threads", "0"], "workers must be >= 1"),
-        (["-p", "7", "--threads", "-1"], "workers must be >= 1"),
+        # trials run serially: no --threads value is accepted
+        (["-p", "7", "--threads", "0"], "unrecognized arguments: --threads 0"),
+        (["-p", "7", "--threads", "-1"], "unrecognized arguments: --threads -1"),
+        (["-p", "7", "--threads", "2"], "unrecognized arguments: --threads 2"),
     ],
-    ids=["no-prime", "threads-0", "threads-negative"],
+    ids=["no-prime", "threads-0", "threads-negative", "threads-2"],
 )
 def test_random_trials_field_and_threads_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -221,6 +221,10 @@ def test_make_curve_descriptors():
         make_curve(F5, "circle:one")
     with pytest.raises(ValueError):
         make_curve(F5, "conic:1,2,3")
+    # the families without a parameter take no ":" suffix, not even an empty one
+    for descriptor in ("sym-parabola:9", "paraboloid:junk", "paraboloid:"):
+        with pytest.raises(ValueError, match="takes no argument"):
+            make_curve(F5, descriptor)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

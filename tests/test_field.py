@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffsalem import (
-    CharacterEvaluator,
     ConstantPolynomial,
     DegreeDivisibleByP,
     FieldContext,
@@ -109,19 +108,12 @@ def test_inverse_table():
 
 
 def test_character_basics():
-    chi = CharacterEvaluator(F5)
+    chi = F5.chi
     assert chi(0) == pytest.approx(1)
     for a in range(5):
         for b in range(5):
             assert chi(a + b) == pytest.approx(chi(a) * chi(b), abs=1e-12)
     assert abs(sum(chi(x) for x in range(5))) < 1e-9
-
-
-def test_character_pair():
-    chi = CharacterEvaluator(F5)
-    assert chi.pair((1, 2), (3, 4)) == pytest.approx(chi(11))
-    with pytest.raises(ValueError):
-        chi.pair((1,), (2, 3))
 
 
 def test_legendre_values():

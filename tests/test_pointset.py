@@ -96,6 +96,16 @@ def test_symmetry_checks():
     assert not graph.is_symmetric()
 
 
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 1), (5, 2), (3, 3)])
+def test_is_symmetric_matches_whole_set_negate(p, d):
+    ctx = FieldContext(p, d)
+    rng = np.random.Generator(np.random.Philox(p * 10 + d))
+    for size in range(ctx.order + 1):
+        S = random_set(ctx, rng, size)
+        for T in (S, S.union(S.negate())):
+            assert T.is_symmetric() == (T == T.negate())
+
+
 def test_set_algebra():
     A = PointSet.from_points(F5, [(0, 0), (1, 1)])
     B = PointSet.from_points(F5, [(1, 1), (2, 2)])

@@ -28,6 +28,7 @@ from ffsalem import (
     verify_witness,
     witness_for_points,
 )
+from ffsalem import shatter
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
 from ffsalem.shatter import RANDOM_BATCH, _random_picks
 from oracles import naive_shatterable, reference_random_search
@@ -381,6 +382,14 @@ def test_construct3_symmetrized_parabola():
         assert verify_witness(ShatterProblem.over(S, 3), out.witness)
     else:
         assert out.status is SearchStatus.NOT_FOUND
+
+
+def test_construct3_failed_reverification_is_internal_error(monkeypatch):
+    # a witness that fails its final check is a bug, never a NOT_FOUND
+    monkeypatch.setattr(shatter, "verify_witness", lambda problem, witness: False)
+    S = make_curve(F11, "circle:1").points
+    with pytest.raises(AssertionError, match="internal error"):
+        construct_shatter3(S, PointSet.full(F11))
 
 
 def test_construct3_guards():
