@@ -68,6 +68,7 @@ from .pointset import (
     load_points,
     salem_bound,
     salem_report,
+    spectrum_max,
 )
 from .randomsets import (
     GENERATOR_NAME,

@@ -29,7 +29,7 @@ from . import __version__, presets
 from .analysis import edge_count, intersection_profile
 from .curves import Quadratic, classify_quadratic, make_curve, reduce_quadratic
 from .field import FieldContext
-from .pointset import PointSet, SalemParams, dump_points, fourier_spectrum, load_points, salem_report
+from .pointset import PointSet, SalemParams, dump_points, load_points, salem_report, spectrum_max
 from .randomsets import monte_carlo, sample_subset
 from .shatter import (
     Exhaustive,
@@ -172,12 +172,12 @@ def _cmd_salem_check(args) -> tuple:
 
 def _cmd_spectrum(args) -> tuple:
     ctx, S, label = _resolve_set(args)
-    spec = fourier_spectrum(S)
+    worst = spectrum_max(S)
     result = {
         "set": label,
         "size": S.size,
-        "max_nontrivial": spec.max_nontrivial,
-        "scaled_max": ctx.order * spec.max_nontrivial,
+        "max_nontrivial": worst,
+        "scaled_max": ctx.order * worst,
     }
     return result, None
 

@@ -3,7 +3,9 @@
 A PointSet is an immutable bit table over the whole group, indexed by
 index(x) = x_1 + x_2*p + ... + x_d*p^(d-1).  Spectra are computed with the
 axis-factored transform (one length-p DFT per axis); tests pin it against
-the direct double sum.
+the direct double sum.  The Salem maximum max_{m != 0} |S^(m)| streams the
+same transforms slab by slab (`spectrum_max`), so certifying a set at the
+p^d cap never holds a q^d complex table.
 """
 
 from __future__ import annotations
@@ -201,11 +203,56 @@ def fourier_spectrum(S: PointSet) -> SpectrumTable:
 
     The grid layout puts coordinate x_1 on the last axis, so the flattened
     transform output is indexed by index(m) in the same little-endian order.
+    This builds the whole q^d complex table; for max_nontrivial alone use
+    `spectrum_max`, which gives the same float without the table.
     """
     ctx = S.context
     values = np.fft.fftn(S.grid().astype(np.float64))
     values /= ctx.order
     return SpectrumTable(ctx, values.reshape(ctx.order))
+
+
+# Complex cells one pass of `spectrum_max` holds at once: a block of x_1
+# lines, or a slab of x_1 frequencies (4 MiB).  A table no larger than this
+# is built whole.
+SPECTRUM_SLAB_CELLS = 1 << 18
+
+
+def spectrum_max(S: PointSet) -> float:
+    """fourier_spectrum(S).max_nontrivial, bit for bit, without a q^d table.
+
+    It runs fftn's own length-p transforms in fftn's order.  First the x_1
+    axis (the last), only on the lines of S that hold a point: an empty line
+    transforms to exact zeros, and a signed zero changes no |.|.  Then the
+    other axes, last to first, on one slab of x_1 frequencies at a time;
+    each slab is scaled by q^-d and its magnitudes fold into a running max,
+    with m = 0 left out.
+    """
+    ctx = S.context
+    p, q = ctx.p, ctx.order
+    cells = SPECTRUM_SLAB_CELLS
+    if q <= cells:
+        return fourier_spectrum(S).max_nontrivial
+    lines = S.membership.reshape(-1, p)
+    held = np.flatnonzero(lines.any(axis=1))
+    rows = max(1, cells // p)
+    line_hat = np.empty((held.size, p), dtype=np.complex128)
+    for r in range(0, held.size, rows):
+        line_hat[r : r + rows] = np.fft.fft(lines[held[r : r + rows]].astype(np.float64))
+    width = max(1, cells // len(lines))
+    worst = 0.0
+    for k in range(0, p, width):
+        slab = np.zeros((len(lines), min(width, p - k)), dtype=np.complex128)
+        slab[held] = line_hat[:, k : k + width]
+        slab = slab.reshape(ctx.grid_shape[:-1] + slab.shape[-1:])
+        for axis in reversed(range(ctx.d - 1)):
+            slab = np.fft.fft(slab, axis=axis)
+        slab /= q
+        mags = np.abs(slab)
+        if k == 0:
+            mags.flat[0] = 0.0  # m = 0, where S^(0) = |S| / q^d
+        worst = max(worst, float(mags.max()))
+    return worst
 
 
 # -- Salem certification --------------------------------------------------------
@@ -263,9 +310,8 @@ def salem_report(S: PointSet, params: SalemParams | None = None) -> SalemReport:
     if S.size == 0:
         raise EmptySet("salem certification needs a nonempty set")
     params = params or SalemParams()
-    spec = fourier_spectrum(S)
     bound = salem_bound(S.context, S.size, params)
-    worst = spec.max_nontrivial
+    worst = spectrum_max(S)
     return SalemReport(
         max_nontrivial=worst,
         bound=bound,

@@ -19,7 +19,7 @@ from .analysis import intersection_profile
 from .curves import Quadratic, symmetrized_parabola
 from .errors import SweepTooLarge
 from .field import FieldContext, character_row_sums, legendre
-from .pointset import PointSet, fourier_spectrum
+from .pointset import PointSet, spectrum_max
 from .shatter import (
     SearchStatus,
     ShatterProblem,
@@ -156,7 +156,7 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
         if Z.size not in (p - 1, p, p + 1):
             bad_counts.append(coeffs)
             continue
-        phi = p**2 * fourier_spectrum(Z).max_nontrivial
+        phi = p**2 * spectrum_max(Z)
         if phi > 2.0 * math.sqrt(q) + 1e-6:
             bad_salem.append(coeffs)
         if intersection_profile(Z).max_size > 2:

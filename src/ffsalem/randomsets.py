@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import intersection_profile
 from .errors import DegenerateSize, SizeOutOfRange
 from .field import FieldContext
-from .pointset import PointSet, fourier_spectrum
+from .pointset import PointSet, spectrum_max
 
 GENERATOR_NAME = "philox"  # counter-based, safe to split across trials
 
@@ -85,7 +85,7 @@ def hayes_check(S: PointSet, epsilon: float) -> HayesReport:
     if k == 0 or k == n:
         raise DegenerateSize(f"need 0 < |S| < {n} for a meaningful bound, got {k}")
     m_param = min(k, n - k)
-    phi = n * fourier_spectrum(S).max_nontrivial
+    phi = n * spectrum_max(S)
     bound = 2.0 * math.sqrt(2.0 * (1.0 + epsilon) * m_param * math.log(n))
     return HayesReport(
         n=n, k=k, m_param=m_param, phi=float(phi), epsilon=epsilon,

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ffsalem
-from ffsalem import FieldContext, dump_points, load_points, sphere
+from ffsalem import FieldContext, dump_points, load_points, pointset, sphere
 from ffsalem.cli import build_parser, main
 from ffsalem.presets import CONIC_CENSUS_MAX_CELLS, WEIL_SUITE_MAX_CELLS
 
@@ -198,6 +198,27 @@ def test_spectrum_csv(capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",")[0] for line in lines[1:]}
     assert "max_nontrivial" in keys
+
+
+@pytest.mark.parametrize(
+    "argv,cells",
+    [
+        # 67^3 = 300 763 cells: the default slab streams it
+        (("salem-check", "-p", "67", "-d", "3", "--curve", "circle:1"), None),
+        (("spectrum", "-p", "67", "-d", "3", "--curve", "circle:2"), None),
+        (("spectrum", "-p", "31", "--curve", "sym-parabola"), 100),
+        (("reproduce", "conic-census", "-p", "31", "--count", "20", "--seed", "4"), 100),
+    ],
+)
+def test_streamed_spectrum_answers_are_the_table_answers(capsys, monkeypatch, argv, cells):
+    def answer(slab_cells):
+        monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", slab_cells)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        return code, data.get("status"), data["result"]
+
+    streamed = answer(cells or pointset.SPECTRUM_SLAB_CELLS)
+    assert streamed == answer(1 << 30)  # one slab holds the whole table
 
 
 def test_curve_text_round_trips(capsys, tmp_path):

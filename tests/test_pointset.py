@@ -20,8 +20,10 @@ from ffsalem import (
     poly_graph,
     salem_bound,
     salem_report,
+    spectrum_max,
     sphere,
 )
+from ffsalem import pointset
 from oracles import direct_dft, reference_affine_image
 
 F5 = FieldContext(5, 2)
@@ -174,6 +176,53 @@ def test_salem_invariance_under_translation_and_linear_maps():
     )
 
 
+def _spectrum_cases(ctx):
+    """Sets whose streamed maximum must match the table: every kind of line fill."""
+    rng = np.random.Generator(np.random.Philox(ctx.p * 10 + ctx.d))
+    p = ctx.p
+    row = ctx.order // p // 2
+    cases = {
+        "empty": PointSet.empty(ctx),
+        "full": PointSet.full(ctx),
+        "point": PointSet.from_indices(ctx, [ctx.order // 2]),
+        "x1-line": PointSet.from_indices(ctx, range(row * p, row * p + p // 2)),
+        "sphere": sphere(ctx, 1).points,
+    }
+    if ctx.d > 1:
+        cases["x2-line"] = PointSet.from_indices(ctx, range(3, p * p, p))
+        cases["paraboloid"] = paraboloid(ctx).points
+    for density in (0.01, 0.1, 0.5):
+        cases[f"random-{density}"] = PointSet(ctx, rng.random(ctx.order) < density)
+    return cases
+
+
+@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (13, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("cells", [1, 7, 64, 1000, pointset.SPECTRUM_SLAB_CELLS])
+def test_spectrum_max_is_the_table_max_bit_for_bit(monkeypatch, p, d, cells):
+    # a few cells force many row blocks and slabs, and slabs one frequency wide
+    monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", cells)
+    ctx = FieldContext(p, d)
+    for name, S in _spectrum_cases(ctx).items():
+        assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
+    assert spectrum_max(PointSet.empty(ctx)) == 0.0
+
+
+def test_spectrum_max_above_one_slab_is_the_table_max():
+    ctx = FieldContext(67, 3)  # 300 763 cells, more than one slab
+    assert ctx.order > pointset.SPECTRUM_SLAB_CELLS
+    for name in ("sphere", "random-0.01", "x2-line"):
+        S = _spectrum_cases(ctx)[name]
+        assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
+
+
+def test_spectrum_max_leaves_out_the_zero_frequency(monkeypatch):
+    # S^(0) = |S| / q^d is the largest coefficient, so keeping it would show
+    monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 16)
+    for ctx in (FieldContext(11, 2), FieldContext(5, 3)):
+        S = sphere(ctx, 1).points
+        assert spectrum_max(S) < S.size / ctx.order
+
+
 def test_salem_params_validation():
     with pytest.raises(ValueError):
         SalemParams(gamma=-0.5)
@@ -216,10 +265,12 @@ def test_salem_check_path_builds_no_coordinate_table():
         tracemalloc.stop()
     assert report.passed
     assert not hasattr(ctx, "coords")
-    # numpy 2.4's fftn peaks near 2.5 complex tables (39.9 MiB in all); a
-    # cached (order, 2) int64 coordinate table adds one more (55.5 MiB)
+    # the streamed maximum holds the transformed lines that hold a point (about
+    # half a complex table for a circle) and 4 MiB slabs: 17.9 MiB in all with
+    # numpy 2.4, against 15.5 MiB for one complex table.  fftn's whole table or
+    # a cached (order, 2) int64 coordinate table would each add about one more.
     complex_table = 16 * ctx.order
-    assert peak < 3 * complex_table
+    assert peak < 1.5 * complex_table
 
 
 def test_salem_report_json_keys():

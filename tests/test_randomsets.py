@@ -18,6 +18,7 @@ from ffsalem import (
     symmetrized_parabola,
     trial_seed,
 )
+from ffsalem import pointset
 from ffsalem.randomsets import GENERATOR_NAME
 
 F5 = FieldContext(5, 2)
@@ -86,6 +87,14 @@ def test_hayes_phi_from_spectrum():
         2 * math.sqrt(2 * 1.25 * rep.m_param * math.log(F11.order))
     )
     assert rep.to_json()["pass"] == rep.passed
+
+
+@pytest.mark.parametrize("size", [5, 60, 400])
+def test_hayes_phi_streamed_is_the_table_phi(monkeypatch, size):
+    S = sample_subset(FieldContext(23, 2), size, seed=size)
+    monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 50)  # many row blocks and slabs
+    rep = hayes_check(S, epsilon=0.5)
+    assert rep.phi == S.context.order * fourier_spectrum(S).max_nontrivial
 
 
 def test_hayes_degenerate():
