@@ -19,6 +19,7 @@ from .analysis import (
     intersection_profile,
     prune,
     triple_count,
+    triple_overlap_max,
 )
 from .curves import (
     CanonicalForm,
@@ -90,6 +91,7 @@ from .shatter import (
     SearchStatus,
     ShatterProblem,
     ShatterWitness,
+    TranslateCounts,
     VCBounds,
     construct_shatter3,
     shatter_search,

@@ -69,15 +69,19 @@ def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Rows of a go in blocks of at most q^d pairs, and a block holds two pair
     arrays, so memory stays O(q^d) however many pairs there are.
     """
-    p = ctx.p
-    # wrap[i][s] = (s mod p) p^i for a coordinate sum 0 <= s < 2p
-    wrap = np.outer(p ** np.arange(ctx.d, dtype=np.int64), np.arange(2 * p, dtype=np.int64) % p)
+    wrap = _wrap_table(ctx)
     rows = max(1, ctx.order // max(1, len(b)))
     counts = np.bincount(_sum_index(a[:rows], b, wrap).ravel(), minlength=ctx.order)
     for start in range(rows, len(a), rows):
         block = a[start : start + rows]
         counts += np.bincount(_sum_index(block, b, wrap).ravel(), minlength=ctx.order)
     return counts
+
+
+def _wrap_table(ctx: FieldContext) -> np.ndarray:
+    """wrap[i][s] = (s mod p) p^i for a coordinate sum 0 <= s < 2p."""
+    p = ctx.p
+    return np.outer(p ** np.arange(ctx.d, dtype=np.int64), np.arange(2 * p, dtype=np.int64) % p)
 
 
 def _sum_index(a: np.ndarray, b: np.ndarray, wrap: np.ndarray) -> np.ndarray:
@@ -315,6 +319,57 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
         argmax=ctx.point_at(argmax_index),
         at_zero=int(flat[0]),
     )
+
+
+# triple_overlap_max lists |S ^ (S + u)| |S| pairs and counts them into q^d
+# cells for half the shifts u, about |S|^3 / 2 pairs in all; past this many
+# pairs and cells it computes nothing.  A d = 3 sphere at p = 23 needs 1.4e8.
+TRIPLE_COST_CAP = 2**28
+TRIPLE_BLOCK = 2**20  # pairs, and twice as many cells, per batch of shifts
+
+
+def triple_overlap_max(S: PointSet, stop_at: int | None = None) -> int | None:
+    """The largest |S ^ (S + u) ^ (S + v)| over distinct nonzero shifts u, v.
+
+    Shifting by -u gives |S ^ (S - u) ^ (S + v - u)|, so the shifts u and -u
+    see the same counts and only the one of lesser index is scanned.  Each
+    scanned u lists T_u = S ^ (S + u) against -S, whose differences count
+    |T_u ^ (S + v)| at every v.  Shifts go most overlapping first, in batches
+    that double from one, and none past a shift whose overlap is at most the
+    best count so far.  With stop_at, the scan ends at the first count that
+    reaches it, so a result >= stop_at is a lower bound and a result below it
+    is exact.  None, with nothing computed, when the scan could exceed
+    TRIPLE_COST_CAP pairs and cells.
+    """
+    ctx = S.context
+    overlaps = _overlaps(S)
+    shifts = np.flatnonzero(overlaps[1:]) + 1
+    shifts = shifts[shifts < ctx.indices_of(-ctx.coords_of(shifts) % ctx.p)]
+    shifts = shifts[np.argsort(-overlaps[shifts], kind="stable")]
+    if S.size * int(overlaps[shifts].sum()) + len(shifts) * ctx.order > TRIPLE_COST_CAP:
+        return None
+    wrap = _wrap_table(ctx)
+    s = ctx.coords_of(S.indices())
+    diff = _sum_index(s, -s % ctx.p, wrap)  # diff[a, b] = index(s_a - s_b)
+    stop = math.inf if stop_at is None else stop_at
+    best, start, batch = 0, 0, 1
+    while start < len(shifts) and overlaps[shifts[start]] > best and best < stop:
+        width = min(
+            batch, max(1, 2 * TRIPLE_BLOCK // ctx.order),
+            max(1, TRIPLE_BLOCK // (int(overlaps[shifts[start]]) * S.size)),
+        )
+        us = shifts[start : start + width]
+        start, batch = start + width, 2 * batch
+        # (label, a) for every u = us[label] and point s_a of T_u
+        label, a = np.nonzero(S.membership[_sum_index(-ctx.coords_of(us) % ctx.p, s, wrap)])
+        keys = diff[a]
+        keys += (label * ctx.order)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=len(us) * ctx.order)
+        counts = counts.reshape(len(us), ctx.order)
+        counts[:, 0] = 0
+        counts[np.arange(len(us)), us] = 0
+        best = max(best, int(counts.max()))
+    return best
 
 
 def prune(E: PointSet, S: PointSet, M: int) -> PointSet:

@@ -241,11 +241,27 @@ class CurveHandle:
 
 
 def sphere(ctx: FieldContext, t: int) -> CurveHandle:
-    """{x : x_1^2 + ... + x_d^2 = t}; the circle when d = 2."""
-    t %= ctx.p
-    squares = np.arange(ctx.p, dtype=np.int64) ** 2 % ctx.p
-    vals = ctx.grid_sum([squares] * ctx.d)
-    return CurveHandle("sphere", {"t": t}, PointSet(ctx, vals == t))
+    """{x : x_1^2 + ... + x_d^2 = t}; the circle when d = 2.
+
+    x_d runs over the square roots of t - (x_1^2 + ... + x_(d-1)^2), read off
+    a table of roots over the p residues, so besides the membership the only
+    table has q^(d-1) entries."""
+    p = ctx.p
+    t %= p
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    root = np.full(p, -1, dtype=np.int64)
+    root[squares] = np.arange(p)  # one square root of each square
+    head = np.zeros(1, dtype=np.int64)  # x_1^2 + ... + x_(d-1)^2, x_1 fastest
+    for _ in range(ctx.d - 1):
+        head = np.add.outer(squares, head).reshape(-1) % p
+    tail = root[(t - head) % p]
+    lines = np.flatnonzero(tail >= 0)
+    x_d = tail[lines]
+    mem = np.zeros(ctx.order, dtype=bool)
+    step = p ** (ctx.d - 1)
+    mem[lines + step * x_d] = True
+    mem[lines + step * (-x_d % p)] = True
+    return CurveHandle("sphere", {"t": t}, PointSet(ctx, mem))
 
 
 def paraboloid(ctx: FieldContext) -> CurveHandle:

@@ -4,25 +4,34 @@ A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset
 I of {1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e.
 when each of its 2^k witness regions (the points of W in x^i - S exactly for
 i in I) is nonempty.  One builder, _neighborhoods, makes the bitsets
-N(x) = (x - S) ^ W, and one fold, _regions, splits W by them into the
-regions.  Every search, witness_for_points and construct_shatter3 go through
-them; the exhaustive search takes one _regions_extend step per level, so
-tuples share prefixes and a prefix is pruned as soon as a region empties.
-shatter_search does the set-up once: the empty-W and k = 0 answers, and the
-N(x) table for all of E, |E| bitsets of q^d bits, for which it raises
-SweepTooLarge (a ValueError) before allocating past NEIGHBORHOOD_BITS_GUARD.
-BUDGET_EXHAUSTED means only that a search spent its tuple budget.
+N(x) = (x - S) ^ W, a block of rows per numpy pass, and one fold, _regions,
+splits W by them into the regions.  Every search, witness_for_points and
+construct_shatter3 go through them; the exhaustive search takes one
+_regions_extend step per level, so tuples share prefixes and a prefix is
+pruned as soon as a region empties.  shatter_search does the set-up once:
+the empty-W and k = 0 answers, and the N(x) table for all of E, |E| bitsets
+of q^d bits, for which it raises SweepTooLarge (a ValueError) before
+allocating past NEIGHBORHOOD_BITS_GUARD.  BUDGET_EXHAUSTED means only that a
+search spent its tuple budget.
 
 When E and W are both the full group the class is translation invariant,
 so the Anchored strategy enumerates only the tuples whose first point is
 the origin (index 0).  vc_bounds picks it by itself for such problems.
 
+Counting refutes k without enumerating (TranslateCounts): the 2^(k-j)
+witnesses of the subsets containing x^1..x^j are distinct points shared by
+j translates of S, so k <= j + floor(log2 m_j), where m_j is the most points
+j translates of S by distinct shifts share (m_0 = |W|).  vc_bounds and
+RandomSearch use it; a circle, m_2 = 2, never needs its k = 4 searched.
+Exhaustive and Anchored still enumerate a refuted k, because the
+tuples_examined of a complete enumeration is part of their answer.
+
 RandomSearch tries the sorted rows of Generator(Philox(seed)).choice(|E|,
 k, replace=False), one row per tuple; _random_picks draws them RANDOM_BATCH
 at a time from the same Philox stream, so a seed names the same tuples as a
-per-tuple choice loop would.  When 2^k > |W| no tuple can shatter (its 2^k
-regions would be disjoint nonempty subsets of W), and the search spends its
-budget without drawing.
+per-tuple choice loop would.  When counting refutes k (2^k > |W| is its
+j = 0 case) the search spends its budget without drawing, and without
+building the N(x) table.
 """
 
 from __future__ import annotations
@@ -34,7 +43,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import build_cube, intersection_profile, prune
+from .analysis import (
+    _sum_index,
+    _wrap_table,
+    build_cube,
+    intersection_profile,
+    prune,
+    triple_overlap_max,
+)
 from .errors import DimensionMismatch, EmptySet, NotSymmetric, SweepTooLarge
 from .field import FieldContext
 from .pointset import PointSet
@@ -43,6 +59,7 @@ DEFAULT_BUDGET = 10**9
 VC_KMAX_GUARD = 5
 NEIGHBORHOOD_BITS_GUARD = 2**31  # 256 MiB of N(x) bitsets: admits p = 211 at d = 2
 RANDOM_BATCH = 1024  # tuples per Philox call in the random search
+NEIGHBORHOOD_BLOCK = 2**20  # bools per block of N(x) rows: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -178,16 +195,25 @@ def _bits_from_bool(mask: np.ndarray) -> int:
 
 
 def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
-    """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order."""
+    """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order.
+
+    The rows go NEIGHBORHOOD_BLOCK bools at a time: one scatter of every
+    x - S into a 2-D mask, one & W and one packbits per block."""
     ctx = problem.context
-    s_coords = ctx.coords_of(problem.S.indices())
-    w_mem = problem.W.membership
+    neg_s = -ctx.coords_of(problem.S.indices()) % ctx.p
+    wrap = _wrap_table(ctx)
+    x_coords = ctx.coords_of(indices)
+    rows = max(1, NEIGHBORHOOD_BLOCK // ctx.order)
     out = []
-    for x in ctx.coords_of(indices):
-        mask = np.zeros(ctx.order, dtype=bool)
-        if len(s_coords):
-            mask[ctx.indices_of(x - s_coords)] = True
-        out.append(_bits_from_bool(mask & w_mem))
+    for start in range(0, len(x_coords), rows):
+        block = x_coords[start : start + rows]
+        mask = np.zeros((len(block), ctx.order), dtype=bool)
+        cells = _sum_index(block, neg_s, wrap)
+        cells += (np.arange(len(block)) * ctx.order)[:, None]
+        mask.reshape(-1)[cells] = True
+        mask &= problem.W.membership
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return out
 
 
@@ -229,6 +255,59 @@ def _regions(w_bits: int, neighborhoods: list) -> list | None:
     return regions if w_bits else None
 
 
+# -- counting certificates ------------------------------------------------------------
+
+
+class TranslateCounts:
+    """Refutes k by counting translates of S instead of enumerating tuples.
+
+    If x^1..x^k are shattered, the 2^(k-j) subsets I containing {1..j} have
+    distinct witnesses y_I, each in W and in x^i - S for every i <= j: in the
+    intersection of j translates of S by distinct shifts.  So 2^(k-j) <= m_j,
+    i.e. k <= j + floor(log2 m_j), for m_0 = |W|, m_1 = |S|,
+    m_2 = max |S ^ (S - u)| over u != 0 (intersection_profile) and
+    m_3 = max |S ^ (S + u) ^ (S + v)| over distinct nonzero u, v
+    (triple_overlap_max).  Two circles meet in at most two points, so a
+    circle has m_2 = 2 and no 4 shattered points.  Each m_j is computed only
+    when every smaller j failed to refute, and kept once exact; m_3 is
+    skipped past its cost cap.
+    """
+
+    def __init__(self, S: PointSet, W: PointSet):
+        self.S = S
+        self._m = {0: W.size, 1: S.size}
+
+    def refutation(self, k: int) -> tuple | None:
+        """(j, m_j) for the least j <= min(k, 3) with 2^(k-j) > m_j, or None."""
+        for j in range(min(k, 3) + 1):
+            m = self._m_below(j, k - j)
+            if m is None:
+                return None
+            if k - j >= m.bit_length():  # 2^(k-j) > m
+                return j, m
+        return None
+
+    def _m_below(self, j: int, e: int) -> int | None:
+        """m_j when m_j < 2^e, else some value in [2^e, m_j]; None when m_3
+        is past its cost cap.  j = 3 comes only after 2^(e+1) <= m_2."""
+        if j == 2 and 2 not in self._m:
+            self._m[2] = intersection_profile(self.S).max_size
+        if j == 3 and 3 not in self._m:
+            m = triple_overlap_max(self.S, stop_at=1 << e)
+            if m is None or m >> e:  # past the cap, or a scan stopped at 2^e
+                return m
+            self._m[3] = m
+        return self._m[j]
+
+
+def _refutation_reason(k: int, j: int, m: int, budget: int) -> str:
+    bound = {
+        0: f"2^{k} > |W| = {m}",
+        1: f"2^{k - 1} > m_1 = |S| = {m}",
+    }.get(j, f"2^{k - j} > m_{j} = {m}, the most points {j} translates of S share")
+    return f"{bound}: no {k}-tuple can be shattered, budget {budget} spent without drawing"
+
+
 # -- search strategies ----------------------------------------------------------------
 
 
@@ -265,6 +344,16 @@ class RandomSearch:
     budget: int = 10_000
 
 
+def _check_table_guard(E: PointSet) -> None:
+    """Raise SweepTooLarge when the N(x) table of E passes NEIGHBORHOOD_BITS_GUARD."""
+    table_bits = E.size * E.context.order
+    if table_bits > NEIGHBORHOOD_BITS_GUARD:
+        raise SweepTooLarge(
+            f"neighborhood table needs |E| * q^d = {table_bits} bits, "
+            f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
+        )
+
+
 def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutcome:
     """Search for a shattered k-tuple.
 
@@ -288,21 +377,17 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     if problem.W.size == 0:
         outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO)
     else:
-        table_bits = problem.E.size * ctx.order
-        if table_bits > NEIGHBORHOOD_BITS_GUARD:
-            raise SweepTooLarge(
-                f"neighborhood table needs |E| * q^d = {table_bits} bits, "
-                f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
-            )
+        _check_table_guard(problem.E)
         w_bits = _bits_from_bool(problem.W.membership)
         if problem.k == 0:
             witness = _witness_from_regions(ctx, [], [w_bits])
             outcome = SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))
+        elif isinstance(strategy, RandomSearch):
+            outcome = _search_random(problem, w_bits, strategy)
         else:
             e_idx = [int(i) for i in problem.E.indices()]
             neigh = _neighborhoods(problem, e_idx)
-            search = _search_random if isinstance(strategy, RandomSearch) else _search_exhaustive
-            outcome = search(ctx, e_idx, neigh, w_bits, problem.k, strategy)
+            outcome = _search_exhaustive(ctx, e_idx, neigh, w_bits, problem.k, strategy)
     outcome.stats.elapsed = time.perf_counter() - start
     if outcome.found and not verify_witness(problem, outcome.witness):
         raise AssertionError("internal error: search result failed re-verification")
@@ -376,29 +461,25 @@ def _random_picks(rng: np.random.Generator, n: int, k: int, count: int) -> np.nd
     return picks
 
 
-def _search_random(
-    ctx: FieldContext, e_idx: list, neigh: list, w_bits: int, k: int, strategy
-) -> SearchOutcome:
+def _search_random(problem: ShatterProblem, w_bits: int, strategy: RandomSearch) -> SearchOutcome:
     """Tuple t is row t of sorted(rng.choice(|E|, k, replace=False)) for a
     Philox(seed) generator, its positions in index order; the rows come
     RANDOM_BATCH at a time, the last batch cut to the budget left.
 
-    A shattered tuple's 2^k regions are disjoint nonempty subsets of W, so
-    when 2^k > |W| the budget is spent without drawing: the same outcome a
-    draw-by-draw search would reach, and the only case where choice leaves
-    Floyd's algorithm (|E| > 10000 and k > |E| // 50, so k > 200 while
-    |W| <= 2^22).
+    When a counting certificate refutes k (TranslateCounts), the budget is
+    spent without drawing and without the N(x) table: the outcome a
+    draw-by-draw search would reach.  Its j = 0 case, 2^k > |W|, is also the
+    only case where choice leaves Floyd's algorithm (|E| > 10000 and
+    k > |E| // 50, so k > 200 while |W| <= 2^22).
     """
-    n, budget = len(e_idx), strategy.budget
+    ctx, n, k, budget = problem.context, problem.E.size, problem.k, strategy.budget
     if n < k:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, SearchStats())
-    w_size = w_bits.bit_count()
-    if k >= w_size.bit_length():  # 2^k > |W|
-        return _budget_spent(
-            budget,
-            f"2^{k} > |W| = {w_size}: no {k}-tuple can be shattered, "
-            f"budget {budget} spent without drawing",
-        )
+    refuted = TranslateCounts(problem.S, problem.W).refutation(k)
+    if refuted is not None:
+        return _budget_spent(budget, _refutation_reason(k, *refuted, budget))
+    e_idx = [int(i) for i in problem.E.indices()]
+    neigh = _neighborhoods(problem, e_idx)
     rng = np.random.Generator(np.random.Philox(strategy.seed))
     examined = 0
     while examined < budget:
@@ -446,8 +527,9 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
 @dataclass(frozen=True)
 class VCBounds:
     lower: int  # largest k with a verified shattered tuple
-    exact: int | None  # set when k = lower + 1 was exhaustively refuted
+    exact: int | None  # set when k = lower + 1 was refuted
     reason: str = ""  # why the search at k = lower + 1 stopped, when it spent its budget
+    refuted_by: tuple | None = None  # (j, m_j) when counting refuted k = lower + 1
 
     def to_json(self) -> dict:
         return {"lower": self.lower, "exact": self.exact}
@@ -460,15 +542,19 @@ def vc_bounds(
     k_max: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> VCBounds:
-    """Exhaustively certify shattering for k = 1..k_max.
+    """Certify shattering for k = 1..k_max.
 
-    When E and W are both the full group (the defaults) each k is searched
-    with Anchored, i.e. only tuples with x^1 = 0; otherwise with Exhaustive.
-    Both give the same answers.  k_max is capped at 5: beyond that a full
-    enumeration stops being a desk computation, so a larger k_max raises
-    SweepTooLarge up front.  When the search at some k spends its budget,
-    certification, not mathematics, gave out: the bounds keep the lower
-    bound certified so far, with exact None and a reason naming k."""
+    Each k is first offered to the counting certificate (TranslateCounts):
+    when 2^(k-j) > m_j for some j, k is refuted without a search and
+    refuted_by records (j, m_j).  Otherwise k is searched exhaustively: when
+    E and W are both the full group (the defaults) with Anchored, i.e. only
+    tuples with x^1 = 0, and else with Exhaustive.  Both give the same
+    answers.  k_max is capped at 5: beyond that a full enumeration stops
+    being a desk computation, so a larger k_max raises SweepTooLarge up
+    front, as does an N(x) table past NEIGHBORHOOD_BITS_GUARD.  When the
+    search at some k spends its budget, certification, not mathematics, gave
+    out: the bounds keep the lower bound certified so far, with exact None
+    and a reason naming k."""
     if k_max > VC_KMAX_GUARD:
         raise SweepTooLarge(f"k_max = {k_max} exceeds the exhaustive guard {VC_KMAX_GUARD}")
     if k_max < 1:
@@ -477,9 +563,14 @@ def vc_bounds(
     W = W if W is not None else E
     if W.size == 0:
         raise EmptySet("vc bounds need a nonempty witness domain")
+    _check_table_guard(E)
     strategy = Anchored if E.size == W.size == S.context.order else Exhaustive
+    counts = TranslateCounts(S, W)
     lower = 0
     for k in range(1, k_max + 1):
+        refuted = counts.refutation(k)
+        if refuted is not None:
+            return VCBounds(lower=lower, exact=lower, refuted_by=refuted)
         outcome = shatter_search(ShatterProblem(S, E, W, k), strategy(budget))
         if outcome.status is SearchStatus.FOUND:
             lower = k

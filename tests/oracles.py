@@ -191,6 +191,26 @@ def naive_shatterable(S: PointSet, k: int, E: PointSet, W: PointSet) -> bool:
     return False
 
 
+def brute_m(S: PointSet, j: int) -> int:
+    """m_j for j >= 1: the most points that j translates of S by distinct
+    shifts share, by listing every set of j - 1 distinct nonzero shifts.
+
+    An intersection of translates S + u_1, ..., S + u_j has the size of its
+    translate by -u_1, so one of the shifts may be taken to be 0.
+    """
+    p, d = S.context.p, S.context.d
+    pts = set(S)
+    shifts = [u for u in product(range(p), repeat=d) if any(u)]
+    best = 0
+    for us in combinations(shifts, j - 1):
+        shared = [
+            x for x in pts
+            if all(tuple((a - b) % p for a, b in zip(x, u)) in pts for u in us)
+        ]
+        best = max(best, len(shared))
+    return best
+
+
 def reference_random_search(problem, seed: int, budget: int) -> tuple:
     """RandomSearch(seed, budget) for k >= 1 as one rng.choice call per
     tuple: (status, witness or None, tuples_examined).

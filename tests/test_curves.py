@@ -235,3 +235,34 @@ def test_poly_graph_salem_sharpened_constant(p):
         graph = poly_graph(FieldContext(p, 2), [0] * deg + [1]).points
         top = fourier_spectrum(graph).max_nontrivial
         assert top <= (deg - 1) * p ** (-1.5) * (1 + 1e-6)
+
+
+def _sphere_by_grid_sum(ctx, t):
+    """The q^d table of x_1^2 + ... + x_d^2 against t."""
+    squares = np.arange(ctx.p, dtype=np.int64) ** 2 % ctx.p
+    return PointSet(ctx, ctx.grid_sum([squares] * ctx.d) == t % ctx.p)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)])
+def test_sphere_matches_the_grid_sum_table(p, d):
+    ctx = FieldContext(p, d)
+    for t in range(-1, p + 1):
+        handle = sphere(ctx, t)
+        assert handle.points == _sphere_by_grid_sum(ctx, t)
+        assert handle.parameters == {"t": t % p}
+
+
+def test_sphere_builds_no_table_of_the_group_beyond_its_membership():
+    import tracemalloc
+
+    ctx = FieldContext(2039, 2)
+    tracemalloc.start()
+    try:
+        S = sphere(ctx, 1).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.size == 2040  # 2039 = 3 mod 4
+    # membership and its read-only copy: 2 q^d bytes, 7.9 MiB; an int64 q^d
+    # table would add 32 MiB
+    assert peak < 12 * 2**20

@@ -16,7 +16,9 @@ from ffsalem import (
     ShatterProblem,
     ShatterWitness,
     SweepTooLarge,
+    TranslateCounts,
     construct_shatter3,
+    intersection_profile,
     make_curve,
     paraboloid,
     sample_subset,
@@ -24,18 +26,20 @@ from ffsalem import (
     sphere,
     symmetrize,
     symmetrized_parabola,
+    triple_overlap_max,
     vc_bounds,
     verify_witness,
     witness_for_points,
 )
-from ffsalem import shatter
+from ffsalem import analysis, shatter
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
 from ffsalem.shatter import RANDOM_BATCH, _random_picks
-from oracles import naive_shatterable, reference_random_search
+from oracles import brute_m, naive_shatterable, reference_random_search
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 2)
 F11 = FieldContext(11, 2)
+F7_3 = FieldContext(7, 3)
 
 
 def random_set(ctx, size, seed):
@@ -229,6 +233,8 @@ def _sampled(p, size, seed):
     return sample_subset(FieldContext(p, 2), size, seed)
 
 
+THREE_POINTS = PointSet.from_points(F11, [(0, 0), (1, 0), (0, 1)])
+
 RANDOM_ORACLE_CASES = {
     # id: (S, E, W, k, search seed); the comment gives the outcome at budget
     # 2049 with RANDOM_BATCH = 1024
@@ -240,6 +246,17 @@ RANDOM_ORACLE_CASES = {
     "sampled-self": (symmetrized_parabola(F11).points, _sampled(11, 100, 3), "E", 4, 1),  # 1054
     "sampled-full": (symmetrized_parabola(F11).points, _sampled(11, 80, 2), None, 4, 3),  # 1047
     "pigeonhole": (sphere(F11, 1).points, None, "S", 4, 1),  # 2^4 > |S| = 12
+    "three-points": (THREE_POINTS, None, None, 3, 6),  # 2^2 > m_1 = |S| = 3
+    "sampled-circle": (sphere(F11, 1).points, _sampled(11, 60, 4), "E", 4, 2),  # 2^2 > m_2 = 2
+    "sphere-f7-d3": (sphere(F7_3, 1).points, None, None, 5, 3),  # 2^2 > m_3 = 2
+}
+
+# the reasons of the searches that a counting certificate refutes
+CERTIFIED = {
+    "full-f11-circle": "2^2 > m_2 = 2, the most points 2 translates of S share",
+    "three-points": "2^2 > m_1 = |S| = 3",
+    "sampled-circle": "2^2 > m_2 = 2, the most points 2 translates of S share",
+    "sphere-f7-d3": "2^2 > m_3 = 2, the most points 3 translates of S share",
 }
 
 
@@ -260,6 +277,10 @@ def test_random_search_matches_per_tuple_reference(case, budget):
     assert out.stats.tuples_examined == examined
     if case == "pigeonhole":
         assert out.reason.startswith("2^4 > |W| = 12: no 4-tuple can be shattered")
+    elif case in CERTIFIED:
+        assert out.reason == (
+            f"{CERTIFIED[case]}: no {k}-tuple can be shattered, budget {budget} spent without drawing"
+        )
     elif status is SearchStatus.BUDGET_EXHAUSTED:
         assert out.reason == f"{budget} tuples examined, budget {budget}"
 
@@ -408,3 +429,179 @@ def test_witness_json_round_trip():
     assert back.points == w.points
     assert back.witnesses == w.witnesses
     assert verify_witness(f11_problem(), back)
+
+
+# -- counting certificates ---------------------------------------------------------------
+
+
+def _m_cases():
+    cases = []
+    for p in (3, 5, 7):
+        ctx = FieldContext(p, 2)
+        for desc in ("circle:1", "circle:0", "sym-parabola", "paraboloid"):
+            cases.append((f"{desc}-f{p}", make_curve(ctx, desc).points))
+        for size, seed in ((2, 1), (p, 2), (3 * p, 3)):
+            cases.append((f"random{size}-f{p}", random_set(ctx, size, seed)))
+    for p in (3, 5):
+        ctx = FieldContext(p, 3)
+        for t in (0, 1):
+            cases.append((f"sphere{t}-f{p}-d3", sphere(ctx, t).points))
+        cases.append((f"random-f{p}-d3", random_set(ctx, 2 * p, seed=4)))
+    return cases
+
+
+M_CASES = _m_cases()
+
+
+@pytest.mark.parametrize("name,S", M_CASES, ids=[name for name, _ in M_CASES])
+def test_translate_intersections_match_brute_force(name, S):
+    m2, m3 = brute_m(S, 2), brute_m(S, 3)
+    assert intersection_profile(S).max_size == m2
+    assert triple_overlap_max(S) == m3
+    for stop_at in range(1, m3 + 3):
+        got = triple_overlap_max(S, stop_at=stop_at)
+        assert got == m3 if m3 < stop_at else stop_at <= got <= m3
+    # the least j <= min(k, 3) with 2^(k - j) > m_j, for each k
+    full = PointSet.full(S.context)
+    m = [full.size, S.size, m2, m3]
+    counts = TranslateCounts(S, full)
+    for k in range(8):
+        want = next(((j, m[j]) for j in range(min(k, 3) + 1) if 2 ** (k - j) > m[j]), None)
+        assert counts.refutation(k) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_counting_refutation_is_sound(seed):
+    # every refuted k is one no tuple shatters, for any E and W
+    S = random_set(F5, 6, seed)
+    full = PointSet.full(F5)
+    refuted = set()
+    for E, W in ((full, full), (full, S), (random_set(F5, 12, seed + 10), full)):
+        counts = TranslateCounts(S, W)
+        for k in range(1, 5):
+            if counts.refutation(k) is not None:
+                refuted.add(counts.refutation(k)[0])
+                assert not naive_shatterable(S, k, E, W)
+    assert {0, 1} <= refuted
+
+
+@pytest.mark.parametrize(
+    "S,W,j,m",
+    [
+        (THREE_POINTS, PointSet.full(F11), 1, 3),
+        (sphere(F11, 1).points, PointSet.full(F11), 2, 2),
+        (sphere(F7_3, 1).points, PointSet.full(F7_3), 3, 2),
+        (sphere(F11, 1).points, PointSet.from_points(F11, [(0, 0), (1, 0), (2, 0), (3, 0)]), 0, 4),
+    ],
+    ids=["m1", "m2-circle", "m3-sphere", "m0"],
+)
+def test_log2_boundary_searchable_then_refuted(S, W, j, m):
+    # k = j + floor(log2 m_j) survives the certificate, k + 1 does not
+    k = j + m.bit_length() - 1
+    counts = TranslateCounts(S, W)
+    assert counts.refutation(k) is None
+    assert counts.refutation(k + 1) == (j, m)
+
+
+def test_circle_k3_is_found_at_the_boundary():
+    S = sphere(F11, 1).points
+    assert TranslateCounts(S, PointSet.full(F11)).refutation(3) is None
+    assert shatter_search(ShatterProblem.over(S, 3)).found
+
+
+def test_empty_s_never_reaches_the_intersection_profile(monkeypatch):
+    def fail(S):
+        raise AssertionError("intersection_profile called")
+
+    monkeypatch.setattr(shatter, "intersection_profile", fail)
+    b = vc_bounds(PointSet.empty(F11), k_max=4)
+    assert (b.lower, b.exact, b.refuted_by) == (0, 0, (1, 0))
+
+
+def test_m3_past_its_cost_cap_is_skipped(monkeypatch):
+    S = sphere(F7_3, 1).points
+    assert TranslateCounts(S, PointSet.full(F7_3)).refutation(5) == (3, 2)
+    monkeypatch.setattr(analysis, "TRIPLE_COST_CAP", 0)
+    assert triple_overlap_max(S) is None
+    assert TranslateCounts(S, PointSet.full(F7_3)).refutation(5) is None
+    # the random search then draws, as it did before the certificate
+    out = shatter_search(ShatterProblem.over(S, 5), RandomSearch(seed=1, budget=10))
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.reason == "10 tuples examined, budget 10"
+
+
+def test_vc_refutes_by_counting_without_a_search(monkeypatch):
+    searched = []
+    real = shatter.shatter_search
+
+    def counting(problem, strategy):
+        searched.append(problem.k)
+        return real(problem, strategy)
+
+    monkeypatch.setattr(shatter, "shatter_search", counting)
+    b = vc_bounds(sphere(F11, 1).points, k_max=5)
+    assert (b.lower, b.exact, b.refuted_by) == (3, 3, (2, 2))
+    assert b.to_json() == {"lower": 3, "exact": 3}
+    assert searched == [1, 2, 3]
+
+
+# (lower, exact) of the search-only vc_bounds, which counting must keep
+VC_PINS = [
+    (5, 2, "circle:1", 4, 2),
+    (7, 2, "circle:1", 4, 3),
+    (11, 2, "circle:1", 4, 3),
+    (13, 2, "circle:1", 4, 3),
+    (7, 2, "sym-parabola", 5, 3),
+    (11, 2, "sym-parabola", 5, 4),
+    (13, 2, "sym-parabola", 5, 3),
+    (5, 3, "circle:1", 5, 4),
+]
+
+
+@pytest.mark.parametrize("p,d,curve,k_max,vc", VC_PINS)
+def test_vc_bounds_keep_the_search_answers(p, d, curve, k_max, vc):
+    b = vc_bounds(make_curve(FieldContext(p, d), curve).points, k_max=k_max)
+    assert b.to_json() == {"lower": vc, "exact": vc}
+
+
+# answers that only the certificate gives at desk scale: the searches for
+# circle k = 4 and sphere k = 5 outgrow any practical budget
+VC_COUNTED = [
+    (41, 2, "circle:1", 4, 3, (2, 2)),
+    (7, 3, "circle:1", 5, 4, (3, 2)),
+    (11, 3, "circle:1", 5, 4, (3, 2)),
+]
+
+
+@pytest.mark.parametrize("p,d,curve,k_max,vc,refuted_by", VC_COUNTED)
+def test_vc_bounds_refuted_by_counting(p, d, curve, k_max, vc, refuted_by):
+    b = vc_bounds(make_curve(FieldContext(p, d), curve).points, k_max=k_max, budget=10**5)
+    assert (b.lower, b.exact, b.refuted_by) == (vc, vc, refuted_by)
+
+
+def _per_row_neighborhoods(problem, indices):
+    """The bitsets one point at a time: a q^d mask, & W, packbits."""
+    ctx = problem.context
+    s_coords = ctx.coords_of(problem.S.indices())
+    out = []
+    for x in ctx.coords_of(indices):
+        mask = np.zeros(ctx.order, dtype=bool)
+        mask[ctx.indices_of(x - s_coords)] = True
+        mask &= problem.W.membership
+        out.append(int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little"))
+    return out
+
+
+@pytest.mark.parametrize("block", [shatter.NEIGHBORHOOD_BLOCK, 300, 1])
+@pytest.mark.parametrize("p,d", [(5, 3), (7, 2), (3, 3), (11, 1)])
+def test_neighborhoods_match_the_per_row_build(monkeypatch, block, p, d):
+    # q^d = 125, 49, 27 and 11 are not multiples of 8; block 300 leaves a
+    # short last block, block 1 one row per block
+    monkeypatch.setattr(shatter, "NEIGHBORHOOD_BLOCK", block)
+    ctx = FieldContext(p, d)
+    W = random_set(ctx, ctx.order // 2, seed=p)
+    indices = list(range(ctx.order))
+    for S in (sphere(ctx, 1).points, PointSet.empty(ctx), random_set(ctx, p + 3, seed=d)):
+        problem = ShatterProblem(S, PointSet.full(ctx), W, 2)
+        assert shatter._neighborhoods(problem, indices) == _per_row_neighborhoods(problem, indices)
+        assert shatter._neighborhoods(problem, []) == []
