@@ -229,6 +229,8 @@ def _cmd_intersect_profile(args) -> tuple:
 def _cmd_edge_count(args) -> tuple:
     ctx, S, label = _resolve_set(args)
     if args.set is not None:
+        if args.sample is not None or args.seed is not None:
+            raise ValueError("--set and --sample/--seed are mutually exclusive")
         try:
             E = load_points(args.set)
         except OSError as exc:

@@ -213,8 +213,7 @@ def fourier_spectrum(S: PointSet) -> SpectrumTable:
 
 
 # Complex cells one pass of `spectrum_max` holds at once: a block of x_1
-# lines, or a slab of x_1 frequencies (4 MiB).  A table no larger than this
-# is built whole.
+# lines, or a slab of x_1 frequencies (4 MiB).
 SPECTRUM_SLAB_CELLS = 1 << 18
 
 
@@ -231,8 +230,6 @@ def spectrum_max(S: PointSet) -> float:
     ctx = S.context
     p, q = ctx.p, ctx.order
     cells = SPECTRUM_SLAB_CELLS
-    if q <= cells:
-        return fourier_spectrum(S).max_nontrivial
     lines = S.membership.reshape(-1, p)
     held = np.flatnonzero(lines.any(axis=1))
     rows = max(1, cells // p)
@@ -306,11 +303,17 @@ def salem_bound(ctx: FieldContext, size: int, params: SalemParams) -> float:
 
 
 def salem_report(S: PointSet, params: SalemParams | None = None) -> SalemReport:
-    """Check the Salem inequality for every nonzero frequency of S."""
+    """Check the Salem inequality for every nonzero frequency of S; a bound
+    that underflows to 0.0 (or to nan) is a ValueError, as it leaves no ratio."""
     if S.size == 0:
         raise EmptySet("salem certification needs a nonempty set")
     params = params or SalemParams()
     bound = salem_bound(S.context, S.size, params)
+    if not bound > 0:  # underflowed to 0.0, or 0.0 * inf = nan
+        raise ValueError(
+            f"the Salem bound is {bound}: constant {params.constant} and gamma "
+            f"{params.gamma} leave the float range"
+        )
     worst = spectrum_max(S)
     return SalemReport(
         max_nontrivial=worst,

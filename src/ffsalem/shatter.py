@@ -1,22 +1,23 @@
 """Shattering searches for translate classes h_y(x) = [x - y in S].
 
-A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset
-I of {1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e.
-when each of its 2^k witness regions (the points of W in x^i - S exactly for
-i in I) is nonempty.  One builder, _neighborhoods, makes the bitsets
+A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset I of
+{1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e. when
+each of its 2^k witness regions (the points of W in x^i - S exactly for i in
+I) is nonempty.  One builder, _neighborhoods, makes the bitsets
 N(x) = (x - S) ^ W, a block of rows per numpy pass, and one fold, _regions,
-splits W by them into the regions.  Every search, witness_for_points and
-construct_shatter3 go through them; the exhaustive search takes one
-_regions_extend step per level, so tuples share prefixes and a prefix is
-pruned as soon as a region empties.  shatter_search does the set-up once:
-the empty-W and k = 0 answers, and the N(x) table for all of E, |E| bitsets
-of q^d bits, for which it raises SweepTooLarge (a ValueError) before
-allocating past NEIGHBORHOOD_BITS_GUARD.  BUDGET_EXHAUSTED means only that a
-search spent its tuple budget.
+splits W by them into the regions; every search, witness_for_points and
+construct_shatter3 go through them.  A table for all of E, |E| bitsets of
+q^d bits, raises SweepTooLarge (a ValueError) before allocating past
+NEIGHBORHOOD_BITS_GUARD.  BUDGET_EXHAUSTED means only that a search spent
+its tuple budget.
 
-When E and W are both the full group the class is translation invariant,
-so the Anchored strategy enumerates only the tuples whose first point is
-the origin (index 0).  vc_bounds picks it by itself for such problems.
+One walk, _walk, serves the exhaustive searches and vc_bounds: a
+lexicographic depth-first search over one N(x) table, one _regions_extend
+step per level, so tuples share prefixes and a prefix is pruned as soon as a
+region empties.  Every prefix of a shattered tuple is shattered, so the walk
+meets the first shattered tuple of each length in turn and yields it;
+shatter_search takes the yield at k, vc_bounds each yield up to k_max.
+Anchored (E = W = the full group) tries only tuples with x^1 = 0.
 
 Counting refutes k without enumerating (TranslateCounts): the 2^(k-j)
 witnesses of the subsets containing x^1..x^j are distinct points shared by
@@ -330,8 +331,7 @@ class Anchored:
     least index it lies in the subtree under root position 0.  The
     lexicographically first tuple Exhaustive finds lies there too, so FOUND
     outcomes equal Exhaustive's (same witness, same tuples_examined); only
-    EXHAUSTED_NO and BUDGET_EXHAUSTED stop earlier.
-    """
+    EXHAUSTED_NO and BUDGET_EXHAUSTED stop earlier."""
 
     budget: int = DEFAULT_BUDGET
 
@@ -358,14 +358,12 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     """Search for a shattered k-tuple.
 
     Exhaustive: Found returns the first tuple in lexicographic index order
-    (with the least witness in every region); ExhaustedNo certifies that a
-    complete enumeration found nothing; BudgetExhausted reports an aborted
-    run.  Anchored gives the same outcomes from the x^1 = 0 subtree alone and
-    raises ValueError unless E and W are the full group.  RandomSearch ends
-    Found or BudgetExhausted, or ExhaustedNo when |E| < k.  A BudgetExhausted
-    outcome says why in its reason.  Every Found outcome is re-verified
-    before being returned.
-    """
+    (with the least witness in every region), the walk's yield at k;
+    ExhaustedNo certifies that a complete enumeration found nothing.  Anchored
+    gives the same outcomes from the x^1 = 0 subtree alone and raises
+    ValueError unless E and W are the full group.  RandomSearch ends Found or
+    BudgetExhausted, or ExhaustedNo when |E| < k.  A BudgetExhausted outcome
+    says why in its reason; every Found outcome is re-verified."""
     if not isinstance(strategy, (Exhaustive, Anchored, RandomSearch)):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy.budget < 0:
@@ -385,60 +383,63 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
         elif isinstance(strategy, RandomSearch):
             outcome = _search_random(problem, w_bits, strategy)
         else:
-            e_idx = [int(i) for i in problem.E.indices()]
-            neigh = _neighborhoods(problem, e_idx)
-            outcome = _search_exhaustive(ctx, e_idx, neigh, w_bits, problem.k, strategy)
+            stats = SearchStats()
+            reached = list(_walk(problem, isinstance(strategy, Anchored), strategy.budget, stats))
+            if reached and reached[-1] is None:
+                outcome = _budget_spent(strategy.budget)
+            elif len(reached) == problem.k:
+                outcome = SearchOutcome(SearchStatus.FOUND, reached[-1], stats)
+            else:
+                outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
     outcome.stats.elapsed = time.perf_counter() - start
     if outcome.found and not verify_witness(problem, outcome.witness):
         raise AssertionError("internal error: search result failed re-verification")
     return outcome
 
 
-def _search_exhaustive(
-    ctx: FieldContext, e_idx: list, neigh: list, w_bits: int, k: int, strategy
-) -> SearchOutcome:
-    """Depth-first region search in lexicographic order; Anchored fixes x^1 at
-    the least index of E."""
-    budget = strategy.budget
-    stats = SearchStats()
-    chosen: list = []
-    out_of_budget = False
+def _walk(problem: ShatterProblem, anchored: bool, budget: int, stats: SearchStats):
+    """Depth-first region search of E's tuples in lexicographic order over one
+    N(x) table, never deeper than k; anchored fixes x^1 at the least index of E.
 
-    def extend(regions: list, start_pos: int, stop: int) -> ShatterWitness | None:
-        nonlocal out_of_budget
-        j = len(chosen)
-        for pos in range(start_pos, stop):
+    Yields the witness of the first shattered tuple of each length 1..k and
+    resumes below it; stats.tuples_examined runs on against the budget, so at
+    the yield for length j it is what a walk cut at j reports.  Yields None
+    and stops when the budget runs out first."""
+    ctx, k = problem.context, problem.k
+    e_idx = [int(i) for i in problem.E.indices()]
+    neigh = _neighborhoods(problem, e_idx)
+    n, root_stop = len(e_idx), 1 if anchored else len(e_idx)
+    chosen, path = [], [[_bits_from_bool(problem.W.membership)]]  # path[j]: regions of chosen[:j]
+    pos = depth = 0
+    while True:
+        j, regions = len(chosen), path[-1]
+        for pos in range(pos, n if chosen else root_stop):
             if stats.tuples_examined >= budget:
-                out_of_budget = True
-                return None
+                yield None
+                return
             stats.tuples_examined += 1
             new = _regions_extend(regions, neigh[pos], j)
-            if new is None:
-                continue
-            chosen.append(e_idx[pos])
-            if len(chosen) == k:
-                return _witness_from_regions(ctx, chosen, new)
-            got = extend(new, pos + 1, len(e_idx))
-            if got is not None or out_of_budget:
-                return got
-            chosen.pop()
-        return None
-
-    witness = extend([w_bits], 0, 1 if isinstance(strategy, Anchored) else len(e_idx))
-    if witness is not None:
-        return SearchOutcome(SearchStatus.FOUND, witness, stats)
-    if out_of_budget:
-        return _budget_spent(budget)
-    return SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
+            if new is not None:
+                break
+        else:  # this level is done: back up one point
+            if not chosen:
+                return
+            pos = chosen.pop() + 1
+            path.pop()
+            continue
+        chosen.append(pos)
+        path.append(new)
+        if j == depth:  # the first tuple of length j + 1
+            depth += 1
+            yield _witness_from_regions(ctx, [e_idx[i] for i in chosen], new)
+            if depth == k:
+                return
+        pos += 1
 
 
 def _budget_spent(budget: int, reason: str = "") -> SearchOutcome:
-    return SearchOutcome(
-        SearchStatus.BUDGET_EXHAUSTED,
-        None,
-        SearchStats(budget),
-        reason or f"{budget} tuples examined, budget {budget}",
-    )
+    reason = reason or f"{budget} tuples examined, budget {budget}"
+    return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(budget), reason)
 
 
 def _random_picks(rng: np.random.Generator, n: int, k: int, count: int) -> np.ndarray:
@@ -487,12 +488,8 @@ def _search_random(problem: ShatterProblem, w_bits: int, strategy: RandomSearch)
             examined += 1
             regions = _regions(w_bits, [neigh[i] for i in picks])
             if regions is not None:
-                chosen = [e_idx[i] for i in picks]
-                return SearchOutcome(
-                    SearchStatus.FOUND,
-                    _witness_from_regions(ctx, chosen, regions),
-                    SearchStats(examined),
-                )
+                witness = _witness_from_regions(ctx, [e_idx[i] for i in picks], regions)
+                return SearchOutcome(SearchStatus.FOUND, witness, SearchStats(examined))
     return _budget_spent(budget)
 
 
@@ -542,42 +539,45 @@ def vc_bounds(
     k_max: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> VCBounds:
-    """Certify shattering for k = 1..k_max.
+    """Certify shattering for k = 1..k_max with one walk over one N(x) table.
 
-    Each k is first offered to the counting certificate (TranslateCounts):
-    when 2^(k-j) > m_j for some j, k is refuted without a search and
-    refuted_by records (j, m_j).  Otherwise k is searched exhaustively: when
-    E and W are both the full group (the defaults) with Anchored, i.e. only
-    tuples with x^1 = 0, and else with Exhaustive.  Both give the same
-    answers.  k_max is capped at 5: beyond that a full enumeration stops
-    being a desk computation, so a larger k_max raises SweepTooLarge up
-    front, as does an N(x) table past NEIGHBORHOOD_BITS_GUARD.  When the
-    search at some k spends its budget, certification, not mathematics, gave
-    out: the bounds keep the lower bound certified so far, with exact None
-    and a reason naming k."""
+    Before each k the counting certificate (TranslateCounts) is asked: when
+    2^(k-j) > m_j for some j, k is refuted without a search and refuted_by
+    records (j, m_j).  Otherwise the walk goes on to its first shattered
+    k-tuple, anchored at x^1 = 0 when E = W = the full group (the defaults),
+    and re-verifies it.  A k_max above 5, past desk scale for a full
+    enumeration, and an N(x) table past NEIGHBORHOOD_BITS_GUARD raise
+    SweepTooLarge up front.  The budget counts tuples from the first, as a
+    search for one k would.  When the walk spends it, certification, not
+    mathematics, gave out: the bounds keep the lower bound certified so far,
+    exact None, and a reason naming the next k."""
     if k_max > VC_KMAX_GUARD:
         raise SweepTooLarge(f"k_max = {k_max} exceeds the exhaustive guard {VC_KMAX_GUARD}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     E = E if E is not None else PointSet.full(S.context)
     W = W if W is not None else E
     if W.size == 0:
         raise EmptySet("vc bounds need a nonempty witness domain")
     _check_table_guard(E)
-    strategy = Anchored if E.size == W.size == S.context.order else Exhaustive
     counts = TranslateCounts(S, W)
+    anchored = E.size == W.size == S.context.order
+    walk = _walk(ShatterProblem(S, E, W, k_max), anchored, budget, SearchStats())
     lower = 0
-    for k in range(1, k_max + 1):
-        refuted = counts.refutation(k)
+    while lower < k_max:
+        refuted = counts.refutation(lower + 1)
         if refuted is not None:
             return VCBounds(lower=lower, exact=lower, refuted_by=refuted)
-        outcome = shatter_search(ShatterProblem(S, E, W, k), strategy(budget))
-        if outcome.status is SearchStatus.FOUND:
-            lower = k
-            continue
-        if outcome.status is SearchStatus.EXHAUSTED_NO:
+        witness = next(walk, False)  # the walk builds its table on the first call
+        if witness is False:  # it ended: no tuple of lower + 1 points is shattered
             return VCBounds(lower=lower, exact=lower)
-        return VCBounds(lower=lower, exact=None, reason=f"k = {k}: {outcome.reason}")
+        if witness is None:
+            return VCBounds(lower, None, f"k = {lower + 1}: {_budget_spent(budget).reason}")
+        if not verify_witness(ShatterProblem(S, E, W, witness.k), witness):
+            raise AssertionError("internal error: search result failed re-verification")
+        lower = witness.k
     return VCBounds(lower=lower, exact=None)
 
 

@@ -4,8 +4,9 @@ Everything here is written for obviousness, not speed: direct double sums
 for transforms, explicit loops for counts, and a dichotomy-materializing
 shattering decider.  None of it shares code with the library internals it
 checks, except `reference_weil_suite`, which pins the row-batched sweep to
-one public character-sum call per sum, and `reference_random_search`, which
-pins the batched random search to one `Generator.choice` call per tuple.
+one public character-sum call per sum, `reference_random_search`, which
+pins the batched random search to one `Generator.choice` call per tuple, and
+`reference_vc_bounds`, which pins vc's single walk to one search per k.
 """
 
 from __future__ import annotations
@@ -17,13 +18,18 @@ from itertools import combinations, product
 import numpy as np
 
 from ffsalem import (
+    Anchored,
+    Exhaustive,
     FieldContext,
     PointSet,
     SearchStatus,
+    ShatterProblem,
     ShatterWitness,
+    TranslateCounts,
     gauss_sum,
     kloosterman,
     legendre,
+    shatter_search,
     weil_poly_sum,
 )
 
@@ -241,6 +247,29 @@ def reference_random_search(problem, seed: int, budget: int) -> tuple:
             )
             return SearchStatus.FOUND, witness, examined
     return SearchStatus.BUDGET_EXHAUSTED, None, budget
+
+
+def reference_vc_bounds(S: PointSet, E: PointSet, W: PointSet, k_max: int, budget: int) -> tuple:
+    """vc_bounds as a fresh search per k: (lower, exact, reason, refuted_by).
+
+    Before each k the counting certificate is asked; when it does not refute
+    k, k gets its own shatter_search with the whole budget, Anchored when E
+    and W are the full group and Exhaustive otherwise.
+    """
+    strategy = Anchored if E.size == W.size == S.context.order else Exhaustive
+    counts = TranslateCounts(S, W)
+    lower = 0
+    for k in range(1, k_max + 1):
+        refuted = counts.refutation(k)
+        if refuted is not None:
+            return lower, lower, "", refuted
+        outcome = shatter_search(ShatterProblem(S, E, W, k), strategy(budget))
+        if outcome.status is SearchStatus.EXHAUSTED_NO:
+            return lower, lower, "", None
+        if outcome.status is SearchStatus.BUDGET_EXHAUSTED:
+            return lower, None, f"k = {k}: {outcome.reason}", None
+        lower = k
+    return lower, None, "", None
 
 
 def reference_weil_suite(p: int) -> dict:

@@ -143,6 +143,8 @@ HANDLER_USAGE_ERRORS = {
     "sample-no-seed": ["edge-count", "-p", "11", "--curve", "circle:1", "--sample", "20"],
     "no-counted-set": ["edge-count", "-p", "7", "--curve", "circle:1"],
     "empty-counted-set": ["edge-count", "-p", "7", "--curve", "circle:1", "--set", "{empty}"],
+    # counting refutes k = 1 for the empty set, so no search checks the budget
+    "vc-negative-budget": ["vc", "--points", "{empty}", "--budget", "-1"],
     "random-no-seed": ["shatter", "-p", "5", "--curve", "circle:1", "-k", "1", "--strategy", "random"],
     "size-range": ["random-trials", "-p", "3", "--size", "10", "--trials", "1", "--seed", "1"],
     "trials-zero": ["random-trials", "-p", "3", "--size", "1", "--trials", "0", "--seed", "1"],
@@ -275,6 +277,19 @@ def test_edge_count_with_sample(capsys):
     data = json.loads(out)
     assert data["result"]["set_size"] == 20
     assert isinstance(data["result"]["nu"], int)
+
+
+@pytest.mark.parametrize("flags", [["--sample", "5"], ["--seed", "3"], ["--sample", "5", "--seed", "3"]])
+def test_edge_count_set_excludes_sample_and_seed(capsys, tmp_path, flags):
+    c7 = write_points(tmp_path, "c7.txt", 7, 2, [(1, 0), (6, 0), (0, 1), (0, 6)])
+    with pytest.raises(SystemExit) as exc:
+        main(["edge-count", "-p", "7", "--curve", "circle:1", "--set", c7, *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ffsalem edge-count: error: --set and --sample/--seed are mutually exclusive\n"
+    )
 
 
 def test_edge_count_sample_requires_seed(capsys):
@@ -545,6 +560,10 @@ def field_argv(draw):
     return argv
 
 
+# a --const this small makes the Salem bound underflow to 0.0, and to nan
+# when (log p)^gamma overflows
+@example(["salem-check", "-p", "5", "--curve", "circle:1", "--const", "5e-324"])
+@example(["salem-check", "-p", "5", "--curve", "circle:1", "--const", "5e-324", "--gamma", "1e6"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(field_argv())
 def test_argv_fuzz_field_commands(argv):

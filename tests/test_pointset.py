@@ -234,6 +234,19 @@ def test_salem_params_validation():
         SalemParams(constant=math.nan)
 
 
+def test_salem_report_rejects_a_bound_that_underflows():
+    S = sphere(FieldContext(5, 2), 1).points
+    assert salem_bound(S.context, S.size, SalemParams(constant=5e-324)) == 0.0
+    with pytest.raises(ValueError, match="Salem bound is 0.0"):
+        salem_report(S, SalemParams(constant=5e-324))
+    # constant * p^-d underflows before (log p)^gamma overflows: 0.0 * inf
+    with pytest.raises(ValueError, match="Salem bound is nan"):
+        salem_report(S, SalemParams(gamma=1e6, constant=5e-324))
+    # a tiny constant whose bound stays positive still gets a report
+    report = salem_report(S, SalemParams(constant=1e-300))
+    assert report.bound > 0 and not report.passed
+
+
 def test_salem_bound_log_convention():
     ctx = FieldContext(7, 2)
     assert salem_bound(ctx, 8, SalemParams()) == pytest.approx(2 * math.sqrt(8) / 49)

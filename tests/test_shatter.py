@@ -34,7 +34,7 @@ from ffsalem import (
 from ffsalem import analysis, shatter
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
 from ffsalem.shatter import RANDOM_BATCH, _random_picks
-from oracles import brute_m, naive_shatterable, reference_random_search
+from oracles import brute_m, naive_shatterable, reference_random_search, reference_vc_bounds
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 2)
@@ -531,18 +531,77 @@ def test_m3_past_its_cost_cap_is_skipped(monkeypatch):
 
 
 def test_vc_refutes_by_counting_without_a_search(monkeypatch):
-    searched = []
-    real = shatter.shatter_search
+    # _regions_extend's j is the number of points a tried tuple extends
+    extended = set()
+    real = shatter._regions_extend
 
-    def counting(problem, strategy):
-        searched.append(problem.k)
-        return real(problem, strategy)
+    def recording(regions, nb, j):
+        extended.add(j)
+        return real(regions, nb, j)
 
-    monkeypatch.setattr(shatter, "shatter_search", counting)
+    monkeypatch.setattr(shatter, "_regions_extend", recording)
     b = vc_bounds(sphere(F11, 1).points, k_max=5)
     assert (b.lower, b.exact, b.refuted_by) == (3, 3, (2, 2))
     assert b.to_json() == {"lower": 3, "exact": 3}
-    assert searched == [1, 2, 3]
+    assert extended == {0, 1, 2}  # the walk never tries a 4th point
+
+
+@pytest.mark.parametrize("E_kind", ["full", "curve"])
+def test_vc_builds_one_neighborhood_table(monkeypatch, E_kind):
+    built = []
+    real = shatter._neighborhoods
+
+    def recording(problem, indices):
+        built.append(len(indices))
+        return real(problem, indices)
+
+    monkeypatch.setattr(shatter, "_neighborhoods", recording)
+    S = symmetrized_parabola(F11).points
+    E = PointSet.full(F11) if E_kind == "full" else S
+    b = vc_bounds(S, E=E, W=PointSet.full(F11), k_max=5)
+    assert b.lower >= 2
+    assert built == [E.size]
+
+
+def test_vc_rejects_a_negative_budget_before_counting():
+    # counting refutes k = 1 for an empty S, so no search would check it
+    for S in (PointSet.empty(F5), sphere(F5, 1).points):
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            vc_bounds(S, k_max=2, budget=-1)
+
+
+def _vc_parity_cases():
+    cases = []
+    for p in (5, 7, 11):
+        ctx = FieldContext(p, 2)
+        full = PointSet.full(ctx)
+        shapes = {
+            "circle": sphere(ctx, 1).points,
+            "sym-parabola": symmetrized_parabola(ctx).points,
+            "random": random_set(ctx, p + 2, seed=p),
+        }
+        for name, S in shapes.items():
+            domains = {
+                "full": (full, full),
+                "W=S": (full, S),
+                "E=W=S": (S, S),
+                "random-E": (random_set(ctx, 3 * p, seed=p + 1), full),
+            }
+            for domain, (E, W) in domains.items():
+                cases.append(pytest.param(S, E, W, id=f"{name}-{domain}-f{p}"))
+    return cases
+
+
+@pytest.mark.parametrize("S,E,W", _vc_parity_cases())
+def test_vc_walk_matches_one_search_per_k(S, E, W):
+    rng = np.random.Generator(np.random.Philox(S.context.p * 1000 + S.size + E.size + W.size))
+    budgets = [0, 1, 3, 17, 50, 300, 5000, 10**9]
+    for _ in range(4):
+        k_max = int(rng.integers(1, 6))
+        budget = budgets[int(rng.integers(len(budgets)))]
+        b = vc_bounds(S, E=E, W=W, k_max=k_max, budget=budget)
+        want = reference_vc_bounds(S, E, W, k_max, budget)
+        assert (b.lower, b.exact, b.reason, b.refuted_by) == want, (k_max, budget)
 
 
 # (lower, exact) of the search-only vc_bounds, which counting must keep
