@@ -69,32 +69,12 @@ def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Rows of a go in blocks of at most q^d pairs, and a block holds two pair
     arrays, so memory stays O(q^d) however many pairs there are.
     """
-    wrap = _wrap_table(ctx)
     rows = max(1, ctx.order // max(1, len(b)))
-    counts = np.bincount(_sum_index(a[:rows], b, wrap).ravel(), minlength=ctx.order)
+    counts = np.bincount(ctx.sum_index(a[:rows], b).ravel(), minlength=ctx.order)
     for start in range(rows, len(a), rows):
         block = a[start : start + rows]
-        counts += np.bincount(_sum_index(block, b, wrap).ravel(), minlength=ctx.order)
+        counts += np.bincount(ctx.sum_index(block, b).ravel(), minlength=ctx.order)
     return counts
-
-
-def _wrap_table(ctx: FieldContext) -> np.ndarray:
-    """wrap[i][s] = (s mod p) p^i for a coordinate sum 0 <= s < 2p."""
-    p = ctx.p
-    return np.outer(p ** np.arange(ctx.d, dtype=np.int64), np.arange(2 * p, dtype=np.int64) % p)
-
-
-def _sum_index(a: np.ndarray, b: np.ndarray, wrap: np.ndarray) -> np.ndarray:
-    """index(x + y) for every row x of a and y of b, as an (len(a), len(b)) array.
-
-    Axis i adds wrap[i][x_i + y_i].  Each lookup writes over its own sums,
-    which is safe because take reads entry j before it writes entry j."""
-    index = np.add.outer(a[:, 0], b[:, 0])
-    wrap[0].take(index, out=index, mode="clip")
-    for axis in range(1, len(wrap)):
-        sums = np.add.outer(a[:, axis], b[:, axis])
-        index += wrap[axis].take(sums, out=sums, mode="clip")
-    return index
 
 
 def _overlaps(E: PointSet) -> np.ndarray:
@@ -348,9 +328,8 @@ def triple_overlap_max(S: PointSet, stop_at: int | None = None) -> int | None:
     shifts = shifts[np.argsort(-overlaps[shifts], kind="stable")]
     if S.size * int(overlaps[shifts].sum()) + len(shifts) * ctx.order > TRIPLE_COST_CAP:
         return None
-    wrap = _wrap_table(ctx)
     s = ctx.coords_of(S.indices())
-    diff = _sum_index(s, -s % ctx.p, wrap)  # diff[a, b] = index(s_a - s_b)
+    diff = ctx.sum_index(s, -s % ctx.p)  # diff[a, b] = index(s_a - s_b)
     stop = math.inf if stop_at is None else stop_at
     best, start, batch = 0, 0, 1
     while start < len(shifts) and overlaps[shifts[start]] > best and best < stop:
@@ -361,7 +340,7 @@ def triple_overlap_max(S: PointSet, stop_at: int | None = None) -> int | None:
         us = shifts[start : start + width]
         start, batch = start + width, 2 * batch
         # (label, a) for every u = us[label] and point s_a of T_u
-        label, a = np.nonzero(S.membership[_sum_index(-ctx.coords_of(us) % ctx.p, s, wrap)])
+        label, a = np.nonzero(S.membership[ctx.sum_index(-ctx.coords_of(us) % ctx.p, s)])
         keys = diff[a]
         keys += (label * ctx.order)[:, None]
         counts = np.bincount(keys.ravel(), minlength=len(us) * ctx.order)

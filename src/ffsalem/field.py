@@ -96,6 +96,27 @@ class FieldContext:
     def indices_of(self, coords: np.ndarray) -> np.ndarray:
         return (np.asarray(coords, dtype=np.int64) % self.p) @ self._powers
 
+    @cached_property
+    def _wrap(self) -> np.ndarray:
+        """_wrap[i][s] = (s mod p) p^i for a coordinate sum 0 <= s < 2p."""
+        wrap = np.outer(self._powers, np.arange(2 * self.p, dtype=np.int64) % self.p)
+        wrap.setflags(write=False)
+        return wrap
+
+    def sum_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """index(x + y) for every row x of a and y of b, coordinate arrays of
+        shape (n, d) with entries in [0, p), as an (len(a), len(b)) array.
+
+        Axis i adds _wrap[i][x_i + y_i].  Each lookup writes over its own
+        sums, which is safe because take reads entry j before it writes entry j."""
+        wrap = self._wrap
+        index = np.add.outer(a[:, 0], b[:, 0])
+        wrap[0].take(index, out=index, mode="clip")
+        for axis in range(1, self.d):
+            sums = np.add.outer(a[:, axis], b[:, axis])
+            index += wrap[axis].take(sums, out=sums, mode="clip")
+        return index
+
     def point_at(self, index: int) -> tuple:
         index = int(index)
         if not 0 <= index < self.order:

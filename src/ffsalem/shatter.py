@@ -3,13 +3,14 @@
 A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset I of
 {1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e. when
 each of its 2^k witness regions (the points of W in x^i - S exactly for i in
-I) is nonempty.  One builder, _neighborhoods, makes the bitsets
-N(x) = (x - S) ^ W, a block of rows per numpy pass, and one fold, _regions,
-splits W by them into the regions; every search, witness_for_points and
-construct_shatter3 go through them.  A table for all of E, |E| bitsets of
-q^d bits, raises SweepTooLarge (a ValueError) before allocating past
-NEIGHBORHOOD_BITS_GUARD.  BUDGET_EXHAUSTED means only that a search spent
-its tuple budget.
+I) is nonempty.  _neighborhoods makes the bitsets N(x) = (x - S) ^ W, a
+block of rows per numpy pass, and one fold, _regions, splits W by them into
+the regions; every search, witness_for_points and construct_shatter3 go
+through them.  One builder, _table, makes every table for all of E, |E|
+bitsets of q^d bits, and raises SweepTooLarge (a ValueError) before
+allocating past NEIGHBORHOOD_BITS_GUARD; a search that needs no table (k = 0,
+a k that counting refutes) answers at any p.  BUDGET_EXHAUSTED means only
+that a search spent its tuple budget.
 
 One walk, _walk, serves the exhaustive searches and vc_bounds: a
 lexicographic depth-first search over one N(x) table, one _regions_extend
@@ -44,14 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import (
-    _sum_index,
-    _wrap_table,
-    build_cube,
-    intersection_profile,
-    prune,
-    triple_overlap_max,
-)
+from .analysis import build_cube, intersection_profile, prune, triple_overlap_max
 from .errors import DimensionMismatch, EmptySet, NotSymmetric, SweepTooLarge
 from .field import FieldContext
 from .pointset import PointSet
@@ -188,6 +182,13 @@ def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
     return True
 
 
+def _verified(problem: ShatterProblem, witness: ShatterWitness) -> ShatterWitness:
+    """The witness, once verify_witness accepts it; a rejection is an internal error."""
+    if not verify_witness(problem, witness):
+        raise AssertionError("internal error: witness failed re-verification")
+    return witness
+
+
 # -- bitset plumbing ----------------------------------------------------------------
 
 
@@ -202,20 +203,33 @@ def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
     x - S into a 2-D mask, one & W and one packbits per block."""
     ctx = problem.context
     neg_s = -ctx.coords_of(problem.S.indices()) % ctx.p
-    wrap = _wrap_table(ctx)
     x_coords = ctx.coords_of(indices)
     rows = max(1, NEIGHBORHOOD_BLOCK // ctx.order)
     out = []
     for start in range(0, len(x_coords), rows):
         block = x_coords[start : start + rows]
         mask = np.zeros((len(block), ctx.order), dtype=bool)
-        cells = _sum_index(block, neg_s, wrap)
+        cells = ctx.sum_index(block, neg_s)
         cells += (np.arange(len(block)) * ctx.order)[:, None]
         mask.reshape(-1)[cells] = True
         mask &= problem.W.membership
         packed = np.packbits(mask, axis=1, bitorder="little")
         out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return out
+
+
+def _table(problem: ShatterProblem) -> tuple[list[int], list[int]]:
+    """E's indices and their N(x) bitsets: the one builder of a table for all
+    of E.  Raises SweepTooLarge before allocating when the |E| q^d bits pass
+    NEIGHBORHOOD_BITS_GUARD."""
+    table_bits = problem.E.size * problem.context.order
+    if table_bits > NEIGHBORHOOD_BITS_GUARD:
+        raise SweepTooLarge(
+            f"neighborhood table needs |E| * q^d = {table_bits} bits, "
+            f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
+        )
+    e_idx = [int(i) for i in problem.E.indices()]
+    return e_idx, _neighborhoods(problem, e_idx)
 
 
 def _least_point(ctx: FieldContext, bits: int) -> tuple:
@@ -344,16 +358,6 @@ class RandomSearch:
     budget: int = 10_000
 
 
-def _check_table_guard(E: PointSet) -> None:
-    """Raise SweepTooLarge when the N(x) table of E passes NEIGHBORHOOD_BITS_GUARD."""
-    table_bits = E.size * E.context.order
-    if table_bits > NEIGHBORHOOD_BITS_GUARD:
-        raise SweepTooLarge(
-            f"neighborhood table needs |E| * q^d = {table_bits} bits, "
-            f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
-        )
-
-
 def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutcome:
     """Search for a shattered k-tuple.
 
@@ -363,7 +367,8 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     gives the same outcomes from the x^1 = 0 subtree alone and raises
     ValueError unless E and W are the full group.  RandomSearch ends Found or
     BudgetExhausted, or ExhaustedNo when |E| < k.  A BudgetExhausted outcome
-    says why in its reason; every Found outcome is re-verified."""
+    says why in its reason; every Found outcome is re-verified.  Only a
+    search that builds the N(x) table can raise _table's SweepTooLarge."""
     if not isinstance(strategy, (Exhaustive, Anchored, RandomSearch)):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy.budget < 0:
@@ -374,26 +379,23 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
     start = time.perf_counter()
     if problem.W.size == 0:
         outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO)
+    elif problem.k == 0:
+        witness = _witness_from_regions(ctx, [], [_bits_from_bool(problem.W.membership)])
+        outcome = SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))
+    elif isinstance(strategy, RandomSearch):
+        outcome = _search_random(problem, strategy)
     else:
-        _check_table_guard(problem.E)
-        w_bits = _bits_from_bool(problem.W.membership)
-        if problem.k == 0:
-            witness = _witness_from_regions(ctx, [], [w_bits])
-            outcome = SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))
-        elif isinstance(strategy, RandomSearch):
-            outcome = _search_random(problem, w_bits, strategy)
+        stats = SearchStats()
+        reached = list(_walk(problem, isinstance(strategy, Anchored), strategy.budget, stats))
+        if reached and reached[-1] is None:
+            outcome = _budget_spent(strategy.budget)
+        elif len(reached) == problem.k:
+            outcome = SearchOutcome(SearchStatus.FOUND, reached[-1], stats)
         else:
-            stats = SearchStats()
-            reached = list(_walk(problem, isinstance(strategy, Anchored), strategy.budget, stats))
-            if reached and reached[-1] is None:
-                outcome = _budget_spent(strategy.budget)
-            elif len(reached) == problem.k:
-                outcome = SearchOutcome(SearchStatus.FOUND, reached[-1], stats)
-            else:
-                outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
+            outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO, None, stats)
     outcome.stats.elapsed = time.perf_counter() - start
-    if outcome.found and not verify_witness(problem, outcome.witness):
-        raise AssertionError("internal error: search result failed re-verification")
+    if outcome.found:
+        _verified(problem, outcome.witness)
     return outcome
 
 
@@ -406,8 +408,7 @@ def _walk(problem: ShatterProblem, anchored: bool, budget: int, stats: SearchSta
     the yield for length j it is what a walk cut at j reports.  Yields None
     and stops when the budget runs out first."""
     ctx, k = problem.context, problem.k
-    e_idx = [int(i) for i in problem.E.indices()]
-    neigh = _neighborhoods(problem, e_idx)
+    e_idx, neigh = _table(problem)
     n, root_stop = len(e_idx), 1 if anchored else len(e_idx)
     chosen, path = [], [[_bits_from_bool(problem.W.membership)]]  # path[j]: regions of chosen[:j]
     pos = depth = 0
@@ -462,7 +463,7 @@ def _random_picks(rng: np.random.Generator, n: int, k: int, count: int) -> np.nd
     return picks
 
 
-def _search_random(problem: ShatterProblem, w_bits: int, strategy: RandomSearch) -> SearchOutcome:
+def _search_random(problem: ShatterProblem, strategy: RandomSearch) -> SearchOutcome:
     """Tuple t is row t of sorted(rng.choice(|E|, k, replace=False)) for a
     Philox(seed) generator, its positions in index order; the rows come
     RANDOM_BATCH at a time, the last batch cut to the budget left.
@@ -479,8 +480,8 @@ def _search_random(problem: ShatterProblem, w_bits: int, strategy: RandomSearch)
     refuted = TranslateCounts(problem.S, problem.W).refutation(k)
     if refuted is not None:
         return _budget_spent(budget, _refutation_reason(k, *refuted, budget))
-    e_idx = [int(i) for i in problem.E.indices()]
-    neigh = _neighborhoods(problem, e_idx)
+    e_idx, neigh = _table(problem)
+    w_bits = _bits_from_bool(problem.W.membership)
     rng = np.random.Generator(np.random.Philox(strategy.seed))
     examined = 0
     while examined < budget:
@@ -505,17 +506,12 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
     for pt in points:
         if pt not in problem.E:
             raise ValueError(f"point {tuple(pt)} is not in E")
-    start = time.perf_counter()
     chosen = [ctx.index_of(pt) for pt in points]
-    w_bits = _bits_from_bool(problem.W.membership)
-    regions = _regions(w_bits, _neighborhoods(problem, chosen))
-    stats = SearchStats(1, time.perf_counter() - start)
+    regions = _regions(_bits_from_bool(problem.W.membership), _neighborhoods(problem, chosen))
     if regions is None:
-        return SearchOutcome(SearchStatus.NOT_FOUND, None, stats)
-    witness = _witness_from_regions(ctx, chosen, regions)
-    if not verify_witness(problem, witness):
-        raise AssertionError("internal error: region witness failed re-verification")
-    return SearchOutcome(SearchStatus.FOUND, witness, stats)
+        return SearchOutcome(SearchStatus.NOT_FOUND, None, SearchStats(1))
+    witness = _verified(problem, _witness_from_regions(ctx, chosen, regions))
+    return SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))
 
 
 # -- VC-dimension bounds -----------------------------------------------------------------
@@ -527,6 +523,7 @@ class VCBounds:
     exact: int | None  # set when k = lower + 1 was refuted
     reason: str = ""  # why the search at k = lower + 1 stopped, when it spent its budget
     refuted_by: tuple | None = None  # (j, m_j) when counting refuted k = lower + 1
+    stats: SearchStats = field(default_factory=SearchStats)  # the walk's tuple count
 
     def to_json(self) -> dict:
         return {"lower": self.lower, "exact": self.exact}
@@ -546,9 +543,10 @@ def vc_bounds(
     records (j, m_j).  Otherwise the walk goes on to its first shattered
     k-tuple, anchored at x^1 = 0 when E = W = the full group (the defaults),
     and re-verifies it.  A k_max above 5, past desk scale for a full
-    enumeration, and an N(x) table past NEIGHBORHOOD_BITS_GUARD raise
-    SweepTooLarge up front.  The budget counts tuples from the first, as a
-    search for one k would.  When the walk spends it, certification, not
+    enumeration, raises SweepTooLarge up front; the walk's N(x) table, built
+    only when counting leaves a k to search, raises it at _table.  The budget
+    counts tuples from the first, as a search for one k would, and stats
+    carries the count.  When the walk spends it, certification, not
     mathematics, gave out: the bounds keep the lower bound certified so far,
     exact None, and a reason naming the next k."""
     if k_max > VC_KMAX_GUARD:
@@ -561,24 +559,23 @@ def vc_bounds(
     W = W if W is not None else E
     if W.size == 0:
         raise EmptySet("vc bounds need a nonempty witness domain")
-    _check_table_guard(E)
     counts = TranslateCounts(S, W)
     anchored = E.size == W.size == S.context.order
-    walk = _walk(ShatterProblem(S, E, W, k_max), anchored, budget, SearchStats())
+    stats = SearchStats()
+    walk = _walk(ShatterProblem(S, E, W, k_max), anchored, budget, stats)
     lower = 0
     while lower < k_max:
         refuted = counts.refutation(lower + 1)
         if refuted is not None:
-            return VCBounds(lower=lower, exact=lower, refuted_by=refuted)
+            return VCBounds(lower, lower, refuted_by=refuted, stats=stats)
         witness = next(walk, False)  # the walk builds its table on the first call
         if witness is False:  # it ended: no tuple of lower + 1 points is shattered
-            return VCBounds(lower=lower, exact=lower)
+            return VCBounds(lower, lower, stats=stats)
         if witness is None:
-            return VCBounds(lower, None, f"k = {lower + 1}: {_budget_spent(budget).reason}")
-        if not verify_witness(ShatterProblem(S, E, W, witness.k), witness):
-            raise AssertionError("internal error: search result failed re-verification")
-        lower = witness.k
-    return VCBounds(lower=lower, exact=None)
+            reason = f"k = {lower + 1}: {_budget_spent(budget).reason}"
+            return VCBounds(lower, None, reason, stats=stats)
+        lower = _verified(ShatterProblem(S, E, W, witness.k), witness).k
+    return VCBounds(lower, None, stats=stats)
 
 
 # -- constructive 3-shattering -------------------------------------------------------------
@@ -615,26 +612,19 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     returned, and a failed re-verification is an internal error.  NOT_FOUND
     is a legitimate outcome at desk scale, not an error.
     """
-    start = time.perf_counter()
     if not S.is_symmetric():
         raise NotSymmetric("constructive shattering requires S = -S")
     if S.size == 0:
         raise EmptySet("constructive shattering needs a nonempty S")
     ctx = S.context
-
-    def fail():
-        return SearchOutcome(
-            SearchStatus.NOT_FOUND, None, SearchStats(0, time.perf_counter() - start)
-        )
-
     max_size = intersection_profile(S).max_size
     m_threshold = 7 + 2 * max_size
     e_m = prune(E, S, m_threshold)
     if e_m.size < 4:
-        return fail()
+        return SearchOutcome(SearchStatus.NOT_FOUND)
     cube = build_cube(e_m, S, extra_excluded=_phantom_filter(S))
     if cube is None:
-        return fail()
+        return SearchOutcome(SearchStatus.NOT_FOUND)
 
     r = cube.rhombus
     # relabel the seven cube vertices: three shattered points and the four
@@ -651,18 +641,14 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
         _bits_from_bool(E.membership), _neighborhoods(problem, [ctx.index_of(x) for x in xs])
     )
     if regions is None:
-        return fail()
+        return SearchOutcome(SearchStatus.NOT_FOUND)
     # the least point of each lower region, off the cube for y^1, y^2, y^3
     seven = sum({1 << ctx.index_of(pt) for pt in cube.points()})
     for mask in (0b001, 0b010, 0b100, 0b000):
         region = regions[mask] & ~seven if mask else regions[mask]
         if not region:
-            return fail()
+            return SearchOutcome(SearchStatus.NOT_FOUND)
         witnesses[mask] = _least_point(ctx, region)
 
-    witness = ShatterWitness(points=xs, witnesses=witnesses)
-    if not verify_witness(problem, witness):
-        raise AssertionError("internal error: constructed witness failed re-verification")
-    return SearchOutcome(
-        SearchStatus.FOUND, witness, SearchStats(1, time.perf_counter() - start)
-    )
+    witness = _verified(problem, ShatterWitness(points=xs, witnesses=witnesses))
+    return SearchOutcome(SearchStatus.FOUND, witness, SearchStats(1))

@@ -432,6 +432,19 @@ def test_neighborhood_table_guard_names_the_point_file(capsys, tmp_path):
     assert captured.err.startswith("ffsalem shatter: error: neighborhood table needs")
 
 
+def test_counted_out_random_search_answers_past_the_table_guard(capsys):
+    # m_2 = 2 refutes k = 4 before any table is needed, at the largest prime
+    code, out, err = run(
+        capsys, "shatter", "-p", "2039", "--curve", "circle:1", "-k", "4",
+        "--strategy", "random", "--seed", "1", "--format", "json",
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["status"] == "BUDGET EXHAUSTED"
+    assert data["result"]["tuples_examined"] == 10000
+    assert "m_2 = 2" in err
+
+
 FUZZ_CURVES = [
     "circle:1", "circle:0", "circle:-3", "circle:", "circle:x", "sym-parabola",
     "paraboloid", "polygraph:0,0,1", "polygraph:1", "polygraph:", "conic:1,0,1,0,0,-1",

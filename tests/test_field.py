@@ -89,6 +89,19 @@ def test_grid_sum_matches_pointwise_sum(p, d):
         ctx.grid_sum(tables[:-1] if d > 1 else tables * 2)
 
 
+@pytest.mark.parametrize("p,d", [(11, 1), (7, 2), (5, 3)])
+def test_sum_index_matches_indices_of_the_sums(p, d):
+    ctx = FieldContext(p, d)
+    rng = np.random.Generator(np.random.Philox(p + d))
+    a = rng.integers(0, p, size=(9, d))
+    b = rng.integers(0, p, size=(4, d))
+    assert np.array_equal(ctx.sum_index(a, b), ctx.indices_of(a[:, None] + b[None]))
+    # every coordinate sum, 0 .. 2p - 2, against every other
+    full = ctx.coords_of(np.arange(ctx.order))
+    assert np.array_equal(ctx.sum_index(full, full), ctx.indices_of(full[:, None] + full[None]))
+    assert ctx.sum_index(a, b[:0]).shape == (9, 0)
+
+
 def test_reduce_canonicalizes():
     assert F5.reduce((-1, 7)) == (4, 2)
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -568,6 +569,68 @@ def test_vc_rejects_a_negative_budget_before_counting():
     for S in (PointSet.empty(F5), sphere(F5, 1).points):
         with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
             vc_bounds(S, k_max=2, budget=-1)
+
+
+def test_vc_bounds_carry_the_walks_tuple_count():
+    S = sphere(F11, 1).points
+    b = vc_bounds(S)
+    assert (b.lower, b.exact) == (3, 3)
+    # k = 4 is counted out, so the walk stopped at its first shattered 3-tuple
+    anchored = shatter_search(ShatterProblem.over(S, 3), Anchored())
+    assert b.stats.tuples_examined == anchored.stats.tuples_examined == 26
+    assert vc_bounds(PointSet.empty(F11)).stats.tuples_examined == 0  # no walk at all
+    spent = vc_bounds(sphere(F7, 1).points, budget=50)
+    assert (spent.lower, spent.exact) == (2, None)
+    assert spent.stats.tuples_examined == 50
+
+
+F223 = FieldContext(223, 2)  # |E| q^d = 223^4 bits: the least prime past the table guard
+TABLE_GUARD_MESSAGE = (
+    "neighborhood table needs |E| * q^d = 2472973441 bits, above the guard 2147483648"
+)
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    def refuse(problem, indices):
+        raise AssertionError("an N(x) table was built")
+
+    monkeypatch.setattr(shatter, "_neighborhoods", refuse)
+
+
+def test_searches_that_need_no_table_answer_past_the_guard(no_table):
+    circle = sphere(F223, 1).points
+    out = shatter_search(ShatterProblem.over(circle, 4), RandomSearch(seed=1, budget=10_000))
+    assert out.status is SearchStatus.BUDGET_EXHAUSTED
+    assert out.stats.tuples_examined == 10_000
+    assert out.reason.startswith("2^2 > m_2 = 2, the most points 2 translates of S share")
+    for strategy in (Exhaustive(), RandomSearch(seed=1)):
+        empty_tuple = shatter_search(ShatterProblem.over(circle, 0), strategy)
+        assert empty_tuple.status is SearchStatus.FOUND
+        assert empty_tuple.witness.to_json() == {"k": 0, "points": [], "witnesses": {"0": [0, 0]}}
+    b = vc_bounds(PointSet.empty(F223))
+    assert (b.lower, b.exact, b.refuted_by) == (0, 0, (1, 0))
+
+
+def test_table_guard_fires_before_the_table_is_built(no_table):
+    circle = sphere(F223, 1).points
+    for strategy in (Exhaustive(), Anchored(), RandomSearch(seed=1)):
+        with pytest.raises(SweepTooLarge, match=re.escape(TABLE_GUARD_MESSAGE)):
+            shatter_search(ShatterProblem.over(circle, 3), strategy)
+    with pytest.raises(SweepTooLarge, match=re.escape(TABLE_GUARD_MESSAGE)):
+        vc_bounds(circle)
+
+
+@pytest.mark.parametrize("entry", ["shatter_search", "vc_bounds", "witness_for_points"])
+def test_failed_reverification_is_an_internal_error(monkeypatch, entry):
+    monkeypatch.setattr(shatter, "verify_witness", lambda problem, witness: False)
+    call = {
+        "shatter_search": lambda: shatter_search(f11_problem(2)),
+        "vc_bounds": lambda: vc_bounds(sphere(F11, 1).points),
+        "witness_for_points": lambda: witness_for_points(f11_problem(), list(F11_X_TUPLE)),
+    }[entry]
+    with pytest.raises(AssertionError, match="internal error: witness failed re-verification"):
+        call()
 
 
 def _vc_parity_cases():
