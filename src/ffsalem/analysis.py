@@ -290,13 +290,11 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
     ctx = S.context
     flat = _overlaps(S)
     nontrivial = flat[1:]
-    sizes, counts = np.unique(nontrivial, return_counts=True)
-    max_size = int(nontrivial.max())
-    argmax_index = 1 + int(np.argmax(nontrivial == max_size))
+    counts = np.bincount(nontrivial)  # ends at the largest size, max_size
     return IntersectionProfile(
-        histogram={int(s): int(c) for s, c in zip(sizes, counts)},
-        max_size=max_size,
-        argmax=ctx.point_at(argmax_index),
+        histogram={int(s): int(counts[s]) for s in np.flatnonzero(counts)},
+        max_size=len(counts) - 1,
+        argmax=ctx.point_at(1 + int(np.argmax(nontrivial))),
         at_zero=int(flat[0]),
     )
 
@@ -404,14 +402,14 @@ def find_rhombus(
     E: PointSet,
     S: PointSet,
     v: Sequence[int],
-    extra_excluded=None,
+    avoid=None,
 ) -> RhombusWitness | None:
     """Two-stage pigeonhole: pick u in S \\ {0, +-v} maximizing |E ^ (E - u)|
     (ties to the least index), then scan E_u for the first pair with
     difference in S minus {0, +-u, +-v, +-u+-v}; None when the scan exhausts.
 
-    extra_excluded, a callable (u, v) -> PointSet evaluated once u is fixed,
-    removes further difference candidates.  Callers assembling larger graphs
+    avoid, a callable (u, v) -> shifts evaluated once u is fixed, drops every
+    difference w in S + t for a shift t.  Callers assembling larger graphs
     use it to rule out accidental adjacencies.
     """
     ctx = E.context
@@ -444,16 +442,15 @@ def find_rhombus(
         ctx.sub(v, u),
         ctx.neg(ctx.add(u, v)),
     }
-    allowed = S.membership.copy()
-    for pt in excluded:
-        allowed[ctx.index_of(pt)] = False
-    if extra_excluded is not None:
-        allowed &= ~extra_excluded(u, v).membership
+    w = S.indices()
+    diffs = ctx.coords_of(w[~np.isin(w, [ctx.index_of(pt) for pt in excluded])])
+    if avoid is not None:
+        for t in avoid(u, v):
+            diffs = diffs[~S.membership[ctx.indices_of(diffs - t)]]
 
-    # for b in E_u in index order, the least a in E_u with a - b allowed,
-    # among the candidates a = b + w over the allowed differences w (a = b
-    # never qualifies: 0 is excluded); no table spans the whole group
-    diffs = ctx.coords_of(np.flatnonzero(allowed))
+    # for b in E_u in index order, the least a in E_u with a - b kept, among
+    # the candidates a = b + w over the kept differences w (a = b never
+    # qualifies: 0 is excluded); no table spans the whole group
     for bi in e_u:
         cand = ctx.indices_of(diffs + ctx.coords_of(bi))
         cand = cand[e_u_set.membership[cand]]
@@ -477,28 +474,18 @@ class CubeWitness:
     translated rhombus edges (x1+v, x2+v) and (x1+v, x3+v).
     """
 
-    p: int
+    context: FieldContext
     rhombus: RhombusWitness
     v: tuple
 
-    def _add_v(self, pt: tuple) -> tuple:
-        return tuple((a + b) % self.p for a, b in zip(pt, self.v))
-
     def points(self) -> list[tuple]:
         r = self.rhombus
-        return [
-            r.x1,
-            r.x2,
-            r.x3,
-            r.x4,
-            self._add_v(r.x1),
-            self._add_v(r.x2),
-            self._add_v(r.x3),
-        ]
+        lifted = [self.context.add(pt, self.v) for pt in (r.x1, r.x2, r.x3)]
+        return [r.x1, r.x2, r.x3, r.x4, *lifted]
 
     def edges(self) -> list[tuple]:
         r = self.rhombus
-        x1v, x2v, x3v = (self._add_v(pt) for pt in (r.x1, r.x2, r.x3))
+        x1v, x2v, x3v = self.points()[4:]
         return [
             (r.x1, r.x2),
             (r.x3, r.x4),
@@ -520,7 +507,7 @@ class CubeWitness:
         if self.v not in S:
             return False
         for a, b in self.edges():
-            if E.context.sub(a, b) not in S:
+            if self.context.sub(a, b) not in S:
                 return False
         return True
 
@@ -528,12 +515,12 @@ class CubeWitness:
 def build_cube(
     E: PointSet,
     S: PointSet,
-    extra_excluded=None,
+    avoid=None,
 ) -> CubeWitness | None:
     """Pigeonhole a shift v in S maximizing |E ^ (E - v)|, then look for a
     rhombus avoiding +-v inside that slice; None if either stage fails.
-    extra_excluded, a callable (u, v) -> PointSet, is forwarded to the
-    rhombus pair scan."""
+    avoid, a callable (u, v) -> shifts, is forwarded to find_rhombus, which
+    drops every difference w with w - t in S for one of the shifts t."""
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")
@@ -543,10 +530,10 @@ def build_cube(
     if v is None:
         return None
     e_v = E.intersect(E.translate(ctx.neg(v)))
-    rhombus = find_rhombus(e_v, S, v, extra_excluded=extra_excluded)
+    rhombus = find_rhombus(e_v, S, v, avoid=avoid)
     if rhombus is None:
         return None
-    witness = CubeWitness(ctx.p, rhombus, v)
+    witness = CubeWitness(ctx, rhombus, v)
     if not witness.verify(E, S):
         raise AssertionError("internal error: cube failed re-verification")
     return witness

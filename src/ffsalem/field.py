@@ -9,7 +9,6 @@ many sums is one 2-D block with one sum per row.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
 from typing import Sequence

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ from .field import FieldContext
 class PointSet:
     """An immutable subset of Z_p^d backed by a dense boolean table."""
 
-    __slots__ = ("context", "membership", "size", "__weakref__")
+    __slots__ = ("context", "membership", "size")
 
     def __init__(self, context: FieldContext, membership: np.ndarray):
         membership = np.asarray(membership, dtype=bool)
@@ -176,7 +175,7 @@ def det_mod(matrix: np.ndarray, p: int) -> int:
 class SpectrumTable:
     """All Fourier coefficients S^(m) = p^(-d) sum_x chi(-m.x) S(x)."""
 
-    __slots__ = ("context", "values", "__weakref__")
+    __slots__ = ("context", "values")
 
     def __init__(self, context: FieldContext, values: np.ndarray):
         """Takes `values` over and makes it read-only: no copy of a q^d table."""

@@ -555,14 +555,14 @@ def vc_bounds(
         raise ValueError("k_max must be >= 1")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    E = E if E is not None else PointSet.full(S.context)
-    W = W if W is not None else E
+    problem = ShatterProblem.over(S, k_max, E, W)
+    E, W = problem.E, problem.W
     if W.size == 0:
         raise EmptySet("vc bounds need a nonempty witness domain")
     counts = TranslateCounts(S, W)
     anchored = E.size == W.size == S.context.order
     stats = SearchStats()
-    walk = _walk(ShatterProblem(S, E, W, k_max), anchored, budget, stats)
+    walk = _walk(problem, anchored, budget, stats)
     lower = 0
     while lower < k_max:
         refuted = counts.refutation(lower + 1)
@@ -581,24 +581,16 @@ def vc_bounds(
 # -- constructive 3-shattering -------------------------------------------------------------
 
 
-def _phantom_filter(S: PointSet):
-    """Differences w that would wire the relabeled cube wrongly.
+def _phantom_filter(ctx: FieldContext):
+    """The shifts t whose translates S + t hold the differences w that would
+    wire the relabeled cube wrongly: after relabeling, u - w - v, w - u - v
+    and u + w + v must stay out of S, that is (S = -S) w out of S + (u - v),
+    S + (u + v) and S - (u + v)."""
 
-    After relabeling, the pair (u, w) must additionally avoid u - w - v,
-    w - u - v, u + w + v landing in S; as constraints on w those are the
-    translates S + (u - v), S + (u + v), S - (u + v)."""
+    def shifts(u: tuple, v: tuple) -> list[tuple]:
+        return [ctx.sub(u, v), ctx.add(u, v), ctx.neg(ctx.add(u, v))]
 
-    def filt(u: tuple, v: tuple) -> PointSet:
-        ctx = S.context
-        t_plus = ctx.add(u, v)
-        mem = (
-            S.translate(ctx.sub(u, v)).membership
-            | S.translate(t_plus).membership
-            | S.translate(ctx.neg(t_plus)).membership
-        )
-        return PointSet(ctx, mem)
-
-    return filt
+    return shifts
 
 
 def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
@@ -622,7 +614,7 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     e_m = prune(E, S, m_threshold)
     if e_m.size < 4:
         return SearchOutcome(SearchStatus.NOT_FOUND)
-    cube = build_cube(e_m, S, extra_excluded=_phantom_filter(S))
+    cube = build_cube(e_m, S, avoid=_phantom_filter(ctx))
     if cube is None:
         return SearchOutcome(SearchStatus.NOT_FOUND)
 

@@ -68,13 +68,14 @@ def brute_points(ctx: FieldContext, predicate) -> PointSet:
     )
 
 
-def brute_rhombus(E: PointSet, S: PointSet, v) -> list | None:
-    """find_rhombus by its definition, for symmetric S and no extra exclusions.
+def brute_rhombus(E: PointSet, S: PointSet, v, avoid=None) -> list | None:
+    """find_rhombus by its definition, for symmetric S.
 
     u is the least-index s in S minus {0, +-v} with the most y in E having
     y + s in E; then over E_u = {y in E : y + u in E}, the pair (b, a) with
     the least b, then the least a, whose difference a - b lies in S minus
-    {0, +-u, +-v, +-u+-v}.  Returns [a + u, a, b + u, b] or None.
+    {0, +-u, +-v, +-u+-v}, and for every shift t of avoid(u, v) has
+    a - b - t outside S.  Returns [a + u, a, b + u, b] or None.
     """
     ctx = E.context
     p, d = ctx.p, ctx.d
@@ -97,11 +98,12 @@ def brute_rhombus(E: PointSet, S: PointSet, v) -> list | None:
     neg_u = add(zero, u, -1)
     banned = {zero, u, neg_u, tuple(v), neg_v,
               add(u, v), add(u, v, -1), add(v, u, -1), add(neg_u, v, -1)}
+    shifts = [] if avoid is None else avoid(u, tuple(v))
     e_u = sorted((y for y in E if add(y, u) in E), key=ctx.index_of)
     for b in e_u:
         for a in e_u:
             w = add(a, b, -1)
-            if w in S and w not in banned:
+            if w in S and w not in banned and all(add(w, t, -1) not in S for t in shifts):
                 return [add(a, u), a, add(b, u), b]
     return None
 

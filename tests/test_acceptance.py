@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 Every criterion asserts; a FAIL line is printed before the assert fires.
 """
 
-import itertools
 import math
 import time
 

@@ -22,7 +22,7 @@ from ffsalem import (
     symmetrized_parabola,
     triple_count,
 )
-from ffsalem import analysis
+from ffsalem import analysis, shatter
 from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps, _pair_counts
 from oracles import (
     brute_bilinear,
@@ -276,9 +276,10 @@ def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch):
         assert pair_peak <= fft_peak
 
 
-@pytest.mark.parametrize(
-    "p, size, seed", [(5, 25, 1), (7, 49, 2), (7, 30, 3), (7, 14, 4), (11, 60, 5), (11, 121, 6)]
-)
+RHOMBUS_CASES = [(5, 25, 1), (7, 49, 2), (7, 30, 3), (7, 14, 4), (11, 60, 5), (11, 121, 6)]
+
+
+@pytest.mark.parametrize("p, size, seed", RHOMBUS_CASES)
 def test_find_rhombus_matches_brute(p, size, seed):
     ctx = FieldContext(p, 2)
     E = random_set(ctx, size, seed=seed)
@@ -289,6 +290,24 @@ def test_find_rhombus_matches_brute(p, size, seed):
             w = find_rhombus(E, S, v)
             expect = brute_rhombus(E, S, v)
             assert (None if w is None else w.points()) == expect
+
+
+def test_find_rhombus_avoiding_phantom_shifts_matches_brute():
+    """The cases above again with construct3's phantom shifts, which move
+    the answer in some of them."""
+    moved = 0
+    for p, size, seed in RHOMBUS_CASES:
+        ctx = FieldContext(p, 2)
+        shifts = shatter._phantom_filter(ctx)
+        E = random_set(ctx, size, seed=seed)
+        random_s = random_set(ctx, ctx.order // 3, seed=seed + 50)
+        for S in (sphere(ctx, 1).points, random_s.union(random_s.negate())):
+            for v in [(1, 0), (2, 3), (0, p - 1)]:
+                w = find_rhombus(E, S, v, avoid=shifts)
+                expect = brute_rhombus(E, S, v, avoid=shifts)
+                assert (None if w is None else w.points()) == expect
+                moved += expect != brute_rhombus(E, S, v)
+    assert moved > 0
 
 
 def test_edge_count_gamma_domain():

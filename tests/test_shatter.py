@@ -414,6 +414,22 @@ def test_construct3_failed_reverification_is_internal_error(monkeypatch):
         construct_shatter3(S, PointSet.full(F11))
 
 
+def test_construct3_translates_only_e(monkeypatch):
+    # two translates of E, for the cube's v and the rhombus's u; the phantom
+    # rule gathers S at three shifts and builds no translate table
+    calls = []
+    translate = PointSet.translate
+
+    def counted(self, v):
+        calls.append(v)
+        return translate(self, v)
+
+    monkeypatch.setattr(PointSet, "translate", counted)
+    out = construct_shatter3(make_curve(F11, "circle:1").points, PointSet.full(F11))
+    assert out.status is SearchStatus.FOUND
+    assert len(calls) == 2
+
+
 def test_construct3_guards():
     with pytest.raises(NotSymmetric):
         construct_shatter3(paraboloid(F11).points, PointSet.full(F11))
