@@ -92,12 +92,17 @@ def _overlaps(E: PointSet) -> np.ndarray:
 
 def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
     """The least-index u in S minus `excluded` maximizing |E ^ (E - u)|, or
-    None when no such u has a nonempty overlap."""
+    None when no such u has a nonempty overlap.
+
+    The overlaps are read at S's points only; on the full group every one is
+    q^d, so the least index wins without a table."""
     ctx = E.context
-    counts = np.where(S.membership, _overlaps(E), -1)
-    counts[[ctx.index_of(pt) for pt in excluded]] = -1
-    best = int(np.argmax(counts))
-    return ctx.point_at(best) if counts[best] > 0 else None
+    shifts = S.indices()
+    shifts = shifts[~np.isin(shifts, [ctx.index_of(pt) for pt in excluded])]
+    if E.size < ctx.order:
+        overlaps = _overlaps(E)[shifts]
+        shifts = shifts[overlaps == overlaps.max(initial=1)]  # none when every overlap is 0
+    return ctx.point_at(int(shifts[0])) if shifts.size else None
 
 
 @dataclass(frozen=True)
@@ -398,6 +403,11 @@ class RhombusWitness:
         return True
 
 
+def _slice(E: PointSet, t: tuple) -> PointSet:
+    """E ^ (E + t); the full group is its own translate."""
+    return E if E.size == E.context.order else E.intersect(E.translate(t))
+
+
 def find_rhombus(
     E: PointSet,
     S: PointSet,
@@ -428,7 +438,7 @@ def find_rhombus(
         return None
     neg_u = ctx.neg(u)
     # y in E and y + u in E
-    e_u_set = E.intersect(E.translate(neg_u))
+    e_u_set = _slice(E, neg_u)
     e_u = e_u_set.indices()
 
     excluded = {
@@ -529,7 +539,7 @@ def build_cube(
     v = _densest_shift(E, S, [(0,) * ctx.d])
     if v is None:
         return None
-    e_v = E.intersect(E.translate(ctx.neg(v)))
+    e_v = _slice(E, ctx.neg(v))
     rhombus = find_rhombus(e_v, S, v, avoid=avoid)
     if rhombus is None:
         return None

@@ -34,7 +34,8 @@ def sample_subset(ctx: FieldContext, size: int, seed: int) -> PointSet:
 
     Partial Fisher-Yates over the index range: only the first `size`
     positions are shuffled, which is exactly uniform and costs O(size)
-    draws.  Deterministic for a fixed seed.
+    draws.  Deterministic for a fixed seed.  The swaps go through a
+    memoryview of the index array, on plain ints, not numpy scalars.
     """
     if not 0 <= size <= ctx.order:
         raise SizeOutOfRange(f"size must lie in [0, {ctx.order}], got {size}")
@@ -43,9 +44,10 @@ def sample_subset(ctx: FieldContext, size: int, seed: int) -> PointSet:
     rng = np.random.Generator(np.random.Philox(seed))
     idx = np.arange(ctx.order, dtype=np.int64)
     jumps = rng.integers(0, ctx.order - np.arange(size), dtype=np.int64)
-    for i in range(size):
-        j = i + int(jumps[i])
-        idx[i], idx[j] = idx[j], idx[i]
+    view = memoryview(idx)
+    for i, jump in enumerate(jumps.tolist()):
+        j = i + jump
+        view[i], view[j] = view[j], view[i]
     return PointSet.from_indices(ctx, idx[:size])
 
 

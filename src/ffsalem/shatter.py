@@ -18,7 +18,14 @@ step per level, so tuples share prefixes and a prefix is pruned as soon as a
 region empties.  Every prefix of a shattered tuple is shattered, so the walk
 meets the first shattered tuple of each length in turn and yields it;
 shatter_search takes the yield at k, vc_bounds each yield up to k_max.
-Anchored (E = W = the full group) tries only tuples with x^1 = 0.
+Anchored (E = W = the full group) tries only tuples with x^1 = 0.  Below
+the root a level tries only the points that can split its smallest region,
+the set bits of (OR of M(y)) & ~(AND of M(y)) over the region's y, where
+M(y) = (y + S) ^ E; a skipped point still counts as examined, so
+tuples_examined and the budget are those of a walk that tries every point.
+M is N's own table when S = -S and W = E, and otherwise a second table,
+built only when both fit under the guard (past it the walk tries every
+point).
 
 Counting refutes k without enumerating (TranslateCounts): the 2^(k-j)
 witnesses of the subsets containing x^1..x^j are distinct points shared by
@@ -403,39 +410,102 @@ def _walk(problem: ShatterProblem, anchored: bool, budget: int, stats: SearchSta
     """Depth-first region search of E's tuples in lexicographic order over one
     N(x) table, never deeper than k; anchored fixes x^1 at the least index of E.
 
-    Yields the witness of the first shattered tuple of each length 1..k and
-    resumes below it; stats.tuples_examined runs on against the budget, so at
-    the yield for length j it is what a walk cut at j reports.  Yields None
-    and stops when the budget runs out first."""
+    Below the root a level tries only the positions _splitters names, the
+    points that can split its smallest region.  A skipped position still
+    counts as examined, since _regions_extend would have rejected it, so the
+    count and the budget run as if every position were tried: a level's
+    count is offset + the position it tries next, and offset grows only when
+    the walk backs up.  Yields the witness of the first shattered tuple of
+    each length 1..k and resumes below it; stats.tuples_examined runs on
+    against the budget, so at the yield for length j it is what a walk cut
+    at j reports.  Yields None and stops when the budget runs out first."""
     ctx, k = problem.context, problem.k
     e_idx, neigh = _table(problem)
+    rows = _split_rows(problem, e_idx, neigh)
     n, root_stop = len(e_idx), 1 if anchored else len(e_idx)
+    pos_of = range(n) if n == ctx.order else dict(zip(e_idx, range(n)))
     chosen, path = [], [[_bits_from_bool(problem.W.membership)]]  # path[j]: regions of chosen[:j]
-    pos = depth = 0
+    levels = [iter(range(root_stop))]  # levels[j]: positions left to try after chosen[:j]
+    offset = depth = 0
     while True:
-        j, regions = len(chosen), path[-1]
-        for pos in range(pos, n if chosen else root_stop):
-            if stats.tuples_examined >= budget:
-                yield None
-                return
-            stats.tuples_examined += 1
+        j, regions, limit, new = len(chosen), path[-1], budget - offset, None
+        for pos in levels[-1]:
+            if pos >= limit:  # trying pos would pass the budget
+                break
             new = _regions_extend(regions, neigh[pos], j)
             if new is not None:
                 break
-        else:  # this level is done: back up one point
-            if not chosen:
-                return
-            pos = chosen.pop() + 1
-            path.pop()
-            continue
+        else:  # this level is done: count the rest of it, then back up one point
+            stop = n if chosen else root_stop
+            if stop <= limit:
+                if not chosen:
+                    stats.tuples_examined = offset + stop
+                    return
+                offset += stop - chosen.pop() - 1
+                path.pop()
+                levels.pop()
+                continue
+        if new is None:
+            stats.tuples_examined = budget
+            yield None
+            return
         chosen.append(pos)
         path.append(new)
         if j == depth:  # the first tuple of length j + 1
             depth += 1
+            stats.tuples_examined = offset + pos + 1
             yield _witness_from_regions(ctx, [e_idx[i] for i in chosen], new)
             if depth == k:
                 return
-        pos += 1
+        if rows is None or pos + 1 == n:
+            levels.append(iter(range(pos + 1, n)))
+        else:
+            levels.append(_splitters(new, rows, pos_of, e_idx[pos + 1]))
+
+
+def _split_rows(problem: ShatterProblem, e_idx: list, neigh: list):
+    """M(y) = (y + S) ^ E for every y in W, in index space, keyed by y's
+    index: x - y in S exactly when x is in M(y), i.e. y in N(x).
+
+    When S = -S and W = E, M(y) = (y - S) ^ W = N(y), so N's own rows serve.
+    Otherwise the rows are _neighborhoods of the mirrored problem (shape -S,
+    witnesses E) at W's indices, built only when they fit beside N under
+    NEIGHBORHOOD_BITS_GUARD; past it None, and the walk tries every
+    position."""
+    ctx, S, E, W = problem.context, problem.S, problem.E, problem.W
+    if W == E and S.is_symmetric():
+        w_idx, rows = e_idx, neigh
+    elif (E.size + W.size) * ctx.order <= NEIGHBORHOOD_BITS_GUARD:
+        w_idx = [int(i) for i in W.indices()]
+        rows = _neighborhoods(ShatterProblem(S.negate(), W, E, problem.k), w_idx)
+    else:
+        return None
+    return rows if len(w_idx) == ctx.order else dict(zip(w_idx, rows))
+
+
+def _set_bits(bits: int, start: int = 0):
+    """The set bits of `bits` from bit `start` on, in increasing order."""
+    digits = bin(bits >> start)[:1:-1]  # digits[i] is bit start + i
+    i = digits.find("1")
+    while i >= 0:
+        yield start + i
+        i = digits.find("1", i + 1)
+
+
+def _splitters(regions: list, rows, pos_of, first: int):
+    """E's positions, from index `first` on, of the points x that can split
+    the smallest region R (ties to the least mask): x in M(y) for some y in R
+    but not for all of them.  A point that leaves R whole or empty fails
+    _regions_extend, so no other point can extend the tuple, and a single
+    point R leaves none."""
+    smallest = min(regions, key=int.bit_count)
+    if not smallest & (smallest - 1):
+        return iter(())
+    union, common = 0, -1
+    for y in _set_bits(smallest):
+        union |= rows[y]
+        common &= rows[y]
+    return map(pos_of.__getitem__, _set_bits(union & ~common, first))
 
 
 def _budget_spent(budget: int, reason: str = "") -> SearchOutcome:

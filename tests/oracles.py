@@ -5,8 +5,12 @@ for transforms, explicit loops for counts, and a dichotomy-materializing
 shattering decider.  None of it shares code with the library internals it
 checks, except `reference_weil_suite`, which pins the row-batched sweep to
 one public character-sum call per sum, `reference_random_search`, which
-pins the batched random search to one `Generator.choice` call per tuple, and
-`reference_vc_bounds`, which pins vc's single walk to one search per k.
+pins the batched random search to one `Generator.choice` call per tuple,
+`reference_sample_subset`, which pins the sampler's swaps to the same
+Philox stream, `reference_vc_bounds`, which pins vc's single walk to one
+search per k, and `reference_walk`, which pins the walk that skips
+positions to one that tries every position over the same table and region
+step.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from ffsalem import (
     shatter_search,
     weil_poly_sum,
 )
+from ffsalem.shatter import _bits_from_bool, _regions_extend, _table, _witness_from_regions
 
 
 def direct_dft(S: PointSet) -> dict:
@@ -251,6 +256,19 @@ def reference_random_search(problem, seed: int, budget: int) -> tuple:
     return SearchStatus.BUDGET_EXHAUSTED, None, budget
 
 
+def reference_sample_subset(ctx: FieldContext, size: int, seed: int) -> list:
+    """The first `size` entries of sample_subset's partial Fisher-Yates
+    permutation, swapping numpy scalars one position at a time: position i
+    swaps with i + jumps[i], jumps[i] uniform in [0, q^d - i)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    idx = np.arange(ctx.order, dtype=np.int64)
+    jumps = rng.integers(0, ctx.order - np.arange(size), dtype=np.int64)
+    for i in range(size):
+        j = i + int(jumps[i])
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:size].tolist()
+
+
 def reference_vc_bounds(S: PointSet, E: PointSet, W: PointSet, k_max: int, budget: int) -> tuple:
     """vc_bounds as a fresh search per k: (lower, exact, reason, refuted_by).
 
@@ -304,3 +322,37 @@ def reference_weil_suite(p: int) -> dict:
         "weil_degrees": degrees,
         "weil_failures": weil_bad,
     }
+
+
+def reference_walk(problem, anchored: bool, budget: int, stats):
+    """shatter._walk as it was before it skipped positions: every position of
+    E is tried at every level, one _regions_extend call and one tuple each."""
+    ctx, k = problem.context, problem.k
+    e_idx, neigh = _table(problem)
+    n, root_stop = len(e_idx), 1 if anchored else len(e_idx)
+    chosen, path = [], [[_bits_from_bool(problem.W.membership)]]  # path[j]: regions of chosen[:j]
+    pos = depth = 0
+    while True:
+        j, regions = len(chosen), path[-1]
+        for pos in range(pos, n if chosen else root_stop):
+            if stats.tuples_examined >= budget:
+                yield None
+                return
+            stats.tuples_examined += 1
+            new = _regions_extend(regions, neigh[pos], j)
+            if new is not None:
+                break
+        else:  # this level is done: back up one point
+            if not chosen:
+                return
+            pos = chosen.pop() + 1
+            path.pop()
+            continue
+        chosen.append(pos)
+        path.append(new)
+        if j == depth:  # the first tuple of length j + 1
+            depth += 1
+            yield _witness_from_regions(ctx, [e_idx[i] for i in chosen], new)
+            if depth == k:
+                return
+        pos += 1

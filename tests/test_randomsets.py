@@ -19,6 +19,7 @@ from ffsalem import (
 )
 from ffsalem import pointset
 from ffsalem.randomsets import GENERATOR_NAME
+from oracles import reference_sample_subset
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)
@@ -40,6 +41,27 @@ def test_sample_subset_deterministic():
     c = sample_subset(F11, 40, seed=124)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_subset_keeps_the_permutation(monkeypatch, d):
+    # the indices handed to from_indices, in order, are the reference's
+    # permutation prefix, so every seeded sample is unchanged
+    ctx = FieldContext(7, d)
+    handed = []
+    from_indices = PointSet.from_indices
+
+    def recording(context, indices):
+        handed.append(list(indices))
+        return from_indices(context, indices)
+
+    monkeypatch.setattr(PointSet, "from_indices", recording)
+    for size in (1, ctx.order // 2, ctx.order):
+        for seed in (0, 1, 2**40 + 3):
+            want = reference_sample_subset(ctx, size, seed)
+            got = sample_subset(ctx, size, seed)
+            assert handed.pop() == want
+            assert got == from_indices(ctx, want)
 
 
 def test_sample_subset_covers_group():

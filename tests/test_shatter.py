@@ -35,7 +35,14 @@ from ffsalem import (
 from ffsalem import analysis, shatter
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
 from ffsalem.shatter import RANDOM_BATCH, _random_picks
-from oracles import brute_m, naive_shatterable, reference_random_search, reference_vc_bounds
+from ffsalem.shatter import SearchStats
+from oracles import (
+    brute_m,
+    naive_shatterable,
+    reference_random_search,
+    reference_vc_bounds,
+    reference_walk,
+)
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 2)
@@ -414,9 +421,8 @@ def test_construct3_failed_reverification_is_internal_error(monkeypatch):
         construct_shatter3(S, PointSet.full(F11))
 
 
-def test_construct3_translates_only_e(monkeypatch):
-    # two translates of E, for the cube's v and the rhombus's u; the phantom
-    # rule gathers S at three shifts and builds no translate table
+def _construct3_translates(monkeypatch, E):
+    """construct_shatter3's status on circle:1 over E, and its PointSet.translate calls."""
     calls = []
     translate = PointSet.translate
 
@@ -425,9 +431,22 @@ def test_construct3_translates_only_e(monkeypatch):
         return translate(self, v)
 
     monkeypatch.setattr(PointSet, "translate", counted)
-    out = construct_shatter3(make_curve(F11, "circle:1").points, PointSet.full(F11))
-    assert out.status is SearchStatus.FOUND
-    assert len(calls) == 2
+    out = construct_shatter3(make_curve(E.context, "circle:1").points, E)
+    return out.status, len(calls)
+
+
+def test_construct3_translates_only_e(monkeypatch):
+    # the full group is its own translate, so neither the cube's v nor the
+    # rhombus's u builds one; the phantom rule gathers S at three shifts and
+    # builds no translate table
+    assert _construct3_translates(monkeypatch, PointSet.full(F11)) == (SearchStatus.FOUND, 0)
+
+
+def test_construct3_translates_a_half_plane_twice(monkeypatch):
+    # one translate of E each for the cube's v and the rhombus's u
+    F31 = FieldContext(31, 2)
+    half = PointSet.from_points(F31, [(x, y) for x in range(31) for y in range(16)])
+    assert _construct3_translates(monkeypatch, half) == (SearchStatus.FOUND, 2)
 
 
 def test_construct3_guards():
@@ -569,7 +588,7 @@ def test_vc_builds_one_neighborhood_table(monkeypatch, E_kind):
     real = shatter._neighborhoods
 
     def recording(problem, indices):
-        built.append(len(indices))
+        built.append((len(indices), problem.W.size))
         return real(problem, indices)
 
     monkeypatch.setattr(shatter, "_neighborhoods", recording)
@@ -577,7 +596,10 @@ def test_vc_builds_one_neighborhood_table(monkeypatch, E_kind):
     E = PointSet.full(F11) if E_kind == "full" else S
     b = vc_bounds(S, E=E, W=PointSet.full(F11), k_max=5)
     assert b.lower >= 2
-    assert built == [E.size]
+    # N(x) = (x - S) ^ W once; the walk's split rows (y + S) ^ E are N's own
+    # rows when S = -S and W = E, and one mirrored table over W otherwise
+    mirror = [] if E_kind == "full" else [(121, E.size)]
+    assert built == [(E.size, 121)] + mirror
 
 
 def test_vc_rejects_a_negative_budget_before_counting():
@@ -743,3 +765,91 @@ def test_neighborhoods_match_the_per_row_build(monkeypatch, block, p, d):
         problem = ShatterProblem(S, PointSet.full(ctx), W, 2)
         assert shatter._neighborhoods(problem, indices) == _per_row_neighborhoods(problem, indices)
         assert shatter._neighborhoods(problem, []) == []
+
+
+def _drain(walk, problem, anchored, budget):
+    """Every yield of a walk with the tuple count at it, and the final count."""
+    stats = SearchStats()
+    return [(w, stats.tuples_examined) for w in walk(problem, anchored, budget, stats)], (
+        stats.tuples_examined
+    )
+
+
+def _walk_cases():
+    rng = np.random.Generator(np.random.Philox(17))
+    shapes = [(5, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3)]
+    cases = []
+    for case in range(48):
+        p, d = shapes[case % len(shapes)]
+        ctx = FieldContext(p, d)
+        S = random_set(ctx, int(rng.integers(1, 2 * p ** (d - 1) + 3)), seed=case)
+        if case % 3 == 0:
+            S = symmetrize(S).T
+        if d == 2 and case % 4 == 1:
+            S = make_curve(ctx, ("circle:1", "sym-parabola", "paraboloid")[case % 3]).points
+        full = PointSet.full(ctx)
+        E = full if case % 2 else random_set(ctx, int(rng.integers(1, ctx.order + 1)), case + 1)
+        W = [E, full, random_set(ctx, int(rng.integers(1, ctx.order + 1)), case + 2)][case % 3]
+        k = int(rng.integers(2, 6))
+        cases.append(pytest.param(ShatterProblem(S, E, W, k), id=f"{case}-f{p}^{d}-k{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("problem", _walk_cases())
+def test_walk_matches_the_every_position_walk(problem):
+    # the same witness and tuple count at every yield, with the budget cut
+    # just before, at and just after where the unbudgeted walk ends
+    full = problem.E.size == problem.W.size == problem.context.order
+    for anchored in (False, True) if full else (False,):
+        want = _drain(reference_walk, problem, anchored, 30_000)
+        budgets = {30_000}
+        for _, count in want[0] + [(None, want[1])]:
+            budgets.update((max(0, count - 1), count, count + 1))
+        for budget in sorted(budgets):
+            got = _drain(shatter._walk, problem, anchored, budget)
+            assert got == _drain(reference_walk, problem, anchored, budget), (anchored, budget)
+
+
+def test_walk_skips_points_that_cannot_split(monkeypatch):
+    calls = []
+    real = shatter._regions_extend
+
+    def recording(regions, nb, j):
+        calls.append(j)
+        return real(regions, nb, j)
+
+    monkeypatch.setattr(shatter, "_regions_extend", recording)
+    out = shatter_search(f11_problem(4))
+    assert out.stats.tuples_examined == 26539
+    assert out.witness.points == [(0, 0), (2, 1), (5, 2), (7, 3)]
+    assert len(calls) <= 500
+
+
+def test_walk_past_the_split_rows_guard_tries_every_position(monkeypatch):
+    # the paraboloid is not symmetric, so its split rows need a table of
+    # their own: with room for N(x) alone the walk runs unfiltered
+    S = paraboloid(F11).points
+    want = {k: shatter_search(ShatterProblem.over(S, k)) for k in (2, 3)}
+    monkeypatch.setattr(shatter, "NEIGHBORHOOD_BITS_GUARD", F11.order**2)
+    built, calls = [], []
+    real_neighborhoods, real_extend = shatter._neighborhoods, shatter._regions_extend
+
+    def recording_neighborhoods(problem, indices):
+        built.append(len(indices))
+        return real_neighborhoods(problem, indices)
+
+    def recording_extend(regions, nb, j):
+        calls.append(j)
+        return real_extend(regions, nb, j)
+
+    monkeypatch.setattr(shatter, "_neighborhoods", recording_neighborhoods)
+    monkeypatch.setattr(shatter, "_regions_extend", recording_extend)
+    for k, outcome in want.items():
+        built.clear()
+        calls.clear()
+        got = shatter_search(ShatterProblem.over(S, k))
+        assert (got.status, got.witness, got.stats.tuples_examined) == (
+            outcome.status, outcome.witness, outcome.stats.tuples_examined
+        )
+        assert built == [F11.order]
+        assert len(calls) == got.stats.tuples_examined
