@@ -522,15 +522,20 @@ class CubeWitness:
         return True
 
 
-def build_cube(
-    E: PointSet,
-    S: PointSet,
-    avoid=None,
-) -> CubeWitness | None:
+def _phantom_shifts(ctx: FieldContext):
+    """The shifts t whose translates S + t hold the differences w that would
+    wire construct3's relabeled cube wrongly: after relabeling, u - w - v,
+    w - u - v and u + w + v must stay out of S, that is (S = -S) w out of
+    S + (u - v), S + (u + v) and S - (u + v)."""
+    return lambda u, v: [ctx.sub(u, v), ctx.add(u, v), ctx.neg(ctx.add(u, v))]
+
+
+def build_cube(E: PointSet, S: PointSet) -> CubeWitness | None:
     """Pigeonhole a shift v in S maximizing |E ^ (E - v)|, then look for a
     rhombus avoiding +-v inside that slice; None if either stage fails.
-    avoid, a callable (u, v) -> shifts, is forwarded to find_rhombus, which
-    drops every difference w with w - t in S for one of the shifts t."""
+    The rhombus also avoids the phantom shifts: no difference w with w - t
+    in S for t in {u - v, u + v, -(u + v)}, so the cube relabels into a
+    3-shattered tuple."""
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")
@@ -540,7 +545,7 @@ def build_cube(
     if v is None:
         return None
     e_v = _slice(E, ctx.neg(v))
-    rhombus = find_rhombus(e_v, S, v, avoid=avoid)
+    rhombus = find_rhombus(e_v, S, v, avoid=_phantom_shifts(ctx))
     if rhombus is None:
         return None
     witness = CubeWitness(ctx, rhombus, v)

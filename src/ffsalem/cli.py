@@ -20,6 +20,7 @@ with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -139,23 +140,6 @@ def _resolve_set(args) -> tuple:
 def _budget(args) -> dict:
     """--budget as a keyword argument, only when given: each search states its own default."""
     return {} if args.budget is None else {"budget": args.budget}
-
-
-def _add_field(sub):
-    sub.add_argument("-p", "--prime", type=int, default=None, help="field characteristic")
-    sub.add_argument("-d", "--dim", type=int, default=2, help="dimension (default 2)")
-
-
-def _add_set_source(sub):
-    _add_field(sub)
-    sub.add_argument("--curve", help="curve descriptor, e.g. circle:1, polygraph:0,0,1")
-    sub.add_argument("--points", help="point-set file (header 'p d', one point per line)")
-
-
-def _add_format(sub):
-    sub.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -346,7 +330,23 @@ def _cmd_reproduce(args) -> tuple:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process and shared: main parses every
+    argv with it, so no caller may add to it."""
+    # the flags subcommands share, as parents; --help lists them before a
+    # subcommand's own flags, and _emit moves format last in the config
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("-p", "--prime", type=int, default=None, help="field characteristic")
+    field.add_argument("-d", "--dim", type=int, default=2, help="dimension (default 2)")
+    source = argparse.ArgumentParser(add_help=False, parents=[field])
+    source.add_argument("--curve", help="curve descriptor, e.g. circle:1, polygraph:0,0,1")
+    source.add_argument("--points", help="point-set file (header 'p d', one point per line)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
+        "--format", choices=("text", "json", "csv"), default="text", help="output format"
+    )
+
     parser = argparse.ArgumentParser(
         prog="ffsalem",
         description="Fourier analysis, Salem-set checks, and shattering searches "
@@ -355,46 +355,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("salem-check", help="spectral bound check for a set")
-    _add_set_source(sub)
+    sub = subs.add_parser(
+        "salem-check", parents=[source, fmt], help="spectral bound check for a set"
+    )
     sub.add_argument("--gamma", type=float, default=0.0, help="log exponent (default 0)")
     sub.add_argument("--const", type=float, default=2.0, help="bound constant (default 2)")
-    _add_format(sub)
     sub.set_defaults(func=_cmd_salem_check)
 
-    sub = subs.add_parser("spectrum", help="largest nontrivial Fourier coefficient")
-    _add_set_source(sub)
-    _add_format(sub)
+    sub = subs.add_parser(
+        "spectrum", parents=[source, fmt], help="largest nontrivial Fourier coefficient"
+    )
     sub.set_defaults(func=_cmd_spectrum)
 
-    sub = subs.add_parser("curve", help="materialize a named curve's points")
-    _add_field(sub)
+    sub = subs.add_parser(
+        "curve", parents=[field, fmt], help="materialize a named curve's points"
+    )
     sub.add_argument("--curve", required=True, help="curve descriptor")
-    _add_format(sub)
     sub.set_defaults(func=_cmd_curve)
 
-    sub = subs.add_parser("classify", help="conic classification by determinants")
-    _add_field(sub)
+    sub = subs.add_parser(
+        "classify", parents=[field, fmt], help="conic classification by determinants"
+    )
     sub.add_argument("--coeffs", required=True, help="A,B,C,D,E,F")
-    _add_format(sub)
     sub.set_defaults(func=_cmd_classify)
 
-    sub = subs.add_parser("intersect-profile", help="overlap sizes with all translates")
-    _add_set_source(sub)
-    _add_format(sub)
+    sub = subs.add_parser(
+        "intersect-profile", parents=[source, fmt], help="overlap sizes with all translates"
+    )
     sub.set_defaults(func=_cmd_intersect_profile)
 
-    sub = subs.add_parser("edge-count", help="difference-set edge count with main term")
-    _add_set_source(sub)
+    sub = subs.add_parser(
+        "edge-count", parents=[source, fmt], help="difference-set edge count with main term"
+    )
     sub.add_argument("--set", help="point-set file for the counted set")
     sub.add_argument("--sample", type=int, help="sample a uniform counted set of this size")
     sub.add_argument("--seed", type=int, help="seed for --sample")
     sub.add_argument("--gamma", type=float, default=0.0)
-    _add_format(sub)
     sub.set_defaults(func=_cmd_edge_count)
 
-    sub = subs.add_parser("shatter", help="search for a shattered k-tuple")
-    _add_set_source(sub)
+    sub = subs.add_parser(
+        "shatter", parents=[source, fmt], help="search for a shattered k-tuple"
+    )
     sub.add_argument("-k", type=int, required=True, help="tuple size")
     sub.add_argument(
         "--witness-domain",
@@ -407,33 +408,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--budget", type=int, default=None, help="tuple budget")
     sub.add_argument("--seed", type=int, help="seed (required for --strategy random)")
-    _add_format(sub)
     sub.set_defaults(func=_cmd_shatter)
 
-    sub = subs.add_parser("construct3", help="pigeonhole 3-shattering construction")
-    _add_set_source(sub)
-    _add_format(sub)
+    sub = subs.add_parser(
+        "construct3", parents=[source, fmt], help="pigeonhole 3-shattering construction"
+    )
     sub.set_defaults(func=_cmd_construct3)
 
-    sub = subs.add_parser("vc", help="exhaustive shattering bounds up to k-max")
-    _add_set_source(sub)
+    sub = subs.add_parser(
+        "vc", parents=[source, fmt], help="exhaustive shattering bounds up to k-max"
+    )
     sub.add_argument("--k-max", type=int, default=4, help="largest k to certify (at most 5)")
     sub.add_argument("--budget", type=int, default=None, help="tuple budget per k")
-    _add_format(sub)
     sub.set_defaults(func=_cmd_vc)
 
-    sub = subs.add_parser("random-trials", help="seeded Monte Carlo over uniform subsets")
-    _add_field(sub)
+    sub = subs.add_parser(
+        "random-trials", parents=[field, fmt], help="seeded Monte Carlo over uniform subsets"
+    )
     sub.add_argument("--size", type=int, required=True, help="points per sample")
     sub.add_argument("--trials", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True, help="master seed")
     sub.add_argument("--epsilon", type=float, default=0.5)
     sub.add_argument("--beta", type=float, default=0.45)
-    _add_format(sub)
     # no flag sets threads: bench/run.py reads it for its machine record
     sub.set_defaults(func=_cmd_random_trials, threads=1)
 
-    sub = subs.add_parser("reproduce", help="run a stored reference configuration")
+    # reproduce's -p/--prime has no -d, so it takes only the format parent
+    sub = subs.add_parser(
+        "reproduce", parents=[fmt], help="run a stored reference configuration"
+    )
     sub.add_argument(
         "preset",
         choices=("f11-table", "f17-x", "f23-x", "f29-x", "conic-census", "weil-suite"),
@@ -443,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--count", type=int, default=None, help="conic-census sample count (default 100)"
     )
-    _add_format(sub)
     sub.set_defaults(func=_cmd_reproduce)
 
     return parser

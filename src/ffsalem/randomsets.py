@@ -224,5 +224,6 @@ def symmetrize(S: PointSet) -> SymmetrizeReport:
     report = SymmetrizeReport(
         T=T, overlap=overlap, size_identity=T.size == 2 * S.size - overlap
     )
-    assert T.is_symmetric() and report.size_identity
+    if not (T.is_symmetric() and report.size_identity):
+        raise AssertionError("internal error: S cup (-S) failed its symmetry or size check")
     return report

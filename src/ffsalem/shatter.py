@@ -651,18 +651,6 @@ def vc_bounds(
 # -- constructive 3-shattering -------------------------------------------------------------
 
 
-def _phantom_filter(ctx: FieldContext):
-    """The shifts t whose translates S + t hold the differences w that would
-    wire the relabeled cube wrongly: after relabeling, u - w - v, w - u - v
-    and u + w + v must stay out of S, that is (S = -S) w out of S + (u - v),
-    S + (u + v) and S - (u + v)."""
-
-    def shifts(u: tuple, v: tuple) -> list[tuple]:
-        return [ctx.sub(u, v), ctx.add(u, v), ctx.neg(ctx.add(u, v))]
-
-    return shifts
-
-
 def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     """Pigeonhole construction of a 3-shattered tuple with witnesses in E.
 
@@ -684,7 +672,7 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     e_m = prune(E, S, m_threshold)
     if e_m.size < 4:
         return SearchOutcome(SearchStatus.NOT_FOUND)
-    cube = build_cube(e_m, S, avoid=_phantom_filter(ctx))
+    cube = build_cube(e_m, S)
     if cube is None:
         return SearchOutcome(SearchStatus.NOT_FOUND)
 

@@ -22,7 +22,7 @@ from ffsalem import (
     symmetrized_parabola,
     triple_count,
 )
-from ffsalem import analysis, shatter
+from ffsalem import analysis
 from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps, _pair_counts
 from oracles import (
     brute_bilinear,
@@ -298,7 +298,7 @@ def test_find_rhombus_avoiding_phantom_shifts_matches_brute():
     moved = 0
     for p, size, seed in RHOMBUS_CASES:
         ctx = FieldContext(p, 2)
-        shifts = shatter._phantom_filter(ctx)
+        shifts = analysis._phantom_shifts(ctx)
         E = random_set(ctx, size, seed=seed)
         random_s = random_set(ctx, ctx.order // 3, seed=seed + 50)
         for S in (sphere(ctx, 1).points, random_s.union(random_s.negate())):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -605,6 +606,115 @@ def test_random_trials_threads_is_a_constant_no_flag_sets(capsys):
     config = json.loads(out)["config"]
     assert config["threads"] == 1
     assert list(config)[-3:] == ["beta", "threads", "format"]
+
+
+SOURCE_KEYS = ["command", "prime", "dim", "curve", "points"]
+# the JSON config of one run per subcommand, key for key in order: the flags'
+# dests as each subcommand declares them, set_defaults entries, format last
+CONFIG_KEYS = {
+    "salem-check": (
+        ["salem-check", "-p", "7", "--curve", "circle:1"],
+        [*SOURCE_KEYS, "gamma", "const", "format"],
+    ),
+    "spectrum": (["spectrum", "-p", "7", "--curve", "circle:1"], [*SOURCE_KEYS, "format"]),
+    "curve": (
+        ["curve", "-p", "5", "--curve", "circle:1"],
+        ["command", "prime", "dim", "curve", "format"],
+    ),
+    "classify": (
+        ["classify", "-p", "7", "--coeffs", "1,0,1,0,0,6"],
+        ["command", "prime", "dim", "coeffs", "format"],
+    ),
+    "intersect-profile": (
+        ["intersect-profile", "-p", "7", "--curve", "circle:1"],
+        [*SOURCE_KEYS, "format"],
+    ),
+    "edge-count": (
+        ["edge-count", "-p", "7", "--curve", "circle:1", "--sample", "10", "--seed", "1"],
+        [*SOURCE_KEYS, "set", "sample", "seed", "gamma", "format"],
+    ),
+    "shatter": (
+        ["shatter", "-p", "7", "--curve", "circle:1", "-k", "2"],
+        [*SOURCE_KEYS, "k", "witness_domain", "strategy", "budget", "seed", "format"],
+    ),
+    "construct3": (["construct3", "-p", "11", "--curve", "circle:1"], [*SOURCE_KEYS, "format"]),
+    "vc": (
+        ["vc", "-p", "7", "--curve", "circle:1", "--k-max", "3"],
+        [*SOURCE_KEYS, "k_max", "budget", "format"],
+    ),
+    "random-trials": (
+        ["random-trials", "-p", "7", "--size", "10", "--trials", "3", "--seed", "1"],
+        ["command", "prime", "dim", "size", "trials", "seed", "epsilon", "beta", "threads",
+         "format"],
+    ),
+    "reproduce-f11-table": (
+        ["reproduce", "f11-table"],
+        ["command", "preset", "prime", "seed", "count", "format"],
+    ),
+    "reproduce-conic-census": (
+        ["reproduce", "conic-census", "-p", "7", "--seed", "1", "--count", "3"],
+        ["command", "preset", "prime", "seed", "count", "format"],
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, keys", CONFIG_KEYS.values(), ids=CONFIG_KEYS.keys())
+def test_json_config_keys_in_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"]) == keys
+
+
+SOURCE_FLAGS = ["-h", "-p", "-d", "--curve", "--points", "--format"]
+FIELD_FLAGS = ["-h", "-p", "-d", "--format"]
+# each subcommand's options as --help lists them: the shared flags first
+HELP_FLAGS = {
+    "salem-check": [*SOURCE_FLAGS, "--gamma", "--const"],
+    "spectrum": SOURCE_FLAGS,
+    "curve": [*FIELD_FLAGS, "--curve"],
+    "classify": [*FIELD_FLAGS, "--coeffs"],
+    "intersect-profile": SOURCE_FLAGS,
+    "edge-count": [*SOURCE_FLAGS, "--set", "--sample", "--seed", "--gamma"],
+    "shatter": [*SOURCE_FLAGS, "-k", "--witness-domain", "--strategy", "--budget", "--seed"],
+    "construct3": SOURCE_FLAGS,
+    "vc": [*SOURCE_FLAGS, "--k-max", "--budget"],
+    "random-trials": [*FIELD_FLAGS, "--size", "--trials", "--seed", "--epsilon", "--beta"],
+    "reproduce": ["-h", "--format", "-p", "--seed", "--count"],
+}
+
+
+@pytest.mark.parametrize("command, flags", HELP_FLAGS.items(), ids=HELP_FLAGS.keys())
+def test_help_lists_each_flag_once(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    # an option's own line is indented two spaces and starts with its first flag
+    listed = [
+        line.split()[0].rstrip(",")
+        for line in options.splitlines()
+        if line.startswith("  -") and not line.startswith("   ")
+    ]
+    assert listed == flags
+
+
+def test_build_parser_returns_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_second_main_call_adds_no_argument(capsys, monkeypatch):
+    argv = ["spectrum", "-p", "5", "--curve", "circle:1"]
+    assert run(capsys, *argv)[0] == 0
+    added = []
+    original = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert added == []
 
 
 def test_reproduce_f11_table(capsys):

@@ -228,6 +228,13 @@ def test_symmetrize_empty():
     assert rep.T.size == 0 and rep.overlap == 0 and rep.size_identity
 
 
+def test_symmetrize_failed_check_is_an_internal_error(monkeypatch):
+    # an explicit raise, not an assert, so it survives `python -O`
+    monkeypatch.setattr(PointSet, "is_symmetric", lambda self: False)
+    with pytest.raises(AssertionError, match="internal error: S cup"):
+        symmetrize(sphere(F11, 1).points)
+
+
 def test_symmetrized_intersection_decomposition():
     # T cap (T - x) splits into the four S-based pieces, exactly, per shift
     p = 11
