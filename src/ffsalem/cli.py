@@ -113,6 +113,7 @@ def _emit(args, result: dict, status: str | None, elapsed: float) -> None:
 def _context(args) -> FieldContext:
     if args.prime is None:
         raise ValueError("--prime is required")
+    args.dim = 2 if args.dim is None else args.dim  # the JSON config echoes the d used
     return FieldContext(args.prime, args.dim)
 
 
@@ -130,6 +131,11 @@ def _resolve_set(args) -> tuple:
             raise ValueError(
                 f"--prime {args.prime} disagrees with the point file header p = {S.context.p}"
             )
+        if args.dim is not None and args.dim != S.context.d:
+            raise ValueError(
+                f"--dim {args.dim} disagrees with the point file header d = {S.context.d}"
+            )
+        args.dim = S.context.d
         return S.context, S, f"file:{path}"
     if not curve:
         raise ValueError("one of --curve or --points is required")
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand's own flags, and _emit moves format last in the config
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("-p", "--prime", type=int, default=None, help="field characteristic")
-    field.add_argument("-d", "--dim", type=int, default=2, help="dimension (default 2)")
+    field.add_argument("-d", "--dim", type=int, help="dimension (default 2, or the point file's)")
     source = argparse.ArgumentParser(add_help=False, parents=[field])
     source.add_argument("--curve", help="curve descriptor, e.g. circle:1, polygraph:0,0,1")
     source.add_argument("--points", help="point-set file (header 'p d', one point per line)")

@@ -1,8 +1,11 @@
-"""Explicit curve families and quadratic-curve reduction over F_p (d = 2).
+"""Explicit curve families and quadratic-curve reduction over F_p.
 
-A Quadratic is f(x, y) = a x^2 + b xy + c y^2 + d x + e y + f_const.  Every
-valid one reduces by an explicit affine change of variables either to the
-parabola y = x^2 (degenerate quadratic part) or to a diagonal form
+Every family is a zero set of degree at most 2 in x_d, which one solver,
+`_roots_on_lines`, finds line by line: only the membership spans the group.
+
+A Quadratic (d = 2) is f(x, y) = a x^2 + b xy + c y^2 + d x + e y + f_const.
+Every valid one reduces by an explicit affine change of variables either to
+the parabola y = x^2 (degenerate quadratic part) or to a diagonal form
 alpha x^2 + beta y^2 + gamma = 0; the transform is returned so the zero-set
 bijection can be checked point for point.
 """
@@ -18,6 +21,34 @@ import numpy as np
 from .errors import BadDegree, DegenerateConic
 from .field import FieldContext, poly_values
 from .pointset import PointSet
+
+
+def _roots_on_lines(ctx: FieldContext, a: int, b, c) -> PointSet:
+    """{x : a x_d^2 + b(x') x_d + c(x') = 0}, solved on each line x' = (x_1, ..., x_(d-1)).
+
+    b and c are integers or arrays over the q^(d-1) lines in index order.  With
+    a != 0 the roots are (-b +- r) / 2a, r read off a p-entry square-root table;
+    with a = 0 the root is -c / b, and a line with b = c = 0 lies in the set."""
+    p = ctx.p
+    step = p ** (ctx.d - 1)
+    b = np.full(step, b, dtype=np.int64) % p
+    c = np.full(step, c, dtype=np.int64) % p
+    mem = np.zeros(ctx.order, dtype=bool)
+    grid = mem.reshape(p, step)  # grid[x_d, line] is the point line + step * x_d
+    if a % p:
+        t = np.arange(p, dtype=np.int64)
+        root = np.full(p, -1, dtype=np.int64)
+        root[t * t % p] = t  # one square root of each square
+        r = root[(b * b - 4 * a * c) % p]
+        on = np.flatnonzero(r >= 0)
+        half = ctx.inv(2 * a)
+        grid[(r[on] - b[on]) * half % p, on] = True
+        grid[(-r[on] - b[on]) * half % p, on] = True
+    else:
+        on = np.flatnonzero(b)
+        grid[-c[on] * ctx.inverse_table[b[on]] % p, on] = True
+        grid[:, (b == 0) & (c == 0)] = True
+    return PointSet(ctx, mem)
 
 
 @dataclass(frozen=True)
@@ -75,15 +106,11 @@ class Quadratic:
         ) % p
 
     def zero_set(self) -> PointSet:
-        ctx = self.context
-        p = ctx.p
-        t = np.arange(p, dtype=np.int64)
-        # x = x_1 runs along the last grid axis, y = x_2 along the first
-        vals = np.multiply.outer(t, self.b * t % p)
-        vals += ((self.c * t + self.e) * t % p)[:, None]
-        vals += (self.a * t + self.d) * t + self.f
-        vals %= p
-        return PointSet(ctx, vals.reshape(ctx.order) == 0)
+        # on the line x = x_1, y = x_2 solves c y^2 + (b x + e) y + (a x^2 + d x + f) = 0
+        x = np.arange(self.context.p, dtype=np.int64)
+        return _roots_on_lines(
+            self.context, self.c, self.b * x + self.e, (self.a * x + self.d) * x + self.f
+        )
 
 
 @dataclass(frozen=True)
@@ -126,14 +153,10 @@ class CanonicalForm:
         return ((m00 * x + m01 * y + self.shift[0]) % p, (m10 * x + m11 * y + self.shift[1]) % p)
 
     def canonical_zero_set(self) -> PointSet:
-        ctx = self.context
-        p = ctx.p
         if self.kind == "parabola":
-            return PointSet.from_points(ctx, ((t, t * t % p) for t in range(p)))
+            return Quadratic(self.context, 1, 0, 0, 0, -1, 0).zero_set()  # x^2 - y
         alpha, beta, gamma = self.diag
-        t = np.arange(p, dtype=np.int64)
-        vals = ctx.grid_sum([alpha * t * t % p, (beta * t * t + gamma) % p])
-        return PointSet(ctx, vals == 0)
+        return Quadratic(self.context, alpha, 0, beta, 0, 0, gamma).zero_set()
 
 
 def _diagonalizing_map(q: Quadratic) -> tuple:
@@ -240,38 +263,26 @@ class CurveHandle:
         return self.points.context
 
 
-def sphere(ctx: FieldContext, t: int) -> CurveHandle:
-    """{x : x_1^2 + ... + x_d^2 = t}; the circle when d = 2.
-
-    x_d runs over the square roots of t - (x_1^2 + ... + x_(d-1)^2), read off
-    a table of roots over the p residues, so besides the membership the only
-    table has q^(d-1) entries."""
-    p = ctx.p
-    t %= p
-    squares = np.arange(p, dtype=np.int64) ** 2 % p
-    root = np.full(p, -1, dtype=np.int64)
-    root[squares] = np.arange(p)  # one square root of each square
-    head = np.zeros(1, dtype=np.int64)  # x_1^2 + ... + x_(d-1)^2, x_1 fastest
+def _square_sum(ctx: FieldContext) -> np.ndarray:
+    """x_1^2 + ... + x_(d-1)^2 mod p on each of the q^(d-1) lines, x_1 fastest."""
+    squares = np.arange(ctx.p, dtype=np.int64) ** 2 % ctx.p
+    head = np.zeros(1, dtype=np.int64)
     for _ in range(ctx.d - 1):
-        head = np.add.outer(squares, head).reshape(-1) % p
-    tail = root[(t - head) % p]
-    lines = np.flatnonzero(tail >= 0)
-    x_d = tail[lines]
-    mem = np.zeros(ctx.order, dtype=bool)
-    step = p ** (ctx.d - 1)
-    mem[lines + step * x_d] = True
-    mem[lines + step * (-x_d % p)] = True
-    return CurveHandle("sphere", {"t": t}, PointSet(ctx, mem))
+        head = np.add.outer(squares, head).reshape(-1) % ctx.p
+    return head
+
+
+def sphere(ctx: FieldContext, t: int) -> CurveHandle:
+    """{x : x_1^2 + ... + x_d^2 = t}; the circle when d = 2."""
+    t %= ctx.p
+    return CurveHandle("sphere", {"t": t}, _roots_on_lines(ctx, 1, 0, _square_sum(ctx) - t))
 
 
 def paraboloid(ctx: FieldContext) -> CurveHandle:
     """{(x, x_1^2 + ... + x_(d-1)^2)}; the parabola graph when d = 2."""
     if ctx.d < 2:
         raise ValueError("paraboloid needs d >= 2")
-    t = np.arange(ctx.p, dtype=np.int64)
-    # x_1^2 + ... + x_(d-1)^2 - x_d = 0
-    vals = ctx.grid_sum([t * t % ctx.p] * (ctx.d - 1) + [-t % ctx.p])
-    return CurveHandle("paraboloid", {}, PointSet(ctx, vals == 0))
+    return CurveHandle("paraboloid", {}, _roots_on_lines(ctx, 0, -1, _square_sum(ctx)))
 
 
 def conic(q: Quadratic) -> CurveHandle:
@@ -293,21 +304,16 @@ def poly_graph(ctx: FieldContext, coefficients: Sequence[int]) -> CurveHandle:
         raise BadDegree(f"graph Salem certification needs degree >= 2, got {deg}")
     if deg % p == 0:
         raise BadDegree(f"degree {deg} divisible by p = {p}: Weil bound unavailable")
-    mem = np.zeros(ctx.order, dtype=bool)
-    mem[np.arange(p) + p * vals] = True
-    return CurveHandle("polygraph", {"coefficients": tuple(coeffs)}, PointSet(ctx, mem))
+    points = _roots_on_lines(ctx, 0, -1, vals)
+    return CurveHandle("polygraph", {"coefficients": tuple(coeffs)}, points)
 
 
 def symmetrized_parabola(ctx: FieldContext) -> CurveHandle:
-    """{(t, t^2)} union {(t, -t^2)}; 2p - 1 points."""
+    """{(t, t^2)} union {(t, -t^2)}, the roots of y^2 = x^4; 2p - 1 points."""
     if ctx.d != 2:
         raise ValueError("the symmetrized parabola lives in d = 2")
-    p = ctx.p
-    x = np.arange(p, dtype=np.int64)
-    mem = np.zeros(ctx.order, dtype=bool)
-    mem[x + p * (x * x % p)] = True
-    mem[x + p * ((p - x * x % p) % p)] = True
-    return CurveHandle("sym-parabola", {}, PointSet(ctx, mem))
+    x = np.arange(ctx.p, dtype=np.int64)
+    return CurveHandle("sym-parabola", {}, _roots_on_lines(ctx, 1, 0, -(x * x % ctx.p) ** 2))
 
 
 def make_curve(ctx: FieldContext, descriptor: str) -> CurveHandle:

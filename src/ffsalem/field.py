@@ -43,8 +43,8 @@ class FieldContext:
     Provides point <-> index conversion (little-endian: index(x) = x_1 +
     x_2*p + ... + x_d*p^(d-1)), modular helpers, and the cached character
     table shared by every sum below.  No per-point table of the group is
-    cached: coordinates come from index arithmetic (`coords_of`) or from
-    per-coordinate outer sums (`grid_sum`).
+    cached: coordinates come from index arithmetic (`coords_of`), and the
+    curves solve for x_d line by line instead of tabulating the group.
     """
 
     def __init__(self, p: int, d: int = 2):
@@ -125,19 +125,6 @@ class FieldContext:
             index, c = divmod(index, self.p)
             point.append(c)
         return tuple(point)
-
-    def grid_sum(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        """sum_i tables[i][x_(i+1)] mod p for every point x, flat in index order.
-
-        tables holds d length-p arrays of residues, one per coordinate; the
-        sum is an outer sum over the grid, so no coordinate table is built.
-        """
-        if len(tables) != self.d:
-            raise ValueError(f"need {self.d} per-coordinate tables, got {len(tables)}")
-        total = np.asarray(tables[-1], dtype=np.int64)
-        for table in reversed(tables[:-1]):  # x_d on axis 0, x_1 on the last axis
-            total = np.add.outer(total, np.asarray(table, dtype=np.int64))
-        return np.remainder(total, self.p, out=total).reshape(self.order)
 
     def reduce(self, point: Sequence[int]) -> tuple:
         if len(point) != self.d:

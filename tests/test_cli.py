@@ -59,6 +59,7 @@ def test_salem_check_json_payload(capsys):
     data = json.loads(out)
     assert data["status"] == "PASS"
     assert data["config"]["command"] == "salem-check"
+    assert data["config"]["dim"] == 2  # -d defaults to 2 for a curve
     assert data["version"]
     assert data["result"]["set_size"] == 7
     assert data["result"]["pass"] is True
@@ -89,6 +90,14 @@ def test_bad_prime_is_usage_error(capsys):
         main(["spectrum", "-p", "9", "--curve", "paraboloid"])
     assert exc.value.code == 2
     assert "prime" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("dim", [[], ["-d", "3"]], ids=["no-dim", "dim-3"])
+def test_point_file_header_sets_the_echoed_dim(capsys, tmp_path, dim):
+    pts = write_points(tmp_path, "s.txt", 5, 3, [(1, 2, 3)])
+    code, out, _ = run(capsys, "spectrum", "--points", pts, *dim, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["dim"] == 3
 
 
 def test_header_mismatch_is_usage_error(capsys, tmp_path):
@@ -136,6 +145,7 @@ HANDLER_USAGE_ERRORS = {
     "curve-and-points": ["salem-check", "-p", "7", "--curve", "circle:1", "--points", "{c7}"],
     "points-unreadable": ["spectrum", "--points", "{missing}"],
     "points-header-mismatch": ["spectrum", "-p", "11", "--points", "{c7}"],
+    "points-dim-mismatch": ["salem-check", "-d", "3", "--points", "{c7}"],
     "coeffs-count": ["classify", "-p", "7", "--coeffs", "1,2"],
     "sym-parabola-arg": ["spectrum", "-p", "7", "--curve", "sym-parabola:9"],
     "paraboloid-arg": ["salem-check", "-p", "7", "--curve", "paraboloid:junk"],

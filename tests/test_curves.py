@@ -151,31 +151,40 @@ def test_paraboloid_points():
         assert y == (x * x) % 7
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (13, 1), (5, 2), (11, 2), (3, 3), (5, 3)])
+@pytest.mark.parametrize(
+    "p,d",
+    [(7, 1), (13, 1), (5, 2), (11, 2), (3, 3), (5, 3), (3, 1), (3, 2), (7, 2), (7, 3)],
+)
 def test_sphere_and_paraboloid_match_brute_points(p, d):
     ctx = FieldContext(p, d)
-    for t in range(p):
-        assert sphere(ctx, t).points == brute_points(
-            ctx, lambda x: sum(c * c for c in x) % p == t
+    for t in range(-1, p + 1):
+        handle = sphere(ctx, t)
+        assert handle.points == brute_points(
+            ctx, lambda x: sum(c * c for c in x) % p == t % p
         )
+        assert handle.parameters == {"t": t % p}
     if d >= 2:
         assert paraboloid(ctx).points == brute_points(
             ctx, lambda x: sum(c * c for c in x[:-1]) % p == x[-1]
         )
 
 
+# zero sets that hold whole lines: xy, x(y + 1) and x(x + y)
+DEGENERATE = [(0, 1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0), (1, 1, 0, 0, 0, 0)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_zero_set_matches_brute_points(p):
     ctx = FieldContext(p, 2)
     rng = np.random.Generator(np.random.Philox(p))
-    checked = 0
-    while checked < 12:
+    quadratics = [Quadratic(ctx, *coeffs) for coeffs in DEGENERATE]
+    while len(quadratics) < 12 + len(DEGENERATE):
         coeffs = [int(c) for c in rng.integers(-p, 2 * p, size=6)]
         try:
-            q = Quadratic(ctx, *coeffs)
+            quadratics.append(Quadratic(ctx, *coeffs))
         except ValueError:
             continue
-        checked += 1
+    for q in quadratics:
         assert q.zero_set() == brute_points(ctx, lambda x: q.evaluate(*x) == 0)
         try:
             form = reduce_quadratic(q)
@@ -183,9 +192,12 @@ def test_zero_set_matches_brute_points(p):
             continue
         if form.kind == "diagonal":
             alpha, beta, gamma = form.diag
-            assert form.canonical_zero_set() == brute_points(
+            expected = brute_points(
                 ctx, lambda x: (alpha * x[0] ** 2 + beta * x[1] ** 2 + gamma) % p == 0
             )
+        else:
+            expected = brute_points(ctx, lambda x: x[1] == x[0] ** 2 % p)
+        assert form.canonical_zero_set() == expected
 
 
 def test_poly_graph():
@@ -237,32 +249,28 @@ def test_poly_graph_salem_sharpened_constant(p):
         assert top <= (deg - 1) * p ** (-1.5) * (1 + 1e-6)
 
 
-def _sphere_by_grid_sum(ctx, t):
-    """The q^d table of x_1^2 + ... + x_d^2 against t."""
-    squares = np.arange(ctx.p, dtype=np.int64) ** 2 % ctx.p
-    return PointSet(ctx, ctx.grid_sum([squares] * ctx.d) == t % ctx.p)
+# curve sizes at p = 2039
+SIZES_2039 = {
+    "circle:1": 2040,  # 2039 = 3 mod 4
+    "paraboloid": 2039,
+    "conic:1,1,3,2,5,7": 2038,
+    "sym-parabola": 2 * 2039 - 1,
+    "polygraph:0,0,1": 2039,
+}
 
 
-@pytest.mark.parametrize("p,d", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)])
-def test_sphere_matches_the_grid_sum_table(p, d):
-    ctx = FieldContext(p, d)
-    for t in range(-1, p + 1):
-        handle = sphere(ctx, t)
-        assert handle.points == _sphere_by_grid_sum(ctx, t)
-        assert handle.parameters == {"t": t % p}
-
-
-def test_sphere_builds_no_table_of_the_group_beyond_its_membership():
+@pytest.mark.parametrize("descriptor", SIZES_2039)
+def test_curves_build_no_table_of_the_group_beyond_their_membership(descriptor):
     import tracemalloc
 
     ctx = FieldContext(2039, 2)
     tracemalloc.start()
     try:
-        S = sphere(ctx, 1).points
+        S = make_curve(ctx, descriptor).points
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert S.size == 2040  # 2039 = 3 mod 4
+    assert S.size == SIZES_2039[descriptor]
     # membership and its read-only copy: 2 q^d bytes, 7.9 MiB; an int64 q^d
     # table would add 32 MiB
     assert peak < 12 * 2**20

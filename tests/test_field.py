@@ -75,20 +75,6 @@ def test_point_at_coords_of_index_of_round_trip(p, d):
             ctx.point_at(bad)
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (5, 2), (3, 3), (5, 3)])
-def test_grid_sum_matches_pointwise_sum(p, d):
-    ctx = FieldContext(p, d)
-    rng = np.random.Generator(np.random.Philox(p * d))
-    tables = [rng.integers(0, p, size=p) for _ in range(d)]  # distinct per axis
-    expected = [
-        sum(int(tables[i][c]) for i, c in enumerate(ctx.point_at(idx))) % p
-        for idx in range(ctx.order)
-    ]
-    assert ctx.grid_sum(tables).tolist() == expected
-    with pytest.raises(ValueError):
-        ctx.grid_sum(tables[:-1] if d > 1 else tables * 2)
-
-
 @pytest.mark.parametrize("p,d", [(11, 1), (7, 2), (5, 3)])
 def test_sum_index_matches_indices_of_the_sums(p, d):
     ctx = FieldContext(p, d)
