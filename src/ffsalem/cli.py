@@ -135,7 +135,7 @@ def _resolve_set(args) -> tuple:
             raise ValueError(
                 f"--dim {args.dim} disagrees with the point file header d = {S.context.d}"
             )
-        args.dim = S.context.d
+        args.prime, args.dim = S.context.p, S.context.d  # the JSON config echoes the header
         return S.context, S, f"file:{path}"
     if not curve:
         raise ValueError("one of --curve or --points is required")

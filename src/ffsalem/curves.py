@@ -48,7 +48,7 @@ def _roots_on_lines(ctx: FieldContext, a: int, b, c) -> PointSet:
         on = np.flatnonzero(b)
         grid[-c[on] * ctx.inverse_table[b[on]] % p, on] = True
         grid[:, (b == 0) & (c == 0)] = True
-    return PointSet(ctx, mem)
+    return PointSet._adopt(ctx, mem)
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,21 @@ class PointSet:
             raise ValueError(
                 f"membership table must have shape ({context.order},), got {membership.shape}"
             )
-        membership = membership.copy()
+        self._own(context, membership.copy())
+
+    def _own(self, context: FieldContext, membership: np.ndarray) -> None:
         membership.setflags(write=False)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "membership", membership)
-        object.__setattr__(self, "size", int(membership.sum()))
+        object.__setattr__(self, "size", int(np.count_nonzero(membership)))
+
+    @classmethod
+    def _adopt(cls, context: FieldContext, membership: np.ndarray) -> "PointSet":
+        """The set with this fresh bool table of shape (q^d,), taken over and
+        made read-only without a copy; no one may hold it writable."""
+        S = object.__new__(cls)
+        S._own(context, membership)
+        return S
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -45,24 +55,24 @@ class PointSet:
 
     @classmethod
     def empty(cls, context: FieldContext) -> "PointSet":
-        return cls(context, np.zeros(context.order, dtype=bool))
+        return cls._adopt(context, np.zeros(context.order, dtype=bool))
 
     @classmethod
     def full(cls, context: FieldContext) -> "PointSet":
-        return cls(context, np.ones(context.order, dtype=bool))
+        return cls._adopt(context, np.ones(context.order, dtype=bool))
 
     @classmethod
     def from_points(cls, context: FieldContext, points: Iterable[Sequence[int]]) -> "PointSet":
         mem = np.zeros(context.order, dtype=bool)
         for pt in points:
             mem[context.index_of(pt)] = True
-        return cls(context, mem)
+        return cls._adopt(context, mem)
 
     @classmethod
     def from_indices(cls, context: FieldContext, indices: Iterable[int]) -> "PointSet":
         mem = np.zeros(context.order, dtype=bool)
         mem[np.fromiter(indices, dtype=np.int64, count=-1)] = True
-        return cls(context, mem)
+        return cls._adopt(context, mem)
 
     # -- basics ---------------------------------------------------------------
 
@@ -102,7 +112,7 @@ class PointSet:
     # -- set algebra ------------------------------------------------------------
 
     def _from_grid(self, grid: np.ndarray) -> "PointSet":
-        return PointSet(self.context, grid.reshape(self.context.order))
+        return PointSet._adopt(self.context, grid.reshape(self.context.order))
 
     def negate(self) -> "PointSet":
         # x -> -x on every axis: flip maps c to p - 1 - c, the roll adds 1
@@ -124,19 +134,19 @@ class PointSet:
             raise SingularMatrix("linear image requires an invertible matrix mod p")
         mem = np.zeros(ctx.order, dtype=bool)
         mem[ctx.indices_of(ctx.coords_of(self.indices()) @ T.T)] = True
-        return PointSet(ctx, mem)
+        return PointSet._adopt(ctx, mem)
 
     def union(self, other: "PointSet") -> "PointSet":
         self._check_same_context(other)
-        return PointSet(self.context, self.membership | other.membership)
+        return PointSet._adopt(self.context, self.membership | other.membership)
 
     def intersect(self, other: "PointSet") -> "PointSet":
         self._check_same_context(other)
-        return PointSet(self.context, self.membership & other.membership)
+        return PointSet._adopt(self.context, self.membership & other.membership)
 
     def difference(self, other: "PointSet") -> "PointSet":
         self._check_same_context(other)
-        return PointSet(self.context, self.membership & ~other.membership)
+        return PointSet._adopt(self.context, self.membership & ~other.membership)
 
     def is_symmetric(self) -> bool:
         """True iff S = -S: -S has |S| points, so S = -S when each lies in S."""
@@ -372,7 +382,7 @@ def load_points(stream: IO[str] | str | os.PathLike) -> PointSet:
         mem[i] = True
     if header_at is None:
         raise PointSetParseError("line 1: missing 'p d' header")
-    return PointSet(ctx, mem)
+    return PointSet._adopt(ctx, mem)
 
 
 def dump_points(S: PointSet, stream: IO[str]) -> None:

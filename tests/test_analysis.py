@@ -23,7 +23,15 @@ from ffsalem import (
     triple_count,
 )
 from ffsalem import analysis
-from ffsalem.analysis import _cyclic_convolution, _exact, _overlaps, _pair_counts
+from ffsalem.analysis import (
+    _convolution_on,
+    _cyclic_convolution,
+    _exact,
+    _overlaps,
+    _overlaps_at,
+    _pair_counts,
+)
+from ffsalem.randomsets import sample_subset
 from oracles import (
     brute_bilinear,
     brute_convolution,
@@ -158,7 +166,7 @@ def transforms(monkeypatch):
     return calls
 
 
-def test_dense_counts_skip_closed_form_transforms(transforms):
+def test_dense_counts_skip_closed_form_transforms(transforms, monkeypatch):
     calls = transforms
     S = sphere(F11, 1).points
     full = PointSet.full(F11)
@@ -168,8 +176,12 @@ def test_dense_counts_skip_closed_form_transforms(transforms):
     intersection_profile(S)
     convolve(random_set(F11, S.size, seed=3), S)
     assert calls == []  # curve-sized counts list their pairs
-    edge_count(random_set(F11, 40, seed=4), S)
-    assert calls == [True]  # nu from one autocorrelation of E
+    E = random_set(F11, 40, seed=4)
+    nu = edge_count(E, S).nu
+    assert calls == []  # 40 points at 6 shifts are gathered
+    monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
+    assert edge_count(E, S).nu == nu
+    assert calls == [True]  # without the gathers, nu from one autocorrelation of E
 
 
 # d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle
@@ -276,6 +288,149 @@ def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch):
         assert pair_peak <= fft_peak
 
 
+# -- the gather route ---------------------------------------------------------
+
+GATHER_FIELDS = [(31, 1), (7, 2), (31, 2), (5, 3), (7, 3)]
+ROUTES = ("gather", "table")
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Records the per_shift flag of each _translate_hits call."""
+    calls = []
+    hits = analysis._translate_hits
+
+    def counted(E, shifts, per_shift):
+        calls.append(per_shift)
+        return hits(E, shifts, per_shift)
+
+    monkeypatch.setattr(analysis, "_translate_hits", counted)
+    return calls
+
+
+def force_route(monkeypatch, route):
+    """Every count that can gather does so, or none does."""
+    if route == "gather":
+        monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 10**9)
+    else:
+        monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
+
+
+def gather_cases(ctx):
+    zero, one = (0,) * ctx.d, (1,) + (0,) * (ctx.d - 1)
+    E = random_set(ctx, min(40, ctx.order // 3), seed=ctx.order)
+    S = random_set(ctx, min(ctx.p + 1, ctx.order // 4), seed=ctx.order + 1)
+    assert not S.is_symmetric() and zero not in S
+    cases = {
+        "asymmetric S": (E, S),
+        "symmetric S": (E, S.union(S.negate())),
+        "S holds 0": (E, S.union(PointSet.from_points(ctx, [zero]))),
+        "|E| = 1": (PointSet.from_points(ctx, [one]), S),
+        "E = S": (S, S),
+    }
+    if ctx.d > 1:
+        cases["curves"] = (sphere(ctx, 2).points, sphere(ctx, 1).points)
+    if ctx.order <= 343:  # the brute oracles visit q^d |E| pairs
+        cases["E full"] = (PointSet.full(ctx), S)
+    return cases
+
+
+def brute_counts(E, S):
+    """nu, and E*S at E's points in index order, from the oracles."""
+    conv = brute_convolution(E, S)
+    return brute_edge_count(E, S), [conv[x] for x in E]
+
+
+@pytest.mark.parametrize("p, d", GATHER_FIELDS)
+def test_gather_route_matches_table_route_and_brute(p, d, monkeypatch, gathers):
+    ctx = FieldContext(p, d)
+    for name, (E, S) in gather_cases(ctx).items():
+        nu, conv = brute_counts(E, S)
+        triple = sum(c * c for c in conv)
+        shifts = S.indices()
+        for route in ROUTES:
+            with monkeypatch.context() as m:
+                force_route(m, route)
+                gathers.clear()
+                assert edge_count(E, S).nu == nu, (name, route)
+                assert _overlaps_at(E, shifts).tolist() == _overlaps(E)[shifts].tolist()
+                assert _convolution_on(E, S).tolist() == conv, (name, route)
+                assert triple_count(E, S) == triple, (name, route)
+                for M in (-1, 0, 1, max(conv, default=0)):
+                    kept = [x for x, c in zip(E, conv) if c > M]
+                    assert prune(E, S, M) == PointSet.from_points(ctx, kept), (name, route, M)
+                # two overlap reads, then E*S for the triple count and 4 prunings;
+                # the full group's overlaps and its pruning are closed forms
+                expected = [False] * 2 if E.size == ctx.order else [True] * 2 + [False] * 6
+                assert gathers == (expected if route == "gather" else []), (name, route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_triple_count_by_either_route_matches_brute(route, monkeypatch):
+    force_route(monkeypatch, route)
+    for p, d in ((31, 1), (7, 2), (5, 3)):
+        ctx = FieldContext(p, d)
+        S = random_set(ctx, ctx.p, seed=p + d)
+        S = S.union(S.negate())  # the oracle counts E*S with S mirrored
+        E = random_set(ctx, 16, seed=p * d)
+        assert triple_count(E, S) == brute_triple_count(E, S)
+
+
+def test_gather_route_runs_up_to_the_ratio(monkeypatch, gathers, transforms):
+    ctx = FieldContext(31, 2)
+    ratio = analysis.GATHER_ROUTE_RATIO
+    # 31 shifts: the points (x, 1) and their 31 negatives (-x, -1)
+    half = PointSet.from_points(ctx, [(x, 1) for x in range(31)])
+    S = half.union(half.negate())
+    for offset, expected in ((0, [True, False]), (1, [])):
+        E = random_set(ctx, ratio * ctx.order // 31 + offset, seed=offset)
+        assert E.size * 31 - ratio * ctx.order == offset * 31
+        gathers.clear()
+        edge_count(E, S)  # 31 pairs +-u
+        _convolution_on(E, half)  # 31 shifts
+        assert gathers == expected, offset
+    assert transforms == [True, False]  # above the ratio, E*S is not listed in pairs
+
+
+@pytest.mark.parametrize("per_shift", [True, False])
+@pytest.mark.parametrize("p, d", [(31, 1), (7, 2), (5, 3)])
+def test_gathers_across_block_boundaries(p, d, per_shift, monkeypatch):
+    ctx = FieldContext(p, d)
+    E = random_set(ctx, ctx.order // 3, seed=p)
+    U = random_set(ctx, 3 * (ctx.order // 6) + 1, seed=p + 1)
+    shifts = U.indices()
+    if per_shift:
+        expected = _overlaps(E)[shifts]
+    else:  # x + u in E for u in U is x - t in E for t in -U
+        expected = convolve(E, U.negate()).values[E.membership]
+    # 3 shifts a block, the last one of 1
+    monkeypatch.setattr(analysis, "GATHER_BLOCK", 3 * E.size + E.size // 2)
+    assert np.array_equal(analysis._translate_hits(E, shifts, per_shift), expected)
+
+
+def test_edge_count_gathers_without_a_complex_table(monkeypatch):
+    import tracemalloc
+
+    ctx = FieldContext(1009, 2)
+    S = sphere(ctx, 1).points
+    E = sample_subset(ctx, 20_000, seed=1)
+    assert analysis._gather_is_cheaper(E, S.size // 2)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            return edge_count(E, S).nu, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    nu, gather_peak = traced()
+    monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
+    fft_nu, fft_peak = traced()
+    assert nu == fft_nu
+    # one q^d complex table is 16 bytes a cell; the tiled copy of E is 4
+    assert gather_peak < 8 * ctx.order < fft_peak / 3
+
+
 RHOMBUS_CASES = [(5, 25, 1), (7, 49, 2), (7, 30, 3), (7, 14, 4), (11, 60, 5), (11, 121, 6)]
 
 
@@ -290,6 +445,18 @@ def test_find_rhombus_matches_brute(p, size, seed):
             w = find_rhombus(E, S, v)
             expect = brute_rhombus(E, S, v)
             assert (None if w is None else w.points()) == expect
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("p, seed", [(31, 1), (37, 2)])
+def test_find_rhombus_on_half_samples_matches_brute(p, seed, route, monkeypatch):
+    ctx = FieldContext(p, 2)
+    E = sample_subset(ctx, ctx.order // 2, seed=seed)
+    S = sphere(ctx, 1).points
+    force_route(monkeypatch, route)
+    for v in [(1, 0), (2, 3)]:
+        w = find_rhombus(E, S, v)
+        assert (None if w is None else w.points()) == brute_rhombus(E, S, v)
 
 
 def test_find_rhombus_avoiding_phantom_shifts_matches_brute():

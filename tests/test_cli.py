@@ -95,9 +95,11 @@ def test_bad_prime_is_usage_error(capsys):
 @pytest.mark.parametrize("dim", [[], ["-d", "3"]], ids=["no-dim", "dim-3"])
 def test_point_file_header_sets_the_echoed_dim(capsys, tmp_path, dim):
     pts = write_points(tmp_path, "s.txt", 5, 3, [(1, 2, 3)])
-    code, out, _ = run(capsys, "spectrum", "--points", pts, *dim, "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["dim"] == 3
+    for prime in ([], ["-p", "5"]):
+        code, out, _ = run(capsys, "spectrum", "--points", pts, *dim, *prime, "--format", "json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["prime"], config["dim"]) == (5, 3)
 
 
 def test_header_mismatch_is_usage_error(capsys, tmp_path):

@@ -51,6 +51,41 @@ def test_pointset_is_immutable():
         S.size = 3
 
 
+def test_mutating_the_callers_array_leaves_the_set_unchanged():
+    table = np.zeros(F5.order, dtype=bool)
+    table[[0, 7]] = True
+    S = PointSet(F5, table)
+    table[[0, 7, 9]] = [False, False, True]
+    assert S.indices().tolist() == [0, 7] and S.size == 2
+    assert table.flags.writeable and not S.membership.flags.writeable
+
+
+def test_fresh_tables_are_kept_without_a_copy():
+    import tracemalloc
+
+    ctx = FieldContext(2039, 2)
+    A = PointSet.from_indices(ctx, range(0, ctx.order, 3))
+    B = A.translate((1, 0))
+    builds = {
+        "full": lambda: PointSet.full(ctx),
+        "empty": lambda: PointSet.empty(ctx),
+        "union": lambda: A.union(B),
+        "intersect": lambda: A.intersect(B),
+        "difference": lambda: A.difference(B),
+        "translate": lambda: A.translate((5, 7)),
+        "negate": A.negate,
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            S = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not S.membership.flags.writeable, name
+        assert peak < 1.25 * ctx.order, name  # one q^d bool table, not two
+
+
 def test_size_matches_population_count():
     S = PointSet.from_indices(F5, [0, 3, 17])
     assert S.size == int(S.membership.sum()) == 3

@@ -404,6 +404,39 @@ def test_construct3_frozen_witness(p, curve, points, centers):
     }
 
 
+# construct3 over seeded half-size samples E = W, each run by either route
+HALF_SAMPLE_CONSTRUCT3 = [
+    (31, "circle:1", 1, [[13, 5], [25, 7], [3, 2]],
+     {0: [2, 0], 1: [13, 4], 2: [7, 0], 3: [14, 5], 4: [14, 0], 5: [23, 0], 6: [4, 2], 7: [24, 7]}),
+    (61, "circle:2", 4, [[59, 21], [22, 34], [6, 1]],
+     {0: [1, 0], 1: [21, 9], 2: [48, 7], 3: [21, 33], 4: [7, 2], 5: [5, 0], 6: [29, 13],
+      7: [60, 22]}),
+    (41, "conic:1,1,3,0,0,5", 5, [[26, 9], [4, 15], [15, 1]],
+     {0: [0, 0], 1: [17, 0], 2: [13, 3], 3: [33, 14], 4: [21, 1], 5: [3, 0], 6: [22, 6],
+      7: [38, 10]}),
+]
+
+
+@pytest.mark.parametrize("route", ["gather", "table"])
+@pytest.mark.parametrize(
+    "p,curve,seed,points,centers", HALF_SAMPLE_CONSTRUCT3, ids=["circle-f31", "circle-f61", "conic-f41"]
+)
+def test_construct3_on_a_half_sample_keeps_its_witness(p, curve, seed, points, centers, route, monkeypatch):
+    if route == "gather":
+        monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 10**9)
+    else:
+        monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
+    ctx = FieldContext(p, 2)
+    S = make_curve(ctx, curve).points
+    E = sample_subset(ctx, ctx.order // 2, seed)
+    out = construct_shatter3(S, E)
+    assert out.status is SearchStatus.FOUND
+    assert verify_witness(ShatterProblem(S, E, E, 3), out.witness)
+    assert out.witness.to_json() == {
+        "k": 3, "points": points, "witnesses": {str(m): y for m, y in centers.items()}
+    }
+
+
 def test_construct3_symmetrized_parabola():
     S = symmetrized_parabola(F11).points
     out = construct_shatter3(S, PointSet.full(F11))
