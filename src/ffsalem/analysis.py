@@ -278,7 +278,8 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
 
 
 def triple_count(E: PointSet, S: PointSet) -> int:
-    """sum over x in E of (E*S(x))^2."""
+    """sum over x in E of (E*S(x))^2, that is
+    |{(y1, y2, x) in E^3 : x - y1 in S and x - y2 in S}|."""
     if E.size == 0:
         raise EmptySet("triple count over an empty set E")
     return int((_convolution_on(E, S).astype(object) ** 2).sum())

@@ -168,6 +168,13 @@ class FieldContext:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def _roots_2p(self) -> np.ndarray:
+        """roots twice over: _roots_2p[a] = exp(2*pi*i*a/p) for 0 <= a < 2p."""
+        r = np.concatenate((self.roots, self.roots))
+        r.setflags(write=False)
+        return r
+
     def chi(self, a: int) -> complex:
         return complex(self.roots[a % self.p])
 
@@ -185,16 +192,18 @@ def character_row_sums(
 ) -> np.ndarray:
     """sum_j chi(phases[..., j]): one complete character sum per row.
 
-    The gather reduces phases mod p itself (np.take, mode "wrap"), which is
-    cheapest for entries in [0, 2p): the sum of two residues needs no `% p`.
-    `out`, a complex array of the phases' shape, receives the gathered
-    characters; a sweep passes one buffer for every block, so no block
-    allocates (fresh block-sized temporaries cost more in page faults than
-    the gather itself).  numpy reduces a contiguous last axis with the same
+    Every phase must lie in [0, 2p), so the sum of two residues needs no
+    `% p`: the gather reads a root table of length 2p with np.take's mode
+    "clip" (64 against 220 us for mode "wrap" on a 210 x 210 block of
+    Kloosterman phases, one core of a 2-vCPU Xeon VM).  `out`, a
+    complex array of the phases' shape, receives the gathered characters; a
+    sweep passes one buffer for every block, so no block allocates (fresh
+    block-sized temporaries cost more in page faults than the gather
+    itself).  numpy reduces a contiguous last axis with the same
     pairwise summation as a 1-D `.sum()`, so each row of a 2-D block is
     bit-identical to summing that row on its own.
     """
-    return np.take(ctx.roots, phases, mode="wrap", out=out).sum(axis=-1)
+    return ctx._roots_2p.take(phases, mode="clip", out=out).sum(axis=-1)
 
 
 def legendre(ctx: FieldContext, k: int) -> int:

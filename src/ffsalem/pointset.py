@@ -5,7 +5,10 @@ index(x) = x_1 + x_2*p + ... + x_d*p^(d-1).  Spectra are computed with the
 axis-factored transform (one length-p DFT per axis); tests pin it against
 the direct double sum.  The Salem maximum max_{m != 0} |S^(m)| streams the
 same transforms slab by slab (`spectrum_max`), so certifying a set at the
-p^d cap never holds a q^d complex table.
+p^d cap never holds a q^d complex table.  It transforms each distinct x_1
+line once: on a quadric the points of a line depend only on the value of the
+rest of the form, so a circle's lines pair off (y and -y) and a sphere in
+F_p^3 has about p distinct lines among its ~p^2/2 held ones.
 """
 
 from __future__ import annotations
@@ -226,15 +229,32 @@ def fourier_spectrum(S: PointSet) -> SpectrumTable:
 SPECTRUM_SLAB_CELLS = 1 << 18
 
 
+def _distinct_lines(lines: np.ndarray, held: np.ndarray) -> tuple:
+    """(distinct, inverse) with lines[held] equal to lines[distinct][inverse]:
+    the first of each class of equal held lines, keyed by its packed bits as
+    one np.void each.  (held, slice(None)) when no line repeats, as in a
+    dense random set."""
+    keys = np.packbits(lines, axis=1)[held]
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size == held.size:
+        return held, slice(None)
+    return held[first], inverse
+
+
 def spectrum_max(S: PointSet) -> float:
     """fourier_spectrum(S).max_nontrivial, bit for bit, without a q^d table.
 
     It runs fftn's own length-p transforms in fftn's order.  First the x_1
     axis (the last), only on the lines of S that hold a point: an empty line
-    transforms to exact zeros, and a signed zero changes no |.|.  Then the
-    other axes, last to first, on one slab of x_1 frequencies at a time;
-    each slab is scaled by q^-d and its magnitudes fold into a running max,
-    with m = 0 left out.
+    transforms to exact zeros, and a signed zero changes no |.|.  When the
+    held lines fill more than one block of transforms and some repeat, each
+    distinct line is transformed once (lines keyed by their packed bits) and
+    its row copied to every line equal to it: the transform maps equal lines
+    to bitwise equal rows, whatever block holds them.  Then the other axes,
+    last to first, on one slab of x_1 frequencies at a time; each slab is
+    scaled by q^-d and its magnitudes fold into a running max, with m = 0
+    left out.
     """
     ctx = S.context
     p, q = ctx.p, ctx.order
@@ -242,14 +262,15 @@ def spectrum_max(S: PointSet) -> float:
     lines = S.membership.reshape(-1, p)
     held = np.flatnonzero(lines.any(axis=1))
     rows = max(1, cells // p)
-    line_hat = np.empty((held.size, p), dtype=np.complex128)
-    for r in range(0, held.size, rows):
-        line_hat[r : r + rows] = np.fft.fft(lines[held[r : r + rows]].astype(np.float64))
+    distinct, inverse = _distinct_lines(lines, held) if held.size > rows else (held, slice(None))
+    line_hat = np.empty((distinct.size, p), dtype=np.complex128)
+    for r in range(0, distinct.size, rows):
+        line_hat[r : r + rows] = np.fft.fft(lines[distinct[r : r + rows]].astype(np.float64))
     width = max(1, cells // len(lines))
     worst = 0.0
     for k in range(0, p, width):
         slab = np.zeros((len(lines), min(width, p - k)), dtype=np.complex128)
-        slab[held] = line_hat[:, k : k + width]
+        slab[held] = line_hat[inverse, k : k + width]
         slab = slab.reshape(ctx.grid_shape[:-1] + slab.shape[-1:])
         for axis in reversed(range(ctx.d - 1)):
             slab = np.fft.fft(slab, axis=axis)

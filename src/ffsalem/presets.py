@@ -212,8 +212,8 @@ def weil_suite(p: int) -> dict:
     Kloosterman block per a and one (p, p) Weil block (rows b) per (n, a).
     Memory is O(p^2) and time O(p^3), about 3 p^3 gathered cells; a prime
     with 3 p^3 > WEIL_SUITE_MAX_CELLS = 2^32 raises SweepTooLarge before any
-    array is built.  At the cap, p = 1123, the sweep took 13.3 s and 78 MiB
-    peak RSS on one core of a 2-vCPU Xeon VM (p = 211: 0.09 s).
+    array is built.  At the cap, p = 1123, the sweep took 15-16 s and 78 MiB
+    peak RSS on one core of a 2-vCPU Xeon VM (p = 211: 0.12 s; p = 701: 3.8 s).
     """
     ctx = FieldContext(p, 1)
     if 3 * p**3 > WEIL_SUITE_MAX_CELLS:

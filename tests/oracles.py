@@ -137,18 +137,35 @@ def brute_convolution(E: PointSet, S: PointSet) -> dict:
 
 
 def brute_triple_count(E: PointSet, S: PointSet) -> int:
-    """|{(x1, x2, y) in E^3 : x1 - y in S and x2 - y in S}|."""
+    """|{(y1, y2, x) in E^3 : x - y1 in S and x - y2 in S}|, which is
+    sum over x in E of (E*S(x))^2."""
     p = E.context.p
     pts = list(E)
     count = 0
-    for x1 in pts:
-        for x2 in pts:
-            for y in pts:
-                d1 = tuple((a - b) % p for a, b in zip(x1, y))
-                d2 = tuple((a - b) % p for a, b in zip(x2, y))
+    for x in pts:
+        for y1 in pts:
+            for y2 in pts:
+                d1 = tuple((a - b) % p for a, b in zip(x, y1))
+                d2 = tuple((a - b) % p for a, b in zip(x, y2))
                 if d1 in S and d2 in S:
                     count += 1
     return count
+
+
+def kloosterman_circle_max(p: int, t: int) -> float:
+    """max over xi != 0 of |S^(xi)| for the circle x.x = t in F_p^2, by its
+    Kloosterman sums, for p = 3 mod 4 and t != 0 mod p.
+
+    p^2 |S^(xi)| = |K(t, xi.xi / 4)| with K(a, b) = sum_{s != 0} e((a s + b s^-1)/p),
+    and as xi runs over the nonzero frequencies xi.xi runs over every b != 0
+    (only xi = 0 has xi.xi = 0 when -1 is not a square).  K(t, b) for every b
+    is one length-p DFT of u -> e(t u^-1 / p), u != 0 (at -b, the same |.|).
+    """
+    assert p % 4 == 3 and t % p
+    f = np.zeros(p, dtype=complex)
+    for u in range(1, p):
+        f[u] = cmath.exp(2j * cmath.pi * (t * pow(u, p - 2, p) % p) / p)
+    return float(np.abs(np.fft.fft(f)[1:]).max()) / p**2
 
 
 def brute_bilinear(f: dict, g: dict, S: PointSet) -> float:

@@ -371,9 +371,16 @@ def test_triple_count_by_either_route_matches_brute(route, monkeypatch):
     for p, d in ((31, 1), (7, 2), (5, 3)):
         ctx = FieldContext(p, d)
         S = random_set(ctx, ctx.p, seed=p + d)
-        S = S.union(S.negate())  # the oracle counts E*S with S mirrored
+        S = S.union(S.negate())
         E = random_set(ctx, 16, seed=p * d)
         assert triple_count(E, S) == brute_triple_count(E, S)
+    # S != -S: the count is sum over x in E of (E*S(x))^2, not (E*(-S)(x))^2
+    for p in (7, 11, 13):
+        ctx = FieldContext(p, 2)
+        S = random_set(ctx, p, seed=p)
+        E = random_set(ctx, 16, seed=p + 1)
+        assert not S.is_symmetric()
+        assert triple_count(E, S) == brute_triple_count(E, S) != triple_count(E, S.negate())
 
 
 def test_gather_route_runs_up_to_the_ratio(monkeypatch, gathers, transforms):

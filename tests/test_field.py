@@ -218,6 +218,9 @@ def test_roots_of_unity_table():
         ctx = FieldContext(p, 1)
         for a in range(p):
             assert ctx.roots[a] == pytest.approx(cmath.exp(2j * cmath.pi * a / p))
+        # the gather's table holds the same roots twice, for phases in [0, 2p)
+        assert ctx._roots_2p.tolist() == 2 * ctx.roots.tolist()
+        assert not ctx._roots_2p.flags.writeable
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])

@@ -16,6 +16,7 @@ from ffsalem import (
     dump_points,
     fourier_spectrum,
     load_points,
+    make_curve,
     paraboloid,
     poly_graph,
     salem_bound,
@@ -24,7 +25,7 @@ from ffsalem import (
     sphere,
 )
 from ffsalem import pointset
-from oracles import direct_dft, reference_affine_image
+from oracles import direct_dft, kloosterman_circle_max, reference_affine_image
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)
@@ -250,6 +251,34 @@ def test_spectrum_max_above_one_slab_is_the_table_max():
         assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
 
 
+@pytest.mark.parametrize("p, t", [(31, 1), (31, 3), (2039, 1), (2039, 56)])
+def test_circle_spectrum_max_matches_its_kloosterman_closed_form(p, t):
+    ctx = FieldContext(p, 2)
+    S = sphere(ctx, t).points
+    if p == 2039:  # more held lines than one transform block: the deduplicated route
+        assert np.count_nonzero(S.grid().any(axis=1)) > pointset.SPECTRUM_SLAB_CELLS // p
+    want = kloosterman_circle_max(p, t)
+    assert abs(spectrum_max(S) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("curve, mib", [("circle:1", 32), ("sym-parabola", 50)])
+def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
+    # the x_1 lines of a circle or sym-parabola pair off as y and -y, so the
+    # table of transformed lines holds half of them: tracemalloc peaks of 25.9
+    # and 41.7 MiB with numpy 2.4, against 41.7 and 73.4 MiB with one row per
+    # held line
+    import tracemalloc
+
+    S = make_curve(FieldContext(2039, 2), curve).points
+    tracemalloc.start()
+    try:
+        spectrum_max(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
+
+
 def test_spectrum_max_leaves_out_the_zero_frequency(monkeypatch):
     # S^(0) = |S| / q^d is the largest coefficient, so keeping it would show
     monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 16)
@@ -313,10 +342,11 @@ def test_salem_check_path_builds_no_coordinate_table():
         tracemalloc.stop()
     assert report.passed
     assert not hasattr(ctx, "coords")
-    # the streamed maximum holds the transformed lines that hold a point (about
-    # half a complex table for a circle) and 4 MiB slabs: 17.9 MiB in all with
-    # numpy 2.4, against 15.5 MiB for one complex table.  fftn's whole table or
-    # a cached (order, 2) int64 coordinate table would each add about one more.
+    # the streamed maximum holds one transformed row per distinct line that
+    # holds a point (a circle's lines pair off, so about a quarter of a complex
+    # table) and 4 MiB slabs: 15.0 MiB in all with numpy 2.4, against 15.5 MiB
+    # for one complex table.  fftn's whole table or a cached (order, 2) int64
+    # coordinate table would each add about one more.
     complex_table = 16 * ctx.order
     assert peak < 1.5 * complex_table
 
