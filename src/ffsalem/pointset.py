@@ -8,7 +8,11 @@ same transforms slab by slab (`spectrum_max`), so certifying a set at the
 p^d cap never holds a q^d complex table.  It transforms each distinct x_1
 line once: on a quadric the points of a line depend only on the value of the
 rest of the form, so a circle's lines pair off (y and -y) and a sphere in
-F_p^3 has about p distinct lines among its ~p^2/2 held ones.
+F_p^3 has about p distinct lines among its ~p^2/2 held ones.  The
+transformed lines are kept frequency-major, and a map from every x_1 line to
+its transformed line (or to one zero column for an empty line) gathers each
+slab with the lines contiguous, so the other axes transform contiguous rows;
+only the cells near a slab's largest unscaled magnitude are scaled by q^-d.
 """
 
 from __future__ import annotations
@@ -225,20 +229,18 @@ def fourier_spectrum(S: PointSet) -> SpectrumTable:
 
 
 # Complex cells one pass of `spectrum_max` holds at once: a block of x_1
-# lines, or a slab of x_1 frequencies (4 MiB).
+# lines in the first stage, or a slab of x_1 frequencies by every line in
+# the second (4 MiB).
 SPECTRUM_SLAB_CELLS = 1 << 18
 
 
 def _distinct_lines(lines: np.ndarray, held: np.ndarray) -> tuple:
     """(distinct, inverse) with lines[held] equal to lines[distinct][inverse]:
     the first of each class of equal held lines, keyed by its packed bits as
-    one np.void each.  (held, slice(None)) when no line repeats, as in a
-    dense random set."""
+    one np.void each."""
     keys = np.packbits(lines, axis=1)[held]
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if first.size == held.size:
-        return held, slice(None)
     return held[first], inverse
 
 
@@ -246,15 +248,28 @@ def spectrum_max(S: PointSet) -> float:
     """fourier_spectrum(S).max_nontrivial, bit for bit, without a q^d table.
 
     It runs fftn's own length-p transforms in fftn's order.  First the x_1
-    axis (the last), only on the lines of S that hold a point: an empty line
-    transforms to exact zeros, and a signed zero changes no |.|.  When the
-    held lines fill more than one block of transforms and some repeat, each
-    distinct line is transformed once (lines keyed by their packed bits) and
-    its row copied to every line equal to it: the transform maps equal lines
-    to bitwise equal rows, whatever block holds them.  Then the other axes,
-    last to first, on one slab of x_1 frequencies at a time; each slab is
-    scaled by q^-d and its magnitudes fold into a running max, with m = 0
-    left out.
+    axis (the last), only on the lines of S that hold a point.  When the held
+    lines fill more than one block of transforms, each distinct line is
+    transformed once (lines keyed by their packed bits): the transform maps
+    equal lines to bitwise equal rows, whatever block holds them.  The
+    transformed lines are stored frequency-major, one column per distinct
+    line, plus one zero column, the transform of an empty line (an empty
+    line transforms to exact zeros, and a signed zero changes no |.|);
+    `src` maps every x_1 line to its column: its class, or the zero column.
+    Then one slab of x_1 frequencies at a time is gathered by `src` from
+    contiguous rows of that table, already frequency-major with the lines
+    contiguous, and the other axes run on it last to first.
+
+    The slab is never scaled as a whole.  Its unscaled magnitudes, with
+    m = 0 left out, pick the cells within a factor 1 - 2^-30 of their
+    maximum; only those are divided by q = p^d, with fourier_spectrum's own
+    `/= q`, and their magnitudes fold into a running max.  No dropped cell
+    can win: `/ q` and `|.|` each move a value by a few ulp (about 2^-52
+    relative), far inside the 2^-30 margin, so after scaling every dropped
+    cell stays below the cell that held the unscaled maximum.  Ties, as for
+    a single point, only keep more cells.  A slab lives until the next
+    gather replaces it, so at most two slabs and one slab of magnitudes are
+    alive at once, as during a transform.
     """
     ctx = S.context
     p, q = ctx.p, ctx.order
@@ -262,23 +277,32 @@ def spectrum_max(S: PointSet) -> float:
     lines = S.membership.reshape(-1, p)
     held = np.flatnonzero(lines.any(axis=1))
     rows = max(1, cells // p)
-    distinct, inverse = _distinct_lines(lines, held) if held.size > rows else (held, slice(None))
-    line_hat = np.empty((distinct.size, p), dtype=np.complex128)
-    for r in range(0, distinct.size, rows):
-        line_hat[r : r + rows] = np.fft.fft(lines[distinct[r : r + rows]].astype(np.float64))
+    if held.size > rows:
+        distinct, inverse = _distinct_lines(lines, held)
+    else:
+        distinct, inverse = held, np.arange(held.size)
+    n = distinct.size
+    line_hat = np.empty((p, n + 1), dtype=np.complex128)
+    for r in range(0, n, rows):
+        block = distinct[r : r + rows]
+        line_hat[:, r : r + block.size] = np.fft.fft(lines[block].astype(np.float64)).T
+    line_hat[:, n] = 0.0  # the transform of an empty line
+    src = np.full(len(lines), n)
+    src[held] = inverse
     width = max(1, cells // len(lines))
     worst = 0.0
     for k in range(0, p, width):
-        slab = np.zeros((len(lines), min(width, p - k)), dtype=np.complex128)
-        slab[held] = line_hat[inverse, k : k + width]
-        slab = slab.reshape(ctx.grid_shape[:-1] + slab.shape[-1:])
-        for axis in reversed(range(ctx.d - 1)):
+        slab = line_hat[k : k + width].take(src, axis=1)
+        slab = slab.reshape(slab.shape[:1] + ctx.grid_shape[:-1])
+        for axis in reversed(range(1, ctx.d)):
             slab = np.fft.fft(slab, axis=axis)
-        slab /= q
-        mags = np.abs(slab)
         if k == 0:
-            mags.flat[0] = 0.0  # m = 0, where S^(0) = |S| / q^d
-        worst = max(worst, float(mags.max()))
+            slab.flat[0] = 0.0  # m = 0, where S^(0) = |S| / q^d
+        mags = np.abs(slab)
+        near = slab[mags >= mags.max() * (1 - 2**-30)]
+        near /= q
+        worst = max(worst, float(np.abs(near, out=mags.ravel()[: near.size]).max()))
+        del near  # under ties it holds nearly the whole slab
     return worst
 
 

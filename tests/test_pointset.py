@@ -213,7 +213,10 @@ def test_salem_invariance_under_translation_and_linear_maps():
 
 
 def _spectrum_cases(ctx):
-    """Sets whose streamed maximum must match the table: every kind of line fill."""
+    """Sets whose streamed maximum must match the table: every kind of line
+    fill, and ties that make the rescale keep many cells.  A point ties every
+    nontrivial |S^(m)| at q^-d, a whole x_1 line ties p^(d-1) - 1 of them,
+    and in the full group every nontrivial coefficient is rounding noise."""
     rng = np.random.Generator(np.random.Philox(ctx.p * 10 + ctx.d))
     p = ctx.p
     row = ctx.order // p // 2
@@ -221,7 +224,9 @@ def _spectrum_cases(ctx):
         "empty": PointSet.empty(ctx),
         "full": PointSet.full(ctx),
         "point": PointSet.from_indices(ctx, [ctx.order // 2]),
+        "origin": PointSet.from_indices(ctx, [0]),
         "x1-line": PointSet.from_indices(ctx, range(row * p, row * p + p // 2)),
+        "whole-x1-line": PointSet.from_indices(ctx, range(row * p, row * p + p)),
         "sphere": sphere(ctx, 1).points,
     }
     if ctx.d > 1:
@@ -232,15 +237,26 @@ def _spectrum_cases(ctx):
     return cases
 
 
-@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (13, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (13, 2), (5, 3), (7, 3), (5, 4)])
 @pytest.mark.parametrize("cells", [1, 7, 64, 1000, pointset.SPECTRUM_SLAB_CELLS])
 def test_spectrum_max_is_the_table_max_bit_for_bit(monkeypatch, p, d, cells):
-    # a few cells force many row blocks and slabs, and slabs one frequency wide
+    # a few cells force many row blocks and slabs, and slabs one frequency
+    # wide; 7 and 64 cells give slabs whose width does not divide p
     monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", cells)
     ctx = FieldContext(p, d)
     for name, S in _spectrum_cases(ctx).items():
         assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
     assert spectrum_max(PointSet.empty(ctx)) == 0.0
+
+
+@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (5, 3), (5, 4)])
+def test_tied_cases_put_many_cells_near_the_maximum(p, d):
+    # the ties of _spectrum_cases are real: many unscaled nontrivial
+    # magnitudes lie within the rescale's 2^-30 margin of the largest
+    cases = _spectrum_cases(FieldContext(p, d))
+    for name, ties in (("point", p**d - 1), ("origin", p**d - 1), ("whole-x1-line", p ** (d - 1) - 1)):
+        mags = np.abs(np.fft.fftn(cases[name].grid().astype(np.float64))).ravel()[1:]
+        assert np.count_nonzero(mags >= mags.max() * (1 - 2**-30)) >= ties, name
 
 
 def test_spectrum_max_above_one_slab_is_the_table_max():
@@ -261,15 +277,30 @@ def test_circle_spectrum_max_matches_its_kloosterman_closed_form(p, t):
     assert abs(spectrum_max(S) - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("curve, mib", [("circle:1", 32), ("sym-parabola", 50)])
+@pytest.mark.parametrize("p,d", [(31, 2), (101, 2), (2039, 2), (31, 3), (101, 3)])
+def test_paraboloid_spectrum_max_is_its_closed_form(p, d):
+    # |S^(m)| = p^-d * p^((d-1)/2) at every m with m_d != 0, and 0 at the other
+    # nonzero m; at p = 2039 the held lines fill many transform blocks
+    S = paraboloid(FieldContext(p, d)).points
+    want = p ** (-(d + 1) / 2)
+    assert abs(spectrum_max(S) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("curve, mib", [("circle:1", 32), ("sym-parabola", 50), ("random-0.5", 80)])
 def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
     # the x_1 lines of a circle or sym-parabola pair off as y and -y, so the
-    # table of transformed lines holds half of them: tracemalloc peaks of 25.9
-    # and 41.7 MiB with numpy 2.4, against 41.7 and 73.4 MiB with one row per
-    # held line
+    # table of transformed lines holds half of them: tracemalloc peaks of 26.0
+    # and 41.8 MiB with numpy 2.4, against 41.7 and 73.4 MiB with one row per
+    # held line.  A dense random set repeats no line and keeps every held
+    # line, 73.5 MiB; a slab loop that holds one more slab-sized array at its
+    # peak reads 77.5 MiB.
     import tracemalloc
 
-    S = make_curve(FieldContext(2039, 2), curve).points
+    ctx = FieldContext(2039, 2)
+    if curve == "random-0.5":
+        S = PointSet(ctx, np.random.Generator(np.random.Philox(2039)).random(ctx.order) < 0.5)
+    else:
+        S = make_curve(ctx, curve).points
     tracemalloc.start()
     try:
         spectrum_max(S)
