@@ -225,7 +225,9 @@ def kloosterman(ctx: FieldContext, a: int, b: int) -> complex:
     """Kloosterman sum sum_{j != 0} chi(a*j + b*j^(-1)); requires a, b != 0 mod p.
 
     The value is real (the terms pair off under j -> b*a^(-1)*j^(-1)); the
-    complex result is returned so callers can assert that themselves.
+    complex result is returned so callers can assert that themselves.  It
+    depends on a and b only through their product: j -> b*j gives
+    K(a, b) = K(a*b, 1).
     """
     p = ctx.p
     a %= p

@@ -175,26 +175,45 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
     }
 
 
-# Gathered cells a weil-suite sweep may touch; about 3 p^3 per prime (see
-# weil_suite), so p = 1123 is the largest prime under the cap.
+# Slack for a float screen that compares character sums which are equal in
+# exact arithmetic: K(a, b) against K(ab, 1), and |W_n(a, b)| against
+# |W_n(a, 0)| (see weil_suite).  The largest spread measured between such
+# sums is 3.0e-14 at p = 211 and 1.8e-13 at p = 1123.
+CHARACTER_SUM_MARGIN = 1e-6
+
+# Gathered cells a weil-suite sweep may touch.  In the worst case every
+# Kloosterman class and every (n, a) lies within CHARACTER_SUM_MARGIN of its
+# screen's threshold, and the suite evaluates every row of the full sweep,
+# about 3 p^3 cells (see weil_suite); p = 1123 is the largest prime under the cap.
 WEIL_SUITE_MAX_CELLS = 1 << 32
 
 
-def _kloosterman_magnitudes(ctx: FieldContext) -> np.ndarray:
-    """|sum_j chi(a j + b j^{-1})| for all a, b != 0, as a (p-1, p-1) array.
-
-    One (p-1, p-1) phase block per a (rows b, columns j), so memory is O(p^2).
-    """
+def _kloosterman_max(ctx: FieldContext) -> float:
+    """max |K(a, b)| over a, b != 0, bit for bit the maximum over the
+    (p-1)^2 rows with phases a j + b j^{-1}: one block screens the classes
+    ab, then each class near the top gets one block of its p - 1 pairs (see
+    weil_suite)."""
     p = ctx.p
     j = np.arange(1, p, dtype=np.int64)
-    b_jinv = np.arange(1, p, dtype=np.int64)[:, None] * ctx.inverse_table[1:] % p
-    phases = np.empty_like(b_jinv)
+    jinv = ctx.inverse_table[1:]
+    phases = np.empty((p - 1, p - 1), dtype=np.int64)
     chars = np.empty(phases.shape, dtype=complex)
-    out = np.empty((p - 1, p - 1))
-    for a in range(1, p):
-        np.add(a * j % p, b_jinv, out=phases)
-        out[a - 1] = np.abs(character_row_sums(ctx, phases, out=chars))
-    return out
+    np.multiply(j[:, None], j, out=phases)
+    phases %= p
+    phases += jinv  # row c: c j + j^{-1}, the pair (c, 1)
+    classes = np.abs(character_row_sums(ctx, phases, out=chars))
+    candidates = np.flatnonzero(classes >= classes.max() - CHARACTER_SUM_MARGIN) + 1
+    kmax = 0.0
+    for c in candidates.tolist():
+        # row a is the pair (a, c a^{-1}): with k = a j mod p its phase
+        # a j + (c a^{-1} j^{-1} mod p) is k + (c k^{-1} mod p), one lookup in k
+        lookup = np.zeros(p, dtype=np.int64)
+        lookup[1:] = j + c * jinv % p
+        np.multiply(j[:, None], j, out=phases)
+        phases %= p
+        lookup.take(phases, out=phases, mode="clip")  # reads entry i before writing it
+        kmax = max(kmax, float(np.abs(character_row_sums(ctx, phases, out=chars)).max()))
+    return kmax
 
 
 def weil_suite(p: int) -> dict:
@@ -207,18 +226,43 @@ def weil_suite(p: int) -> dict:
     A constant shift multiplies the sum by a unit, so degrees divisible by
     p are skipped rather than twisted around.
 
-    Every sum is one row of a 2-D phase block summed by
-    `character_row_sums`: one (p-1, p) Gauss block, one (p-1, p-1)
-    Kloosterman block per a and one (p, p) Weil block (rows b) per (n, a).
-    Memory is O(p^2) and time O(p^3), about 3 p^3 gathered cells; a prime
-    with 3 p^3 > WEIL_SUITE_MAX_CELLS = 2^32 raises SweepTooLarge before any
-    array is built.  At the cap, p = 1123, the sweep took 15-16 s and 78 MiB
-    peak RSS on one core of a 2-vCPU Xeon VM (p = 211: 0.12 s; p = 701: 3.8 s).
+    The result is the one that sums every pair: one row of a 2-D phase
+    block per character sum, summed by `character_row_sums` (a (p-1, p)
+    Gauss block, a (p-1, p-1) Kloosterman block per a with rows b, a (p, p)
+    Weil block per (n, a) with rows b), about 3 p^3 gathered cells.  Two
+    identities let the suite gather O(p^2) cells instead:
+
+    - K(a, b) = K(ab, 1), by j -> b j.  One block with rows (c, 1) screens
+      the classes c = ab; M is its largest magnitude.  Only a class c with
+      |K(c, 1)| >= M - CHARACTER_SUM_MARGIN gets its p - 1 rows (a, c a^{-1}),
+      and kloosterman_max is the largest magnitude among them.  This is the
+      full sweep's maximum bit for bit: each row has the phases that the full
+      sweep gives the same pair, and `character_row_sums` gives a row the
+      same float whichever block holds it.  The full sweep's maximum V is at
+      least M, since (M's class, 1) is one of its pairs, and the computed
+      magnitudes of one class differ by rounding alone (far below the
+      margin), so the class of V's pair is a candidate.
+    - chi(f + b) = chi(b) chi(f), so |W_n(a, b)| = |W_n(a, 0)|.  One (p, p)
+      block per n, rows a with b = 0, screens the a; only an a whose
+      magnitude exceeds bound - CHARACTER_SUM_MARGIN runs the full sweep's
+      block over b, and its failures are listed as the full sweep lists
+      them.  Every other a has |W_n(a, b)| <= bound - margin + rounding <
+      bound for every b, so the full sweep lists no failure there either.
+
+    At every prime tried (3 to 1123) exactly one Kloosterman class lay
+    within the margin of M and no Weil row came within 0.08 of its bound,
+    so a run gathers about 5 p^2 cells: Gauss p^2, the class screen p^2,
+    one class p^2 and a Weil screen p^2 per degree.  Memory is O(p^2).  The
+    worst case, every class and every a inside the margin, is the full sweep
+    plus the two screens, O(p^3) time; a prime with 3 p^3 >
+    WEIL_SUITE_MAX_CELLS = 2^32 raises SweepTooLarge before any array is
+    built.  On one core of a 2-vCPU Xeon VM the suite takes about 3 ms at
+    p = 211 and 0.1 s at the cap, p = 1123.
     """
     ctx = FieldContext(p, 1)
     if 3 * p**3 > WEIL_SUITE_MAX_CELLS:
         raise SweepTooLarge(
-            f"weil-suite at p = {p} gathers about 3 p^3 = {3 * p**3} cells, "
+            f"weil-suite at p = {p} gathers at most about 3 p^3 = {3 * p**3} cells, "
             f"above the cap {WEIL_SUITE_MAX_CELLS}"
         )
     sqrt_p = math.sqrt(p)
@@ -231,7 +275,7 @@ def weil_suite(p: int) -> dict:
         predicted = eps * legendre(ctx, k) * sqrt_p
         if abs(abs(g) - sqrt_p) > 1e-9 or abs(g - predicted) > 1e-9:
             gauss_bad.append(k)
-    kmax = float(_kloosterman_magnitudes(ctx).max())
+    kmax = _kloosterman_max(ctx)
     kloosterman_ok = kmax <= 2.0 * sqrt_p + 1e-9
     weil_bad = []
     degrees = [n for n in (3, 4) if n % p != 0]
@@ -243,7 +287,11 @@ def weil_suite(p: int) -> dict:
         for _ in range(n - 1):  # x^n mod p without leaving int64
             x_n = x_n * x % p
         bound = (n - 1) * sqrt_p + 1e-9
-        for a in range(p):
+        np.multiply(x[:, None], x, out=phases)
+        phases += x_n
+        phases %= p  # row a: x^n + a x, the pair (a, 0)
+        screen = np.abs(character_row_sums(ctx, phases, out=chars))
+        for a in np.flatnonzero(screen > bound - CHARACTER_SUM_MARGIN).tolist():
             np.add((x_n + a * x) % p, b, out=phases)
             sums = character_row_sums(ctx, phases, out=chars)
             weil_bad.extend([n, a, int(bb)] for bb in np.nonzero(np.abs(sums) > bound)[0])

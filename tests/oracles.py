@@ -4,7 +4,9 @@ Everything here is written for obviousness, not speed: direct double sums
 for transforms, explicit loops for counts, and a dichotomy-materializing
 shattering decider.  None of it shares code with the library internals it
 checks, except `reference_weil_suite`, which pins the row-batched sweep to
-one public character-sum call per sum, `reference_random_search`, which
+one public character-sum call per sum, `block_weil_suite`, which pins the
+screened sweep to one row of `character_row_sums` per pair at primes where
+the per-call reference is too slow, `reference_random_search`, which
 pins the batched random search to one `Generator.choice` call per tuple,
 `reference_sample_subset`, which pins the sampler's swaps to the same
 Philox stream, `reference_vc_bounds`, which pins vc's single walk to one
@@ -30,6 +32,7 @@ from ffsalem import (
     ShatterProblem,
     ShatterWitness,
     TranslateCounts,
+    character_row_sums,
     gauss_sum,
     kloosterman,
     legendre,
@@ -340,6 +343,68 @@ def reference_weil_suite(p: int) -> dict:
         "weil_failures": weil_bad,
     }
 
+
+
+def _block_kloosterman_magnitudes(ctx: FieldContext) -> np.ndarray:
+    """|sum_j chi(a j + b j^{-1})| for all a, b != 0, as a (p-1, p-1) array.
+
+    One (p-1, p-1) phase block per a (rows b, columns j), so memory is O(p^2).
+    """
+    p = ctx.p
+    j = np.arange(1, p, dtype=np.int64)
+    b_jinv = np.arange(1, p, dtype=np.int64)[:, None] * ctx.inverse_table[1:] % p
+    phases = np.empty_like(b_jinv)
+    chars = np.empty(phases.shape, dtype=complex)
+    out = np.empty((p - 1, p - 1))
+    for a in range(1, p):
+        np.add(a * j % p, b_jinv, out=phases)
+        out[a - 1] = np.abs(character_row_sums(ctx, phases, out=chars))
+    return out
+
+
+def block_weil_suite(p: int) -> dict:
+    """presets.weil_suite by the full sweep, one row of a 2-D phase block per
+    character sum and every pair evaluated: one (p-1, p) Gauss block, one
+    (p-1, p-1) Kloosterman block per a and one (p, p) Weil block (rows b)
+    per (n, a), about 3 p^3 gathered cells.  The suite's cost cap is left to
+    the suite."""
+    ctx = FieldContext(p, 1)
+    sqrt_p = math.sqrt(p)
+    eps = ctx.epsilon_q
+    x = np.arange(p, dtype=np.int64)
+    ks = np.arange(1, p, dtype=np.int64)[:, None]
+    gauss = character_row_sums(ctx, ks * (x * x % p) % p)
+    gauss_bad = []
+    for k, g in enumerate(gauss.tolist(), start=1):
+        predicted = eps * legendre(ctx, k) * sqrt_p
+        if abs(abs(g) - sqrt_p) > 1e-9 or abs(g - predicted) > 1e-9:
+            gauss_bad.append(k)
+    kmax = float(_block_kloosterman_magnitudes(ctx).max())
+    kloosterman_ok = kmax <= 2.0 * sqrt_p + 1e-9
+    weil_bad = []
+    degrees = [n for n in (3, 4) if n % p != 0]
+    b = x[:, None]
+    phases = np.empty((p, p), dtype=np.int64)
+    chars = np.empty((p, p), dtype=complex)
+    for n in degrees:
+        x_n = x
+        for _ in range(n - 1):  # x^n mod p without leaving int64
+            x_n = x_n * x % p
+        bound = (n - 1) * sqrt_p + 1e-9
+        for a in range(p):
+            np.add((x_n + a * x) % p, b, out=phases)
+            sums = character_row_sums(ctx, phases, out=chars)
+            weil_bad.extend([n, a, int(bb)] for bb in np.nonzero(np.abs(sums) > bound)[0])
+    ok = not gauss_bad and kloosterman_ok and not weil_bad
+    return {
+        "pass": ok,
+        "p": p,
+        "gauss_failures": gauss_bad,
+        "kloosterman_max": kmax,
+        "kloosterman_bound": 2.0 * sqrt_p,
+        "weil_degrees": degrees,
+        "weil_failures": weil_bad,
+    }
 
 def reference_walk(problem, anchored: bool, budget: int, stats):
     """shatter._walk as it was before it skipped positions: every position of

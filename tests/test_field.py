@@ -19,8 +19,9 @@ from ffsalem import (
     legendre,
     weil_poly_sum,
 )
+from ffsalem import presets
 from ffsalem.presets import weil_suite
-from oracles import reference_weil_suite
+from oracles import block_weil_suite, reference_weil_suite
 
 F5 = FieldContext(5, 2)
 F7 = FieldContext(7, 1)
@@ -172,6 +173,27 @@ def test_kloosterman_zero_parameter():
         kloosterman(F5, 1, 5)  # 5 = 0 mod 5
 
 
+def test_kloosterman_depends_only_on_the_product():
+    # j -> b j gives K(a, b) = K(ab, 1), the identity weil_suite's class screen rests on
+    for p in (5, 7, 11, 13):
+        ctx = FieldContext(p, 1)
+        for a in range(1, p):
+            for b in range(1, p):
+                assert abs(kloosterman(ctx, a, b) - kloosterman(ctx, a * b % p, 1)) < 1e-12
+
+
+def test_weil_magnitude_does_not_depend_on_the_constant_term():
+    # chi(f + b) = chi(b) chi(f), so |W_n(a, b)| = |W_n(a, 0)|: weil_suite's row screen
+    for p in (5, 7, 11, 13):
+        ctx = FieldContext(p, 1)
+        for n in (3, 4):
+            for a in range(p):
+                unshifted = abs(weil_poly_sum(ctx, [0, a] + [0] * (n - 2) + [1]))
+                for b in range(p):
+                    shifted = abs(weil_poly_sum(ctx, [b, a] + [0] * (n - 2) + [1]))
+                    assert abs(shifted - unshifted) < 1e-12
+
+
 def test_weil_poly_sum_examples():
     assert abs(weil_poly_sum(F5, [0, 1])) < 1e-9
     assert weil_poly_sum(F5, [0, 0, 1]) == pytest.approx(gauss_sum(F5, 1), abs=1e-12)
@@ -227,6 +249,48 @@ def test_roots_of_unity_table():
 def test_weil_suite_matches_per_call_reference(p):
     # == on the dict: kloosterman_max must agree to the last bit
     assert weil_suite(p) == reference_weil_suite(p)
+
+
+@pytest.mark.parametrize("p", [101, 211, 401])
+def test_weil_suite_matches_the_full_block_sweep(p):
+    # == on the dict: the screens return the full sweep's kloosterman_max to the last bit
+    assert weil_suite(p) == block_weil_suite(p)
+
+
+def _count_gathered_cells(monkeypatch) -> list:
+    """Count the phases weil_suite gathers, in a one-element list."""
+    cells = [0]
+
+    def counted(ctx, phases, out=None):
+        cells[0] += phases.size
+        return character_row_sums(ctx, phases, out=out)
+
+    monkeypatch.setattr(presets, "character_row_sums", counted)
+    return cells
+
+
+def test_weil_suite_gathers_quadratically_many_cells(monkeypatch):
+    # Gauss p^2, the class screen p^2, one candidate class p^2, a Weil screen
+    # p^2 per degree: about 5 p^2 against the full sweep's 3 p^3
+    p = 211
+    cells = _count_gathered_cells(monkeypatch)
+    weil_suite(p)
+    assert cells[0] <= 6 * p * p
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31, 101])
+def test_weil_suite_with_every_screen_open_is_the_full_sweep(monkeypatch, p):
+    # an infinite margin sends every class and every (n, a) to the full rows:
+    # the fallback gives the same dict, at the full sweep's cost plus the screens
+    monkeypatch.setattr(presets, "CHARACTER_SUM_MARGIN", math.inf)
+    cells = _count_gathered_cells(monkeypatch)
+    result = weil_suite(p)
+    want = reference_weil_suite(p) if p <= 31 else block_weil_suite(p)
+    assert result == want
+    degrees = len(result["weil_degrees"])
+    full_sweep = (p - 1) * p + (p - 1) ** 3 + degrees * p**3
+    screens = (p - 1) ** 2 + degrees * p**2
+    assert cells[0] == full_sweep + screens
 
 
 @pytest.mark.parametrize("p", [7, 31, 211])
