@@ -1,20 +1,27 @@
 """Exact intersection and incidence combinatorics for dense point sets.
 
-Every count here is an exact integer.  A whole table of sums a + b over
-A x B in Z_p^d (A x (-A) for translate overlaps) is taken by one of two
-routes picked from the input size.  When |A| |B| <= C q^d (C =
-PAIR_ROUTE_RATIO), as for a curve against a curve, every pair is listed and
-its sum's index counted.  Otherwise a real-FFT cyclic convolution is
-rounded to integers, and a value 0.25 or more from every integer is an
-internal error, never a rounded answer.  A reader that needs the counts of
-x + u in E only over x in E and a list of shifts u (edge counts, the
-densest shift, E*S on E's own points for triple counts and pruning) takes a
-third route when |E| times the number of shifts is at most G q^d (G =
-GATHER_ROUTE_RATIO) and d <= GATHER_MAX_DIM: one gather per pair from a
-tiled copy of E, with no table of the group's counts.  The full group's
-counts are closed forms and take no route.
-EdgeCountReport.fourier_side stays alongside as a Fourier cross-check,
-computed only when it is read.
+Every count here is an exact integer, and every one counts sums: the pairs
+(a, b) in A x B with a + sign b = x, for sign = +-1.  E*S is the table of
+E x S; the translate overlaps |E ^ (E - u)| behind intersection profiles,
+edge counts and the densest shift are the table of E x E with sign -1.
+Two readers choose how a count is taken:
+
+- _sums(A, B, sign), the whole q^d table.  When |A| |B| <= C q^d (C =
+  PAIR_ROUTE_RATIO), as for a curve against a curve, every pair is listed
+  and its sum's index counted.  Otherwise a real-FFT cyclic convolution is
+  rounded to integers, from one transform when B is A; a value 0.25 or
+  more from every integer is an internal error, never a rounded answer.
+- _sums_at(A, B, sign, points), the same counts at a list of indices (E*S
+  on E's own points for triple counts and pruning, overlaps at S's shifts
+  for edge counts and the densest shift).  When |points| |B| <= G q^d (G =
+  GATHER_ROUTE_RATIO) and d <= GATHER_MAX_DIM, one gather per pair from a
+  tiled copy of A answers with no table of the group's counts; otherwise
+  the table is read at the points.
+
+When A is the whole group every count is |B|, a closed form that takes
+neither route; prune and _overlaps_at answer the full group before they
+read.  EdgeCountReport.fourier_side stays alongside as a Fourier
+cross-check, computed only when it is read.
 """
 
 from __future__ import annotations
@@ -31,17 +38,21 @@ from .field import FieldContext
 from .pointset import PointSet, _log_factor, fourier_spectrum
 
 
-def _cyclic_convolution(f: np.ndarray, g: np.ndarray | None, ctx: FieldContext) -> np.ndarray:
-    """(f * g)(x) = sum_s f(x - s) g(s) for every x, in index order, as floats.
+def _cyclic_convolution(
+    f: np.ndarray, g: np.ndarray, ctx: FieldContext, sign: int = 1
+) -> np.ndarray:
+    """sum of f(a) g(b) over a + sign b = x, for every x in index order, as floats.
 
-    g=None gives the autocorrelation sum_y f(y) f(y + x) from |f^|^2.
+    g reflected (sign -1) has the conjugate of g's transform; g is f then
+    gives the real product |f^|^2 from one transform.
     """
     axes = tuple(range(ctx.d))
     f_hat = np.fft.rfftn(f.reshape(ctx.grid_shape), axes=axes)
-    if g is None:
+    if g is f and sign < 0:
         product = np.abs(f_hat) ** 2
     else:
-        product = f_hat * np.fft.rfftn(g.reshape(ctx.grid_shape), axes=axes)
+        g_hat = f_hat if g is f else np.fft.rfftn(g.reshape(ctx.grid_shape), axes=axes)
+        product = f_hat * (g_hat if sign > 0 else g_hat.conj())
     return np.fft.irfftn(product, s=ctx.grid_shape, axes=axes).reshape(ctx.order)
 
 
@@ -63,11 +74,6 @@ def _exact(values: np.ndarray) -> np.ndarray:
 PAIR_ROUTE_RATIO = 5
 
 
-def _pairs_are_cheaper(A: PointSet, B: PointSet) -> bool:
-    """Whether listing the |A| |B| pairs costs less than transforming q^d cells."""
-    return A.size * B.size <= PAIR_ROUTE_RATIO * A.context.order
-
-
 def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """counts[index(x)] = |{(s, t) : s + t = x}| over the rows s of a and t of b,
     coordinate arrays of shape (n, d) with entries in [0, p), by listing every pair.
@@ -83,77 +89,89 @@ def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _overlaps(E: PointSet) -> np.ndarray:
-    """overlaps[index(u)] = |E ^ (E - u)| = sum_y E(y) E(y + u).
-
-    The full group overlaps every translate of itself in all q^d points."""
-    ctx = E.context
-    if E.size == ctx.order:
-        return np.full(ctx.order, ctx.order, dtype=np.int64)
-    if _pairs_are_cheaper(E, E):
-        a = ctx.coords_of(E.indices())
-        return _pair_counts(ctx, a, -a % ctx.p)
-    return _exact(_cyclic_convolution(E.membership, None, ctx))
-
-
 # Gathering against a whole table, both exact: the gather route wins while
-# |E| n <= G q^d for n shifts.  Measured on one core of a 2-vCPU Xeon VM
+# n |B| <= G q^d for n points.  Measured on one core of a 2-vCPU Xeon VM
 # (numpy 2.4, random E against a sphere's shifts, best of 5), where the
-# other route is the FFT: edge counts (n = |S| / 2) take equal time at G = 45,
-# 38 and 27 in the plane (p = 409, 1009, 2039) and at G = 21, 45 and 40 for
-# d = 3 (p = 31, 61, 101); E*S on E (n = |S|) at G = 60, 48, 30 and 28, 50,
-# 45.  Against pair listing the gathers win wherever the two both run,
-# except for overlaps of an E of fewer than about n / 4 points, where the
-# pair route lists |E|^2 pairs and wins by at most 2 ms in the plane
-# (p = 409 ... 2039) and 8.5 ms for d = 3 (p = 101, |E| = 515): too little
-# to route on.  At d = 4 edge counts tie with the FFT near G = 13 (p = 11,
-# 13), 24 (p = 17) and 16 (p = 23, 31), and at d = 5 near 12 (p = 11, 17),
-# so G = 16 is not below every crossover there; the tiled copy of E also
-# takes 2^d bytes a cell of the group.  The gathers stop at d = 3.
+# other route is the FFT: edge counts (n = |S| / 2 shifts, B = E) take equal
+# time at G = 45, 38 and 27 in the plane (p = 409, 1009, 2039) and at G = 21,
+# 45 and 40 for d = 3 (p = 31, 61, 101); E*S on E (n = |E|, B = S) at G = 60,
+# 48, 30 and 28, 50, 45.  Against pair listing the gathers win wherever the
+# two both run, except for overlaps of an E of fewer than about n / 4
+# points, where the pair route lists |E|^2 pairs and wins by at most 2 ms in
+# the plane (p = 409 ... 2039) and 8.5 ms for d = 3 (p = 101, |E| = 515):
+# too little to route on.  At d = 4 edge counts tie with the FFT near G = 13
+# (p = 11, 13), 24 (p = 17) and 16 (p = 23, 31), and at d = 5 near 12 (p =
+# 11, 17), so G = 16 is not below every crossover there; the tiled copy of A
+# also takes 2^d bytes a cell of the group.  The gathers stop at d = 3.
 GATHER_ROUTE_RATIO = 16
 GATHER_MAX_DIM = 3
 GATHER_BLOCK = 1 << 18  # gathered pairs per block
 
 
-def _gather_is_cheaper(E: PointSet, n_shifts: int) -> bool:
-    """Whether gathering |E| n_shifts pairs costs less than a q^d table."""
-    ctx = E.context
-    return ctx.d <= GATHER_MAX_DIM and E.size * n_shifts <= GATHER_ROUTE_RATIO * ctx.order
+def _gathered_sums(A: PointSet, B: PointSet, sign: int, points: np.ndarray) -> np.ndarray:
+    """|{b in B : x - sign b in A}| at each point index x, by one gather per pair.
 
-
-def _translate_hits(E: PointSet, shifts: np.ndarray, per_shift: bool) -> np.ndarray:
-    """Counts of the pairs (x, u), x in E and u a shift index, with x + u in E.
-
-    per_shift: out[j] = |{x in E : x + u_j in E}| = |E ^ (E - u_j)|.
-    Otherwise out[i] = |{j : x_i + u_j in E}| for E's points x_i in index order.
-    E is tiled 2 x ... x 2 times, so tiled[base(y)] = E(y mod p) for y in
-    [0, 2p)^d, base(y) = sum y_i (2p)^(i-1): the sum x + u of two residues
-    needs no reduction, and its membership is one gather at base(x) + base(u).
-    For 20 000 random points against a circle at p = 1009 this takes 28 ms,
-    against 53 ms for E.membership[ctx.sum_index(u, x)], which reduces each
-    coordinate sum through a table.
+    A is tiled 2 x ... x 2 times, so tiled[base(y)] = A(y mod p) for y in
+    [0, 2p)^d, base(y) = sum y_i (2p)^(i-1): the sum of x and -sign b, two
+    residues, needs no reduction, and its membership is one gather at
+    base(x) + base(-sign b).  Each block takes its rows from the shorter of
+    the two lists and its columns from the longer.  For 20 000 random points
+    against a circle at p = 1009 this takes 28 ms, against 53 ms for
+    A.membership[ctx.sum_index(...)], which reduces each coordinate sum
+    through a table.
     """
-    ctx = E.context
+    ctx = A.context
     radix = (2 * ctx.p) ** np.arange(ctx.d, dtype=np.int64)
-    tiled = np.tile(E.grid(), (2,) * ctx.d).ravel()
-    base = ctx.coords_of(E.indices()) @ radix
-    offsets = ctx.coords_of(shifts) @ radix
-    out = np.zeros(len(offsets) if per_shift else E.size, dtype=np.int64)
-    rows = max(1, GATHER_BLOCK // max(1, E.size))
-    for start in range(0, len(offsets), rows):
-        hits = tiled.take(offsets[start : start + rows, None] + base, mode="clip")
-        if per_shift:
-            out[start : start + rows] = np.count_nonzero(hits, axis=1)
+    tiled = np.tile(A.grid(), (2,) * ctx.d).ravel()
+    base = ctx.coords_of(points) @ radix
+    b = ctx.coords_of(B.indices())
+    offsets = (b if sign < 0 else -b % ctx.p) @ radix
+    per_row = len(base) <= len(offsets)
+    rows, cols = (base, offsets) if per_row else (offsets, base)
+    out = np.zeros(len(base), dtype=np.int64)
+    step = max(1, GATHER_BLOCK // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        hits = tiled.take(rows[start : start + step, None] + cols, mode="clip")
+        if per_row:
+            out[start : start + step] = np.count_nonzero(hits, axis=1)
         else:
             out += np.count_nonzero(hits, axis=0)
     return out
 
 
-def _overlaps_at(E: PointSet, shifts: np.ndarray) -> np.ndarray:
-    """|E ^ (E - u)| at each shift index u, as _overlaps(E)[shifts].
+def _sums(A: PointSet, B: PointSet, sign: int = 1) -> np.ndarray:
+    """counts[index(x)] = |{(a, b) in A x B : a + sign b = x}| for every x,
+    sign = +-1: E*S for A x B = E x S, and |E ^ (E - x)| for E x E, sign -1."""
+    ctx = A.context
+    if ctx != B.context:
+        raise ValueError("point sets live over different contexts")
+    if A.size == ctx.order:  # every x - sign b lies in the full group
+        return np.full(ctx.order, B.size, dtype=np.int64)
+    if A.size * B.size <= PAIR_ROUTE_RATIO * ctx.order:
+        a = ctx.coords_of(A.indices())
+        b = a if B is A else ctx.coords_of(B.indices())
+        return _pair_counts(ctx, a, b if sign > 0 else -b % ctx.p)
+    return _exact(_cyclic_convolution(A.membership, B.membership, ctx, sign))
 
-    u and -u overlap alike, so each pair of them is gathered once.  On the
-    full group every overlap is q^d, with no table."""
+
+def _sums_at(A: PointSet, B: PointSet, sign: int, points: np.ndarray) -> np.ndarray:
+    """_sums(A, B, sign)[points], gathered with no table of the group's counts
+    while that is the cheaper route."""
+    ctx = A.context
+    if ctx != B.context:
+        raise ValueError("point sets live over different contexts")
+    if A.size == ctx.order:
+        return np.full(len(points), B.size, dtype=np.int64)
+    if ctx.d <= GATHER_MAX_DIM and len(points) * B.size <= GATHER_ROUTE_RATIO * ctx.order:
+        return _gathered_sums(A, B, sign, points)
+    return _sums(A, B, sign)[points]
+
+
+def _overlaps_at(E: PointSet, shifts: np.ndarray) -> np.ndarray:
+    """|E ^ (E - u)| at each shift index u.  u and -u overlap alike, so each
+    pair of them is read once.  On the full group every overlap is q^d,
+    answered before the pairing: its np.unique, the first one of a
+    construct3 run, left 0.3 MiB more resident at p = 1009."""
     ctx = E.context
     if E.size == ctx.order:
         return np.full(len(shifts), ctx.order, dtype=np.int64)
@@ -161,9 +179,7 @@ def _overlaps_at(E: PointSet, shifts: np.ndarray) -> np.ndarray:
     reps, back = np.unique(
         np.minimum(shifts, ctx.indices_of(-ctx.coords_of(shifts))), return_inverse=True
     )
-    if _gather_is_cheaper(E, len(reps)):
-        return _translate_hits(E, reps, per_shift=True)[back]
-    return _overlaps(E)[shifts]
+    return _sums_at(E, E, -1, reps)[back]
 
 
 def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
@@ -190,24 +206,7 @@ class ConvolutionTable:
 
 
 def convolve(E: PointSet, S: PointSet) -> ConvolutionTable:
-    ctx = E.context
-    if ctx != S.context:
-        raise ValueError("point sets live over different contexts")
-    if _pairs_are_cheaper(E, S):
-        return ConvolutionTable(
-            ctx, _pair_counts(ctx, ctx.coords_of(E.indices()), ctx.coords_of(S.indices()))
-        )
-    return ConvolutionTable(ctx, _exact(_cyclic_convolution(E.membership, S.membership, ctx)))
-
-
-def _convolution_on(E: PointSet, S: PointSet) -> np.ndarray:
-    """E*S(x) = |{s in S : x - s in E}| at E's points x in index order."""
-    ctx = E.context
-    if ctx != S.context:
-        raise ValueError("point sets live over different contexts")
-    if _gather_is_cheaper(E, S.size):
-        return _translate_hits(E, ctx.indices_of(-ctx.coords_of(S.indices())), per_shift=False)
-    return convolve(E, S).values[E.membership]
+    return ConvolutionTable(E.context, _sums(E, S))
 
 
 def distance_set(E: PointSet) -> set:
@@ -282,7 +281,7 @@ def triple_count(E: PointSet, S: PointSet) -> int:
     |{(y1, y2, x) in E^3 : x - y1 in S and x - y2 in S}|."""
     if E.size == 0:
         raise EmptySet("triple count over an empty set E")
-    return int((_convolution_on(E, S).astype(object) ** 2).sum())
+    return int((_sums_at(E, S, 1, E.indices()).astype(object) ** 2).sum())
 
 
 # -- weighted bilinear form ------------------------------------------------------
@@ -375,7 +374,7 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
     if S.size == 0:
         raise EmptySet("intersection profile of the empty set")
     ctx = S.context
-    flat = _overlaps(S)
+    flat = _sums(S, S, -1)
     nontrivial = flat[1:]
     counts = np.bincount(nontrivial)  # ends at the largest size, max_size
     return IntersectionProfile(
@@ -407,7 +406,7 @@ def triple_overlap_max(S: PointSet, stop_at: int | None = None) -> int | None:
     TRIPLE_COST_CAP pairs and cells.
     """
     ctx = S.context
-    overlaps = _overlaps(S)
+    overlaps = _sums(S, S, -1)
     shifts = np.flatnonzero(overlaps[1:]) + 1
     shifts = shifts[shifts < ctx.indices_of(-ctx.coords_of(shifts) % ctx.p)]
     shifts = shifts[np.argsort(-overlaps[shifts], kind="stable")]
@@ -444,7 +443,7 @@ def prune(E: PointSet, S: PointSet, M: int) -> PointSet:
         return E if S.size > M else PointSet.empty(E.context)
     members = E.indices()
     kept = np.zeros(E.context.order, dtype=bool)
-    kept[members[_convolution_on(E, S) > M]] = True
+    kept[members[_sums_at(E, S, 1, members) > M]] = True
     return PointSet._adopt(E.context, kept)
 
 

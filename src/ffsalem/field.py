@@ -175,9 +175,6 @@ class FieldContext:
         r.setflags(write=False)
         return r
 
-    def chi(self, a: int) -> complex:
-        return complex(self.roots[a % self.p])
-
     @cached_property
     def epsilon_q(self) -> complex:
         """Normalized quadratic Gauss sum g(1) / (eta(1) * sqrt(p))."""

@@ -205,9 +205,6 @@ class SpectrumTable:
     def value_at(self, m: Sequence[int]) -> complex:
         return complex(self.values[self.context.index_of(m)])
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
     @property
     def max_nontrivial(self) -> float:
         """max over m != 0 of |S^(m)|."""

@@ -24,12 +24,13 @@ from ffsalem import (
 )
 from ffsalem import analysis
 from ffsalem.analysis import (
-    _convolution_on,
     _cyclic_convolution,
     _exact,
-    _overlaps,
+    _gathered_sums,
     _overlaps_at,
     _pair_counts,
+    _sums,
+    _sums_at,
 )
 from ffsalem.randomsets import sample_subset
 from oracles import (
@@ -81,17 +82,18 @@ def test_convolve_matches_brute(p, d):
         assert conv.at(pt) == val
 
 
-def test_fft_exactness_guard(monkeypatch):
+def test_fft_exactness_guard(monkeypatch, transforms):
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.3)
+    # dense sets too large for the pair route, short of the full group, whose
+    # counts are closed forms
+    E = random_set(F7, 40, seed=7)
     S = sphere(F7, 1).points
     with pytest.raises(AssertionError, match="internal error"):
-        convolve(PointSet.full(F7), S)
-    # a set too large for the pair route, so the autocorrelation is transformed
-    E = random_set(F7, 30, seed=7)
-    assert not analysis._pairs_are_cheaper(E, E)
+        convolve(E, S)
     with pytest.raises(AssertionError, match="internal error"):
         intersection_profile(E)
+    assert transforms == [False, True]  # E*S, then the autocorrelation of E
 
 
 def test_convolve_context_mismatch():
@@ -132,11 +134,13 @@ FULL_E_FIELDS = [(7, 1), (5, 2), (7, 2), (3, 3)]
 def test_full_e_closed_forms_match_fft(p, d):
     ctx = FieldContext(p, d)
     full = PointSet.full(ctx)
-    fft_overlaps = _exact(_cyclic_convolution(full.membership, None, ctx))
-    assert np.array_equal(_overlaps(full), fft_overlaps)
+    fft_overlaps = _exact(_cyclic_convolution(full.membership, full.membership, ctx, -1))
+    assert np.array_equal(_sums(full, full, -1), fft_overlaps)
     for seed in (1, 2):
         S = random_set(ctx, ctx.order // (2 + seed), seed=seed + 10 * p + d)
         counts = _exact(_cyclic_convolution(full.membership, S.membership, ctx))
+        assert np.array_equal(convolve(full, S).values, counts)
+        assert np.array_equal(_sums_at(full, S, 1, S.indices()), counts[S.indices()])
         for M in (-1, 0, S.size - 1, S.size, ctx.order):
             assert prune(full, S, M) == PointSet(ctx, full.membership & (counts > M))
 
@@ -153,35 +157,78 @@ def test_edge_count_nu_matches_brute_asymmetric_s(p, d):
         assert edge_count(full, S).nu == brute_edge_count(full, S) == ctx.order * S.size
 
 
+# -- which kernel answers ------------------------------------------------------
+
+
 @pytest.fixture
 def transforms(monkeypatch):
-    """Records, per _cyclic_convolution call, whether it was an autocorrelation."""
+    """Records, per _cyclic_convolution call, whether it took one transform (g is f)."""
     calls = []
 
-    def counted(f, g, ctx):
-        calls.append(g is None)
-        return _cyclic_convolution(f, g, ctx)
+    def counted(f, g, ctx, sign=1):
+        calls.append(g is f)
+        return _cyclic_convolution(f, g, ctx, sign)
 
     monkeypatch.setattr(analysis, "_cyclic_convolution", counted)
     return calls
 
 
-def test_dense_counts_skip_closed_form_transforms(transforms, monkeypatch):
+@pytest.fixture
+def listings(monkeypatch):
+    """Records the (|a|, |b|) of each _pair_counts call."""
+    calls = []
+
+    def counted(ctx, a, b):
+        calls.append((len(a), len(b)))
+        return _pair_counts(ctx, a, b)
+
+    monkeypatch.setattr(analysis, "_pair_counts", counted)
+    return calls
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Records, per _gathered_sums call, whether it read differences (sign -1)."""
+    calls = []
+
+    def counted(A, B, sign, points):
+        calls.append(sign < 0)
+        return _gathered_sums(A, B, sign, points)
+
+    monkeypatch.setattr(analysis, "_gathered_sums", counted)
+    return calls
+
+
+def test_dense_counts_skip_closed_form_transforms(transforms, listings, monkeypatch):
     calls = transforms
     S = sphere(F11, 1).points
     full = PointSet.full(F11)
-    assert build_cube(prune(full, S, 3), S) is not None
+    assert prune(full, S, 3) is full
+    assert build_cube(full, S) is not None
     assert edge_count(full, S).nu == F11.order * S.size
-    assert calls == []  # the full plane needs no transform at all
+    assert triple_count(full, S) == F11.order * S.size**2
+    assert calls == [] and listings == []  # the full plane needs no kernel at all
     intersection_profile(S)
     convolve(random_set(F11, S.size, seed=3), S)
-    assert calls == []  # curve-sized counts list their pairs
+    assert calls == [] and len(listings) == 2  # curve-sized counts list their pairs
     E = random_set(F11, 40, seed=4)
     nu = edge_count(E, S).nu
-    assert calls == []  # 40 points at 6 shifts are gathered
+    assert calls == [] and len(listings) == 2  # 40 points at 6 shifts are gathered
     monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
     assert edge_count(E, S).nu == nu
     assert calls == [True]  # without the gathers, nu from one autocorrelation of E
+
+
+def test_bench_jobs_keep_their_routes(transforms, listings, gathers):
+    ctx = FieldContext(1009, 2)
+    S = sphere(ctx, 1).points
+    edge_count(sample_subset(ctx, 20_000, seed=1), S)
+    assert (gathers, listings, transforms) == ([True], [], [])  # edge-count gathers
+    intersection_profile(S)
+    assert (listings, transforms) == ([(S.size, S.size)], [])  # a curve lists its pairs
+    listings.clear()
+    intersection_profile(sample_subset(FieldContext(101, 2), 1015, seed=1))
+    assert (listings, transforms) == ([], [True])  # a random-trials set is transformed
 
 
 # d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle
@@ -222,22 +269,24 @@ def test_pair_counts_match_fft_and_brute(p, d):
         assert [brute[ctx.point_at(i)] for i in range(ctx.order)] == fft.tolist(), name
         assert np.array_equal(_pair_counts(ctx, coords(A), coords(B)), fft), name
         assert np.array_equal(convolve(A, B).values, fft), name
-        # overlaps count the sums a + b over A x (-A)
-        autocorrelation = _exact(_cyclic_convolution(A.membership, None, ctx))
+        # overlaps count the sums a - b over A x A
+        autocorrelation = _exact(_cyclic_convolution(A.membership, A.membership, ctx, -1))
         negated = _pair_counts(ctx, coords(A), coords(A.negate()))
         assert np.array_equal(negated, autocorrelation), name
-        assert np.array_equal(_overlaps(A), autocorrelation), name
+        assert np.array_equal(_sums(A, A, -1), autocorrelation), name
 
 
 @pytest.mark.parametrize("p, d", PAIR_FIELDS)
-def test_pair_route_runs_up_to_the_crossover(p, d, transforms):
+def test_pair_route_runs_up_to_the_crossover(p, d, transforms, listings):
     ctx = FieldContext(p, d)
     for offset, expected in ((-1, []), (0, []), (1, [False])):
         A, B = sets_near_crossover(ctx, offset, seed=offset + 3)
         assert A.size * B.size - analysis.PAIR_ROUTE_RATIO * ctx.order == offset * B.size
         transforms.clear()
+        listings.clear()
         convolve(A, B)
         assert transforms == expected, offset
+        assert len(listings) == (not expected), offset
 
 
 @pytest.mark.parametrize(
@@ -262,14 +311,13 @@ def test_pair_counts_across_block_boundaries(p, d, a_size, b_size):
     assert int(fft.sum()) == a_size * b_size
 
 
-def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch):
+def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch, transforms, listings):
     import tracemalloc
 
     ctx = FieldContext(1009, 2)
     S = sphere(ctx, 1).points
     # 2p random points: |A|^2 = 4 q^d pairs, four blocks
     A = random_set(ctx, 2 * ctx.p, seed=9)
-    assert analysis._pairs_are_cheaper(S, S) and analysis._pairs_are_cheaper(A, A)
 
     def traced(X):
         tracemalloc.start()
@@ -280,32 +328,79 @@ def test_pair_route_peaks_no_higher_than_the_fft_route(monkeypatch):
             tracemalloc.stop()
 
     pair_runs = [traced(S), traced(A)]
+    assert len(listings) == 2 and transforms == []
     monkeypatch.setattr(analysis, "PAIR_ROUTE_RATIO", 0)
-    assert not analysis._pairs_are_cheaper(S, S)
     fft_runs = [traced(S), traced(A)]
+    assert len(listings) == 2 and transforms == [True, True]
     for (pair_profile, pair_peak), (fft_profile, fft_peak) in zip(pair_runs, fft_runs):
         assert pair_profile == fft_profile
         assert pair_peak <= fft_peak
+
+
+# routes forced by the ratios: (PAIR_ROUTE_RATIO, GATHER_ROUTE_RATIO)
+FORCED_ROUTES = {"pairs": (10**9, 0), "gather": (0, 10**9), "transform": (0, 0)}
+
+
+@pytest.mark.parametrize("route", FORCED_ROUTES)
+@pytest.mark.parametrize("p, d", [(7, 1), (7, 2), (5, 3)])
+def test_differences_with_an_asymmetric_set(
+    p, d, route, monkeypatch, transforms, listings, gathers
+):
+    """a - b over A x B with B != -B, by each route, against the brute E*S
+    with S = -B."""
+    ctx = FieldContext(p, d)
+    A = random_set(ctx, ctx.order // 2, seed=p + d)
+    B = random_set(ctx, ctx.order // 4 + 1, seed=p + d + 1)
+    assert B != B.negate()
+    points = random_set(ctx, ctx.order // 3, seed=p + d + 2).indices()
+    brute = brute_convolution(A, B.negate())
+    table = [brute[ctx.point_at(i)] for i in range(ctx.order)]
+    pair_ratio, gather_ratio = FORCED_ROUTES[route]
+    monkeypatch.setattr(analysis, "PAIR_ROUTE_RATIO", pair_ratio)
+    monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", gather_ratio)
+    assert _sums(A, B, -1).tolist() == table
+    assert _sums_at(A, B, -1, points).tolist() == [table[i] for i in points]
+    expected = {
+        "pairs": ([(A.size, B.size)] * 2, [], []),
+        "gather": ([], [True], [False]),
+        "transform": ([], [], [False, False]),
+    }
+    assert (listings, gathers, transforms) == expected[route]
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 4)])
+def test_counts_past_the_gather_dimension_read_the_table(p, d, monkeypatch, transforms, gathers):
+    ctx = FieldContext(p, d)
+    assert d > analysis.GATHER_MAX_DIM
+    # the dimension alone stops the gathers
+    monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 10**9)
+    E = random_set(ctx, 40 if p == 3 else 60, seed=p)
+    S = random_set(ctx, 20 if p == 3 else 60, seed=p + 1)
+    assert not S.is_symmetric()
+    conv = brute_convolution(E, S)
+    assert convolve(E, S).values.tolist() == [conv[ctx.point_at(i)] for i in range(ctx.order)]
+    assert edge_count(E, S).nu == brute_edge_count(E, S)
+    on_e = [conv[x] for x in E]
+    assert triple_count(E, S) == sum(c * c for c in on_e)
+    for M in (0, 1, max(on_e)):
+        assert prune(E, S, M) == PointSet.from_points(ctx, [x for x, c in zip(E, on_e) if c > M])
+    # |E ^ (E - v)| = |{y in -E : v - y in E}|
+    overlaps = brute_convolution(E.negate(), E)
+    nontrivial = [overlaps[ctx.point_at(i)] for i in range(1, ctx.order)]
+    profile = intersection_profile(E)
+    assert profile.at_zero == E.size
+    assert profile.histogram == {s: nontrivial.count(s) for s in set(nontrivial)}
+    assert profile.max_size == max(nontrivial)
+    assert profile.argmax == ctx.point_at(1 + nontrivial.index(profile.max_size))
+    assert gathers == []
+    # convolve, the overlaps, E*S for the triple count and the prunings, the profile
+    assert transforms == [False, True, False, False, False, False, True]
 
 
 # -- the gather route ---------------------------------------------------------
 
 GATHER_FIELDS = [(31, 1), (7, 2), (31, 2), (5, 3), (7, 3)]
 ROUTES = ("gather", "table")
-
-
-@pytest.fixture
-def gathers(monkeypatch):
-    """Records the per_shift flag of each _translate_hits call."""
-    calls = []
-    hits = analysis._translate_hits
-
-    def counted(E, shifts, per_shift):
-        calls.append(per_shift)
-        return hits(E, shifts, per_shift)
-
-    monkeypatch.setattr(analysis, "_translate_hits", counted)
-    return calls
 
 
 def force_route(monkeypatch, route):
@@ -353,15 +448,15 @@ def test_gather_route_matches_table_route_and_brute(p, d, monkeypatch, gathers):
                 force_route(m, route)
                 gathers.clear()
                 assert edge_count(E, S).nu == nu, (name, route)
-                assert _overlaps_at(E, shifts).tolist() == _overlaps(E)[shifts].tolist()
-                assert _convolution_on(E, S).tolist() == conv, (name, route)
+                assert _overlaps_at(E, shifts).tolist() == _sums(E, E, -1)[shifts].tolist()
+                assert _sums_at(E, S, 1, E.indices()).tolist() == conv, (name, route)
                 assert triple_count(E, S) == triple, (name, route)
                 for M in (-1, 0, 1, max(conv, default=0)):
                     kept = [x for x, c in zip(E, conv) if c > M]
                     assert prune(E, S, M) == PointSet.from_points(ctx, kept), (name, route, M)
-                # two overlap reads, then E*S for the triple count and 4 prunings;
-                # the full group's overlaps and its pruning are closed forms
-                expected = [False] * 2 if E.size == ctx.order else [True] * 2 + [False] * 6
+                # two overlap reads, then E*S on E, for the triple count and 4
+                # prunings; every count over the full group is a closed form
+                expected = [] if E.size == ctx.order else [True] * 2 + [False] * 6
                 assert gathers == (expected if route == "gather" else []), (name, route)
 
 
@@ -394,34 +489,34 @@ def test_gather_route_runs_up_to_the_ratio(monkeypatch, gathers, transforms):
         assert E.size * 31 - ratio * ctx.order == offset * 31
         gathers.clear()
         edge_count(E, S)  # 31 pairs +-u
-        _convolution_on(E, half)  # 31 shifts
+        _sums_at(E, half, 1, E.indices())  # 31 shifts
         assert gathers == expected, offset
     assert transforms == [True, False]  # above the ratio, E*S is not listed in pairs
 
 
-@pytest.mark.parametrize("per_shift", [True, False])
+@pytest.mark.parametrize("per_row", [True, False])
 @pytest.mark.parametrize("p, d", [(31, 1), (7, 2), (5, 3)])
-def test_gathers_across_block_boundaries(p, d, per_shift, monkeypatch):
+def test_gathers_across_block_boundaries(p, d, per_row, monkeypatch):
+    """Blocks take their rows from the shorter of the points and B: one count
+    a row when the points are shorter, one a column when B is."""
     ctx = FieldContext(p, d)
-    E = random_set(ctx, ctx.order // 3, seed=p)
-    U = random_set(ctx, 3 * (ctx.order // 6) + 1, seed=p + 1)
-    shifts = U.indices()
-    if per_shift:
-        expected = _overlaps(E)[shifts]
-    else:  # x + u in E for u in U is x - t in E for t in -U
-        expected = convolve(E, U.negate()).values[E.membership]
-    # 3 shifts a block, the last one of 1
-    monkeypatch.setattr(analysis, "GATHER_BLOCK", 3 * E.size + E.size // 2)
-    assert np.array_equal(analysis._translate_hits(E, shifts, per_shift), expected)
+    A = random_set(ctx, ctx.order // 3, seed=p)
+    short = random_set(ctx, 3 * (ctx.order // 8) + 1, seed=p + 1)
+    long = random_set(ctx, ctx.order // 2 + 1, seed=p + 2)
+    points, B = (short, long) if per_row else (long, short)
+    # 3 rows a block, the last one of 1
+    monkeypatch.setattr(analysis, "GATHER_BLOCK", 3 * long.size + long.size // 2)
+    for sign in (1, -1):
+        expected = _sums(A, B, sign)[points.indices()]
+        assert np.array_equal(_gathered_sums(A, B, sign, points.indices()), expected), sign
 
 
-def test_edge_count_gathers_without_a_complex_table(monkeypatch):
+def test_edge_count_gathers_without_a_complex_table(monkeypatch, gathers):
     import tracemalloc
 
     ctx = FieldContext(1009, 2)
     S = sphere(ctx, 1).points
     E = sample_subset(ctx, 20_000, seed=1)
-    assert analysis._gather_is_cheaper(E, S.size // 2)
 
     def traced():
         tracemalloc.start()
@@ -431,8 +526,10 @@ def test_edge_count_gathers_without_a_complex_table(monkeypatch):
             tracemalloc.stop()
 
     nu, gather_peak = traced()
+    assert gathers == [True]
     monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", 0)
     fft_nu, fft_peak = traced()
+    assert gathers == [True]
     assert nu == fft_nu
     # one q^d complex table is 16 bytes a cell; the tiled copy of E is 4
     assert gather_peak < 8 * ctx.order < fft_peak / 3
