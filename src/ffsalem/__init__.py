@@ -83,7 +83,6 @@ from .randomsets import (
     trial_seed,
 )
 from .shatter import (
-    Anchored,
     Exhaustive,
     RandomSearch,
     SearchOutcome,

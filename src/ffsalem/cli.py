@@ -3,7 +3,8 @@
 Each handler returns (result, status) and `main` is the one boundary: it
 times the handler, emits the envelope and maps the status to the exit code
 through EXIT_CODES (FAIL, NOT FOUND and BUDGET EXHAUSTED exit 1; every other
-status, and no status, exits 0).  BUDGET EXHAUSTED means only that a search
+status, and no status, exits 0).  `shatter` and `construct3` print their
+outcome's SearchStatus value.  BUDGET EXHAUSTED means only that a search
 spent its tuple budget; `shatter` and `vc` then print the reason on one
 stderr line, and `vc` reports the largest certified k with exact null.  2 is
 for usage errors and 141 (the shell's SIGPIPE code) for a reader of stdout
@@ -35,7 +36,6 @@ from .randomsets import monte_carlo, sample_subset
 from .shatter import (
     Exhaustive,
     RandomSearch,
-    SearchStatus,
     ShatterProblem,
     construct_shatter3,
     shatter_search,
@@ -260,23 +260,20 @@ def _cmd_shatter(args) -> tuple:
         "tuples_examined": outcome.stats.tuples_examined,
         "search_seconds": outcome.stats.elapsed,
     }
-    if outcome.status is SearchStatus.FOUND:
+    if outcome.found:
         result["witness"] = outcome.witness.to_json()
-        return result, "FOUND"
-    if outcome.status is SearchStatus.EXHAUSTED_NO:
-        return result, "NOT SHATTERABLE"
-    print(f"BUDGET EXHAUSTED: {outcome.reason}", file=sys.stderr)
-    return result, "BUDGET EXHAUSTED"
+    if outcome.reason:
+        print(f"{outcome.status.value}: {outcome.reason}", file=sys.stderr)
+    return result, outcome.status.value
 
 
 def _cmd_construct3(args) -> tuple:
     ctx, S, label = _resolve_set(args)
     outcome = construct_shatter3(S, PointSet.full(ctx))
     result = {"set": label, "k": 3}
-    if outcome.status is SearchStatus.FOUND:
+    if outcome.found:
         result["witness"] = outcome.witness.to_json()
-        return result, "FOUND"
-    return result, "NOT FOUND"
+    return result, outcome.status.value
 
 
 def _cmd_vc(args) -> tuple:

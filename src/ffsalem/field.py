@@ -50,12 +50,16 @@ class FieldContext:
     def __init__(self, p: int, d: int = 2):
         if not isinstance(p, int) or not isinstance(d, int):
             raise ValueError("p and d must be integers")
-        if p < 3 or not is_prime(p):
+        # trial division and p**d only run while both are cheap: a p past the
+        # cap, or a d past its bit length (3^22 > 2^22), fails the cap untested,
+        # and the message spells p^d out only while it has at most 1024 bits
+        if p < 3 or (p <= MAX_ORDER and not is_prime(p)):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        if p**d > MAX_ORDER:
-            raise ValueError(f"p^d = {p**d} exceeds the dense-table cap {MAX_ORDER}")
+        if p > MAX_ORDER or d >= MAX_ORDER.bit_length() or p**d > MAX_ORDER:
+            order = p**d if d * p.bit_length() <= 1024 else f"{p}^{d}"
+            raise ValueError(f"p^d = {order} exceeds the dense-table cap {MAX_ORDER}")
         self.p = p
         self.d = d
         self.order = p**d

@@ -9,19 +9,23 @@ the regions; every search, witness_for_points and construct_shatter3 go
 through them.  One builder, _table, makes every table for all of E, |E|
 bitsets of q^d bits, and raises SweepTooLarge (a ValueError) before
 allocating past NEIGHBORHOOD_BITS_GUARD; a search that needs no table (k = 0,
-a k that counting refutes) answers at any p.  BUDGET_EXHAUSTED means only
-that a search spent its tuple budget.
+a k that counting refutes) answers at any p.  SearchStatus's values are the
+words the CLI prints, and BUDGET EXHAUSTED means only that a search spent
+its tuple budget.
 
-One walk, _walk, serves the exhaustive searches and vc_bounds: a
+One walk, _walk, serves the exhaustive search and vc_bounds: a
 lexicographic depth-first search over one N(x) table, one _regions_extend
 step per level, so tuples share prefixes and a prefix is pruned as soon as a
 region empties.  Every prefix of a shattered tuple is shattered, so the walk
 meets the first shattered tuple of each length in turn and yields it;
 shatter_search takes the yield at k, vc_bounds each yield up to k_max.
-Anchored (E = W = the full group) tries only tuples with x^1 = 0.  Below
-the root a level tries only the points that can split its smallest region,
-the set bits of (OR of M(y)) & ~(AND of M(y)) over the region's y, where
-M(y) = (y + S) ^ E; a skipped point still counts as examined, so
+vc_bounds is the anchored search: when E = W = the full group its walk tries
+only tuples with x^1 = 0.  Translating a shattered tuple and its witnesses
+by -x^1 keeps every difference x^i - y_I and keeps the witnesses in the full
+group, so some k-tuple is shattered exactly when one with x^1 = 0 is.
+Below the root a level tries only the points that can split its smallest
+region, the set bits of (OR of M(y)) & ~(AND of M(y)) over the region's y,
+where M(y) = (y + S) ^ E; a skipped point still counts as examined, so
 tuples_examined and the budget are those of a walk that tries every point.
 M is N's own table when S = -S and W = E, and otherwise a second table,
 built only when both fit under the guard (past it the walk tries every
@@ -32,8 +36,8 @@ witnesses of the subsets containing x^1..x^j are distinct points shared by
 j translates of S, so k <= j + floor(log2 m_j), where m_j is the most points
 j translates of S by distinct shifts share (m_0 = |W|).  vc_bounds and
 RandomSearch use it; a circle, m_2 = 2, never needs its k = 4 searched.
-Exhaustive and Anchored still enumerate a refuted k, because the
-tuples_examined of a complete enumeration is part of their answer.
+Exhaustive still enumerates a refuted k, because the tuples_examined of a
+complete enumeration is part of its answer.
 
 RandomSearch tries the sorted rows of Generator(Philox(seed)).choice(|E|,
 k, replace=False), one row per tuple; _random_picks draws them RANDOM_BATCH
@@ -130,10 +134,12 @@ class ShatterWitness:
 
 
 class SearchStatus(Enum):
-    FOUND = "found"
-    EXHAUSTED_NO = "exhausted_no"  # complete enumeration, nothing shatterable
-    BUDGET_EXHAUSTED = "budget_exhausted"
-    NOT_FOUND = "not_found"  # a non-exhaustive pipeline came up empty
+    """How a search ended; each value is the status word the CLI prints."""
+
+    FOUND = "FOUND"
+    EXHAUSTED_NO = "NOT SHATTERABLE"  # complete enumeration, nothing shatterable
+    BUDGET_EXHAUSTED = "BUDGET EXHAUSTED"
+    NOT_FOUND = "NOT FOUND"  # a non-exhaustive pipeline came up empty
 
 
 @dataclass
@@ -147,7 +153,7 @@ class SearchOutcome:
     status: SearchStatus
     witness: ShatterWitness | None = None
     stats: SearchStats = field(default_factory=SearchStats)
-    reason: str = ""  # why a BUDGET_EXHAUSTED search stopped
+    reason: str = ""  # why a BUDGET EXHAUSTED search stopped
 
     @property
     def found(self) -> bool:
@@ -341,23 +347,6 @@ class Exhaustive:
 
 
 @dataclass(frozen=True)
-class Anchored:
-    """Exhaustive's enumeration restricted to tuples whose first point is
-    index 0 (the origin); requires E = W = the full group.
-
-    Translating a shattered tuple and all its witnesses y_I by -x^1 leaves
-    every difference x^i - y_I unchanged, and the moved witnesses stay in W
-    because W is the full group.  So a shattered tuple containing index 0
-    exists exactly when any shattered tuple exists, and as index 0 is the
-    least index it lies in the subtree under root position 0.  The
-    lexicographically first tuple Exhaustive finds lies there too, so FOUND
-    outcomes equal Exhaustive's (same witness, same tuples_examined); only
-    EXHAUSTED_NO and BUDGET_EXHAUSTED stop earlier."""
-
-    budget: int = DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
 class RandomSearch:
     """Uniformly sampled k-subsets of E; reproducible for a fixed seed."""
 
@@ -368,21 +357,19 @@ class RandomSearch:
 def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutcome:
     """Search for a shattered k-tuple.
 
-    Exhaustive: Found returns the first tuple in lexicographic index order
-    (with the least witness in every region), the walk's yield at k;
-    ExhaustedNo certifies that a complete enumeration found nothing.  Anchored
-    gives the same outcomes from the x^1 = 0 subtree alone and raises
-    ValueError unless E and W are the full group.  RandomSearch ends Found or
-    BudgetExhausted, or ExhaustedNo when |E| < k.  A BudgetExhausted outcome
-    says why in its reason; every Found outcome is re-verified.  Only a
-    search that builds the N(x) table can raise _table's SweepTooLarge."""
-    if not isinstance(strategy, (Exhaustive, Anchored, RandomSearch)):
+    Exhaustive: FOUND returns the first tuple in lexicographic index order
+    (with the least witness in every region), the unanchored walk's yield at
+    k; NOT SHATTERABLE certifies that a complete enumeration of every tuple
+    found nothing.  vc_bounds is the anchored search (x^1 = 0 when E = W =
+    the full group).  RandomSearch ends FOUND or BUDGET EXHAUSTED, or NOT
+    SHATTERABLE when |E| < k.  A BUDGET EXHAUSTED outcome says why in its
+    reason; every FOUND outcome is re-verified.  Only a search that builds
+    the N(x) table can raise _table's SweepTooLarge."""
+    if not isinstance(strategy, (Exhaustive, RandomSearch)):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy.budget < 0:
         raise ValueError(f"budget must be >= 0, got {strategy.budget}")
     ctx = problem.context
-    if isinstance(strategy, Anchored) and not problem.E.size == problem.W.size == ctx.order:
-        raise ValueError("the Anchored strategy needs E and W to be the full group")
     start = time.perf_counter()
     if problem.W.size == 0:
         outcome = SearchOutcome(SearchStatus.EXHAUSTED_NO)
@@ -393,7 +380,7 @@ def shatter_search(problem: ShatterProblem, strategy=Exhaustive()) -> SearchOutc
         outcome = _search_random(problem, strategy)
     else:
         stats = SearchStats()
-        reached = list(_walk(problem, isinstance(strategy, Anchored), strategy.budget, stats))
+        reached = list(_walk(problem, False, strategy.budget, stats))
         if reached and reached[-1] is None:
             outcome = _budget_spent(strategy.budget)
         elif len(reached) == problem.k:
@@ -508,8 +495,12 @@ def _splitters(regions: list, rows, pos_of, first: int):
     return map(pos_of.__getitem__, _set_bits(union & ~common, first))
 
 
+def _budget_reason(budget: int) -> str:
+    return f"{budget} tuples examined, budget {budget}"
+
+
 def _budget_spent(budget: int, reason: str = "") -> SearchOutcome:
-    reason = reason or f"{budget} tuples examined, budget {budget}"
+    reason = reason or _budget_reason(budget)
     return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(budget), reason)
 
 
@@ -642,7 +633,7 @@ def vc_bounds(
         if witness is False:  # it ended: no tuple of lower + 1 points is shattered
             return VCBounds(lower, lower, stats=stats)
         if witness is None:
-            reason = f"k = {lower + 1}: {_budget_spent(budget).reason}"
+            reason = f"k = {lower + 1}: {_budget_reason(budget)}"
             return VCBounds(lower, None, reason, stats=stats)
         lower = _verified(ShatterProblem(S, E, W, witness.k), witness).k
     return VCBounds(lower, None, stats=stats)

@@ -10,7 +10,7 @@ the per-call reference is too slow, `reference_random_search`, which
 pins the batched random search to one `Generator.choice` call per tuple,
 `reference_sample_subset`, which pins the sampler's swaps to the same
 Philox stream, `reference_vc_bounds`, which pins vc's single walk to one
-search per k, and `reference_walk`, which pins the walk that skips
+`reference_walk` per k, and `reference_walk`, which pins the walk that skips
 positions to one that tries every position over the same table and region
 step.
 """
@@ -24,10 +24,9 @@ from itertools import combinations, product
 import numpy as np
 
 from ffsalem import (
-    Anchored,
-    Exhaustive,
     FieldContext,
     PointSet,
+    SearchStats,
     SearchStatus,
     ShatterProblem,
     ShatterWitness,
@@ -36,7 +35,6 @@ from ffsalem import (
     gauss_sum,
     kloosterman,
     legendre,
-    shatter_search,
     weil_poly_sum,
 )
 from ffsalem.shatter import _bits_from_bool, _regions_extend, _table, _witness_from_regions
@@ -290,24 +288,24 @@ def reference_sample_subset(ctx: FieldContext, size: int, seed: int) -> list:
 
 
 def reference_vc_bounds(S: PointSet, E: PointSet, W: PointSet, k_max: int, budget: int) -> tuple:
-    """vc_bounds as a fresh search per k: (lower, exact, reason, refuted_by).
+    """vc_bounds as a fresh walk per k: (lower, exact, reason, refuted_by).
 
     Before each k the counting certificate is asked; when it does not refute
-    k, k gets its own shatter_search with the whole budget, Anchored when E
-    and W are the full group and Exhaustive otherwise.
+    k, k gets its own reference_walk with the whole budget, anchored when E
+    and W are the full group, drained to its yield at k.
     """
-    strategy = Anchored if E.size == W.size == S.context.order else Exhaustive
+    anchored = E.size == W.size == S.context.order
     counts = TranslateCounts(S, W)
     lower = 0
     for k in range(1, k_max + 1):
         refuted = counts.refutation(k)
         if refuted is not None:
             return lower, lower, "", refuted
-        outcome = shatter_search(ShatterProblem(S, E, W, k), strategy(budget))
-        if outcome.status is SearchStatus.EXHAUSTED_NO:
+        reached = list(reference_walk(ShatterProblem(S, E, W, k), anchored, budget, SearchStats()))
+        if reached and reached[-1] is None:
+            return lower, None, f"k = {k}: {budget} tuples examined, budget {budget}", None
+        if len(reached) < k:
             return lower, lower, "", None
-        if outcome.status is SearchStatus.BUDGET_EXHAUSTED:
-            return lower, None, f"k = {k}: {outcome.reason}", None
         lower = k
     return lower, None, "", None
 

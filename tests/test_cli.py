@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ffsalem
-from ffsalem import FieldContext, dump_points, load_points, pointset, sphere
-from ffsalem.cli import build_parser, main
+from ffsalem import FieldContext, SearchStatus, dump_points, load_points, pointset, sphere
+from ffsalem.cli import EXIT_CODES, build_parser, main
 from ffsalem.presets import CONIC_CENSUS_MAX_CELLS, WEIL_SUITE_MAX_CELLS
 
 
@@ -140,6 +140,59 @@ def test_library_value_error_is_usage_error(argv):
     assert proc.stderr.startswith(f"ffsalem {argv[0]}: error: ")
 
 
+# p or d so large that trial division of p, or p**d itself, would run for minutes
+HUGE_FIELDS = [("1000000000000000003", "2"), ("4611686018427387847", "2"), ("3", "100000000")]
+# {file} stands for a point file whose header is the field
+HUGE_FIELD_ARGVS = {
+    "spectrum": ["spectrum", "-p", "{p}", "-d", "{d}", "--curve", "circle:1"],
+    "points-header": ["spectrum", "--points", "{file}"],
+    "classify": ["classify", "-p", "{p}", "-d", "{d}", "--coeffs", "1,0,1,0,0,-1"],
+    "random-trials": [
+        "random-trials", "-p", "{p}", "-d", "{d}", "--size", "1", "--trials", "1", "--seed", "1",
+    ],
+    "weil-suite": ["reproduce", "weil-suite", "-p", "{p}"],
+    "conic-census": ["reproduce", "conic-census", "-p", "{p}", "--seed", "1"],
+}
+# main on each argv of a JSON list, one JSON line [exit code, stdout, stderr] apiece
+MAIN_PER_ARGV = """
+import contextlib, io, json, sys
+from ffsalem.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("template", HUGE_FIELD_ARGVS.values(), ids=HUGE_FIELD_ARGVS.keys())
+def test_huge_field_is_a_usage_error_before_trial_division(tmp_path, template):
+    argvs = []
+    for p, d in HUGE_FIELDS:
+        if d != "2" and template[0] == "reproduce":  # a preset fixes its own d
+            continue
+        path = tmp_path / f"header-{p}-{d}.txt"
+        path.write_text(f"{p} {d}\n")
+        argvs.append([a.format(p=p, d=d, file=path) for a in template])
+    env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
+    # a subprocess, so that a hang fails the test at its timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_PER_ARGV, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.stderr == ""
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == len(argvs)
+    for code, out, err in runs:
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"ffsalem {template[0]}: error: ")
+        assert err.endswith(" exceeds the dense-table cap 4194304\n")
+
+
 # {c7}, {c11} and {empty} stand for point files the test writes, {missing} for one it does not
 HANDLER_USAGE_ERRORS = {
     "no-prime": ["spectrum", "--curve", "circle:1"],
@@ -204,6 +257,35 @@ def test_exit_code_follows_from_status(capsys, tmp_path, argv, status, code):
     got, out, _ = run(capsys, *argv, "--format", "json")
     assert json.loads(out).get("status") == status
     assert got == code
+
+
+# one run per status word a search or a check prints, {line} a point file the test writes
+STATUS_RUNS = [
+    ["shatter", "-p", "5", "--curve", "circle:1", "-k", "2"],
+    ["shatter", "-p", "11", "--curve", "paraboloid", "-k", "3"],
+    ["shatter", "-p", "11", "--curve", "sym-parabola", "-k", "4", "--budget", "100"],
+    ["construct3", "-p", "11", "--curve", "circle:1"],
+    ["construct3", "-p", "5", "--curve", "circle:1"],
+    ["salem-check", "-p", "7", "--curve", "circle:1"],
+    ["salem-check", "--points", "{line}"],
+]
+
+
+def test_status_words_are_the_search_statuses_and_the_exit_codes(capsys, tmp_path):
+    line = write_points(tmp_path, "line.txt", 11, 2, [(x, 0) for x in range(11)])
+    codes, searched = {}, set()
+    for argv in STATUS_RUNS:
+        code, out, err = run(capsys, *[line if a == "{line}" else a for a in argv])
+        word = out.splitlines()[0]
+        assert codes.setdefault(word, code) == code
+        if argv[0] in ("shatter", "construct3"):
+            searched.add(word)
+        # only a spent budget explains itself, on one stderr line
+        reason = "BUDGET EXHAUSTED: 100 tuples examined, budget 100\n"
+        assert err == (reason if word == "BUDGET EXHAUSTED" else "")
+    assert searched == {status.value for status in SearchStatus}
+    assert {word for word, code in codes.items() if code == 1} == set(EXIT_CODES)
+    assert {code for word, code in codes.items() if word not in EXIT_CODES} == {0}
 
 
 def test_spectrum_csv(capsys):

@@ -1,12 +1,18 @@
 import cmath
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffsalem
 from ffsalem import (
     ConstantPolynomial,
     DegreeDivisibleByP,
@@ -20,6 +26,7 @@ from ffsalem import (
     weil_poly_sum,
 )
 from ffsalem import presets
+from ffsalem.field import MAX_ORDER
 from ffsalem.presets import weil_suite
 from oracles import block_weil_suite, reference_weil_suite
 
@@ -43,6 +50,41 @@ def test_context_rejects_bad_dimension_and_size():
         FieldContext(5, 0)
     with pytest.raises(ValueError):
         FieldContext(2053, 2)  # 2053^2 > 2^22
+
+
+# p or d so large that trial division of p, or p**d itself, would run for
+# minutes, with the p^d each cap message names
+HUGE_FIELDS = [
+    (1000000000000000003, 2, "1000000000000000006000000000000000009"),
+    (4611686018427387847, 2, "21267647932558653440728706863763295409"),
+    (3, 100000000, "3^100000000"),
+]
+# FieldContext and a point-file header for each (p, d) of a JSON list, one line per error
+CONTEXT_PER_FIELD = """
+import io, json, sys
+from ffsalem import FieldContext, load_points
+for p, d in json.loads(sys.argv[1]):
+    for build in (lambda: FieldContext(p, d), lambda: load_points(io.StringIO(f"{p} {d}"))):
+        try:
+            build()
+        except ValueError as exc:
+            print(type(exc).__name__, exc)
+"""
+
+
+def test_huge_field_fails_the_cap_before_trial_division():
+    env = dict(os.environ, PYTHONPATH=str(Path(ffsalem.__file__).parents[1]))
+    # a subprocess, so that a hang fails the test at its timeout
+    proc = subprocess.run(
+        [sys.executable, "-c", CONTEXT_PER_FIELD, json.dumps([f[:2] for f in HUGE_FIELDS])],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    want = []
+    for _, _, order in HUGE_FIELDS:
+        message = f"p^d = {order} exceeds the dense-table cap {MAX_ORDER}"
+        want += [f"ValueError {message}", f"PointSetParseError line 1: {message}"]
+    assert proc.stdout.splitlines() == want
+    assert proc.stderr == ""
 
 
 def test_index_round_trip():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ffsalem import (
-    Anchored,
     DimensionMismatch,
     EmptySet,
     Exhaustive,
@@ -35,7 +34,7 @@ from ffsalem import (
 from ffsalem import analysis, shatter
 from ffsalem.presets import F11_CENTERS, F11_EMPTY_CENTER, F11_X_TUPLE, X_TUPLES
 from ffsalem.shatter import RANDOM_BATCH, _random_picks
-from ffsalem.shatter import SearchStats
+from ffsalem.shatter import DEFAULT_BUDGET, SearchStats
 from oracles import (
     brute_m,
     naive_shatterable,
@@ -173,34 +172,29 @@ def test_search_budget_exhausted():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_anchored_matches_exhaustive(p):
+    # vc_bounds anchors its walk at x^1 = 0 over the full group.  That is
+    # sound when the first shattered tuple of each length lies under root 0,
+    # so both walks yield the same witnesses at the same counts, and an
+    # anchored walk that finds no k-tuple ends sooner
     ctx = FieldContext(p, 2)
     sets = [make_curve(ctx, d).points for d in ("circle:1", "sym-parabola", "paraboloid")]
     sets += [symmetrize(random_set(ctx, p, seed)).T for seed in (1, 2)]
     for S in sets:
         for k in range(1, 5):
             problem = ShatterProblem.over(S, k)
-            plain = shatter_search(problem, Exhaustive())
-            anchored = shatter_search(problem, Anchored())
-            assert anchored.status is plain.status
-            if plain.found:
-                assert anchored.witness == plain.witness
-                assert anchored.stats.tuples_examined == plain.stats.tuples_examined
+            plain = _drain(shatter._walk, problem, False, DEFAULT_BUDGET)
+            anchored = _drain(shatter._walk, problem, True, DEFAULT_BUDGET)
+            assert anchored[0] == plain[0]
+            found = len(plain[0]) == k
+            if found:
+                assert anchored[1] == plain[1]
             else:
-                assert anchored.stats.tuples_examined < plain.stats.tuples_examined
+                assert anchored[1] < plain[1]
             sampled = shatter_search(problem, RandomSearch(seed=k, budget=200))
             # every search reads its witnesses off the same regions
-            for out in (plain, anchored, sampled):
-                if out.found:
-                    assert out.witness == witness_for_points(problem, out.witness.points).witness
-
-
-def test_anchored_needs_full_group():
-    S = sphere(F5, 1).points
-    full = PointSet.full(F5)
-    with pytest.raises(ValueError, match="full group"):
-        shatter_search(ShatterProblem(S, S, full, 2), Anchored())
-    with pytest.raises(ValueError, match="full group"):
-        shatter_search(ShatterProblem(S, full, S, 2), Anchored())
+            witnesses = [plain[0][-1][0]] if found else []
+            for w in witnesses + ([sampled.witness] if sampled.found else []):
+                assert w == witness_for_points(problem, w.points).witness
 
 
 def test_random_search_reproducible():
@@ -646,9 +640,10 @@ def test_vc_bounds_carry_the_walks_tuple_count():
     S = sphere(F11, 1).points
     b = vc_bounds(S)
     assert (b.lower, b.exact) == (3, 3)
-    # k = 4 is counted out, so the walk stopped at its first shattered 3-tuple
-    anchored = shatter_search(ShatterProblem.over(S, 3), Anchored())
-    assert b.stats.tuples_examined == anchored.stats.tuples_examined == 26
+    # k = 4 is counted out, so the walk stopped at its first shattered 3-tuple,
+    # where the unanchored search finds it too
+    first = shatter_search(ShatterProblem.over(S, 3))
+    assert b.stats.tuples_examined == first.stats.tuples_examined == 26
     assert vc_bounds(PointSet.empty(F11)).stats.tuples_examined == 0  # no walk at all
     spent = vc_bounds(sphere(F7, 1).points, budget=50)
     assert (spent.lower, spent.exact) == (2, None)
@@ -685,7 +680,7 @@ def test_searches_that_need_no_table_answer_past_the_guard(no_table):
 
 def test_table_guard_fires_before_the_table_is_built(no_table):
     circle = sphere(F223, 1).points
-    for strategy in (Exhaustive(), Anchored(), RandomSearch(seed=1)):
+    for strategy in (Exhaustive(), RandomSearch(seed=1)):
         with pytest.raises(SweepTooLarge, match=re.escape(TABLE_GUARD_MESSAGE)):
             shatter_search(ShatterProblem.over(circle, 3), strategy)
     with pytest.raises(SweepTooLarge, match=re.escape(TABLE_GUARD_MESSAGE)):
