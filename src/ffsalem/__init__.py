@@ -3,17 +3,13 @@
 __version__ = "0.1.0"
 
 from .analysis import (
-    BilinearReport,
     ConvolutionTable,
     CubeWitness,
     EdgeCountReport,
     IntersectionProfile,
     RhombusWitness,
-    WeightTable,
-    bilinear_form,
     build_cube,
     convolve,
-    distance_set,
     edge_count,
     find_rhombus,
     intersection_profile,
@@ -63,9 +59,7 @@ from .pointset import (
     PointSet,
     SalemParams,
     SalemReport,
-    SpectrumTable,
     dump_points,
-    fourier_spectrum,
     load_points,
     salem_bound,
     salem_report,
@@ -74,12 +68,10 @@ from .pointset import (
 from .randomsets import (
     GENERATOR_NAME,
     HayesReport,
-    SymmetrizeReport,
     TrialSummary,
     hayes_check,
     monte_carlo,
     sample_subset,
-    symmetrize,
     trial_seed,
 )
 from .shatter import (

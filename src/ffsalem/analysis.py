@@ -20,22 +20,20 @@ Two readers choose how a count is taken:
 
 When A is the whole group every count is |B|, a closed form that takes
 neither route; prune and _overlaps_at answer the full group before they
-read.  EdgeCountReport.fourier_side stays alongside as a Fourier
-cross-check, computed only when it is read.
+read.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptySet, NotSymmetric
 from .field import FieldContext
-from .pointset import PointSet, _log_factor, fourier_spectrum
+from .pointset import PointSet, _log_factor
 
 
 def _cyclic_convolution(
@@ -209,19 +207,6 @@ def convolve(E: PointSet, S: PointSet) -> ConvolutionTable:
     return ConvolutionTable(E.context, _sums(E, S))
 
 
-def distance_set(E: PointSet) -> set:
-    """{|x - y| = sum (x_i - y_i)^2 mod p : x, y in E}."""
-    if E.size == 0:
-        raise EmptySet("distance set of the empty set")
-    ctx = E.context
-    pts = ctx.coords_of(E.indices())
-    out: set = set()
-    for row in pts:
-        diffs = (pts - row) % ctx.p
-        out.update(np.unique((diffs**2).sum(axis=1) % ctx.p).tolist())
-    return out
-
-
 # -- edge counts ---------------------------------------------------------------
 
 
@@ -232,16 +217,6 @@ class EdgeCountReport:
     error: float
     normalized_error: float
     K: float
-    E: PointSet = field(compare=False, repr=False)
-    S: PointSet = field(compare=False, repr=False)
-
-    @functools.cached_property
-    def fourier_side(self) -> float:
-        """q^(2d) sum |E^|^2 S^, real part; a cross-check on nu, computed on first use."""
-        q, d = self.E.context.p, self.E.context.d
-        e_hat = fourier_spectrum(self.E).values
-        s_hat = fourier_spectrum(self.S).values
-        return float((q ** (2 * d) * (np.abs(e_hat) ** 2 * s_hat).sum()).real)
 
     def to_json(self) -> dict:
         return {
@@ -273,7 +248,7 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     main = K * E.size**2 / q
     err = nu - main
     normalized = abs(err) / (q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * E.size)
-    return EdgeCountReport(nu, main, float(err), float(normalized), K, E, S)
+    return EdgeCountReport(nu, main, float(err), float(normalized), K)
 
 
 def triple_count(E: PointSet, S: PointSet) -> int:
@@ -282,71 +257,6 @@ def triple_count(E: PointSet, S: PointSet) -> int:
     if E.size == 0:
         raise EmptySet("triple count over an empty set E")
     return int((_sums_at(E, S, 1, E.indices()).astype(object) ** 2).sum())
-
-
-# -- weighted bilinear form ------------------------------------------------------
-
-
-class WeightTable:
-    """A nonnegative real weight on the group, dense like a PointSet."""
-
-    __slots__ = ("context", "values")
-
-    def __init__(self, context: FieldContext, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (context.order,):
-            raise ValueError(f"weight table must have shape ({context.order},)")
-        if (values < 0).any():
-            raise ValueError("weights must be nonnegative")
-        values = values.copy()
-        values.setflags(write=False)
-        self.context = context
-        self.values = values
-
-    @classmethod
-    def from_pointset(cls, S: PointSet) -> "WeightTable":
-        return cls(S.context, S.membership.astype(np.float64))
-
-    def l1(self) -> float:
-        return float(self.values.sum())
-
-    def l2(self) -> float:
-        return float(math.sqrt((self.values**2).sum()))
-
-
-@dataclass(frozen=True)
-class BilinearReport:
-    value: float
-    main_term: float
-    error: float
-    error_bound: float  # q^((d-1)/2) (log q)^gamma ||f||_2 ||g||_2
-    K: float
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "main_term": self.main_term,
-            "error": self.error,
-            "error_bound": self.error_bound,
-            "K": self.K,
-        }
-
-
-def bilinear_form(f: WeightTable, g: WeightTable, S: PointSet, gamma: float = 0.0) -> BilinearReport:
-    """sum_{x,y} f(x) g(y) S(x - y), against the main term (K/q) ||f||_1 ||g||_1."""
-    if not gamma >= 0:  # written so that nan fails too
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    ctx = f.context
-    if ctx != g.context or ctx != S.context:
-        raise ValueError("arguments live over different contexts")
-    q = ctx.p
-    # real weights: the float convolution is the answer, no rounding
-    conv = _cyclic_convolution(g.values, S.membership, ctx)
-    value = float((f.values * conv).sum())
-    K = S.size / q ** (ctx.d - 1)
-    main = K / q * f.l1() * g.l1()
-    bound = q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * f.l2() * g.l2()
-    return BilinearReport(value, main, value - main, bound, K)
 
 
 # -- intersection profiles --------------------------------------------------------

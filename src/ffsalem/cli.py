@@ -287,13 +287,8 @@ def _cmd_vc(args) -> tuple:
 
 
 def _cmd_random_trials(args) -> tuple:
-    ctx = _context(args)
-    if not 0 <= args.size <= ctx.order:
-        raise ValueError(f"--size must lie in [0, {ctx.order}]")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     summary = monte_carlo(
-        ctx,
+        _context(args),
         args.size,
         args.trials,
         args.seed,

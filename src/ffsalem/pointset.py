@@ -1,10 +1,9 @@
-"""Dense point sets in Z_p^d, their Fourier spectra, and Salem certification.
+"""Dense point sets in Z_p^d and Salem certification.
 
 A PointSet is an immutable bit table over the whole group, indexed by
-index(x) = x_1 + x_2*p + ... + x_d*p^(d-1).  Spectra are computed with the
-axis-factored transform (one length-p DFT per axis); tests pin it against
-the direct double sum.  The Salem maximum max_{m != 0} |S^(m)| streams the
-same transforms slab by slab (`spectrum_max`), so certifying a set at the
+index(x) = x_1 + x_2*p + ... + x_d*p^(d-1).  The Salem maximum
+max_{m != 0} |S^(m)| runs the axis-factored transform (one length-p DFT per
+axis) slab by slab (`spectrum_max`), so certifying a set at the
 p^d cap never holds a q^d complex table.  It transforms each distinct x_1
 line once: on a quadric the points of a line depend only on the value of the
 rest of the form, so a circle's lines pair off (y and -y) and a sphere in
@@ -186,43 +185,7 @@ def det_mod(matrix: np.ndarray, p: int) -> int:
     return det % p
 
 
-# -- Fourier spectrum ---------------------------------------------------------
-
-
-class SpectrumTable:
-    """All Fourier coefficients S^(m) = p^(-d) sum_x chi(-m.x) S(x)."""
-
-    __slots__ = ("context", "values")
-
-    def __init__(self, context: FieldContext, values: np.ndarray):
-        """Takes `values` over and makes it read-only: no copy of a q^d table."""
-        if values.shape != (context.order,):
-            raise ValueError("spectrum table has wrong shape")
-        values.setflags(write=False)
-        self.context = context
-        self.values = values
-
-    def value_at(self, m: Sequence[int]) -> complex:
-        return complex(self.values[self.context.index_of(m)])
-
-    @property
-    def max_nontrivial(self) -> float:
-        """max over m != 0 of |S^(m)|."""
-        return float(np.abs(self.values[1:]).max()) if self.context.order > 1 else 0.0
-
-
-def fourier_spectrum(S: PointSet) -> SpectrumTable:
-    """Spectrum via d axis-factored length-p transforms.
-
-    The grid layout puts coordinate x_1 on the last axis, so the flattened
-    transform output is indexed by index(m) in the same little-endian order.
-    This builds the whole q^d complex table; for max_nontrivial alone use
-    `spectrum_max`, which gives the same float without the table.
-    """
-    ctx = S.context
-    values = np.fft.fftn(S.grid().astype(np.float64))
-    values /= ctx.order
-    return SpectrumTable(ctx, values.reshape(ctx.order))
+# -- Salem maximum --------------------------------------------------------------
 
 
 # Complex cells one pass of `spectrum_max` holds at once: a block of x_1
@@ -242,7 +205,9 @@ def _distinct_lines(lines: np.ndarray, held: np.ndarray) -> tuple:
 
 
 def spectrum_max(S: PointSet) -> float:
-    """fourier_spectrum(S).max_nontrivial, bit for bit, without a q^d table.
+    """max_{m != 0} |S^(m)|, bit for bit as the whole fftn spectrum scaled
+    by q^-d gives it, without a q^d table.  The reference that builds that
+    spectrum is tests/oracles.py::fourier_spectrum.
 
     It runs fftn's own length-p transforms in fftn's order.  First the x_1
     axis (the last), only on the lines of S that hold a point.  When the held
@@ -259,14 +224,14 @@ def spectrum_max(S: PointSet) -> float:
 
     The slab is never scaled as a whole.  Its unscaled magnitudes, with
     m = 0 left out, pick the cells within a factor 1 - 2^-30 of their
-    maximum; only those are divided by q = p^d, with fourier_spectrum's own
-    `/= q`, and their magnitudes fold into a running max.  No dropped cell
-    can win: `/ q` and `|.|` each move a value by a few ulp (about 2^-52
-    relative), far inside the 2^-30 margin, so after scaling every dropped
-    cell stays below the cell that held the unscaled maximum.  Ties, as for
-    a single point, only keep more cells.  A slab lives until the next
-    gather replaces it, so at most two slabs and one slab of magnitudes are
-    alive at once, as during a transform.
+    maximum; only those are divided by q = p^d, by the same `/= q` as the
+    whole spectrum's, and their magnitudes fold into a running max.  No
+    dropped cell can win: `/ q` and `|.|` each move a value by a few ulp
+    (about 2^-52 relative), far inside the 2^-30 margin, so after scaling
+    every dropped cell stays below the cell that held the unscaled maximum.
+    Ties, as for a single point, only keep more cells.  A slab lives until
+    the next gather replaces it, so at most two slabs and one slab of
+    magnitudes are alive at once, as during a transform.
     """
     ctx = S.context
     p, q = ctx.p, ctx.order

@@ -1,4 +1,4 @@
-"""Random subsets of the plane: sampling, spectral-gap checks, symmetrization.
+"""Random subsets of the plane: sampling, spectral-gap checks, Monte Carlo sweeps.
 
 A uniform size-k subset of F_p^d is almost surely close to Salem: its largest
 nontrivial character sum Phi = q^d max_{m != 0} |S^(m)| stays below
@@ -162,6 +162,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= size <= ctx.order:
+        raise SizeOutOfRange(f"size must lie in [0, {ctx.order}], got {size}")
     if not -1.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
     if not math.isfinite(beta):
@@ -198,32 +200,3 @@ def monte_carlo(
         omega_values=omegas,
         trial_seeds=seeds,
     )
-
-
-@dataclass(frozen=True)
-class SymmetrizeReport:
-    """T = S cup (-S) plus the exact overlap bookkeeping."""
-
-    T: PointSet
-    overlap: int
-    size_identity: bool
-
-    def to_json(self) -> dict:
-        return {
-            "size": self.T.size,
-            "overlap": self.overlap,
-            "size_identity": self.size_identity,
-        }
-
-
-def symmetrize(S: PointSet) -> SymmetrizeReport:
-    """S cup (-S), with overlap |S cap (-S)| and the size identity check."""
-    neg = S.negate()
-    T = S.union(neg)
-    overlap = S.intersect(neg).size
-    report = SymmetrizeReport(
-        T=T, overlap=overlap, size_identity=T.size == 2 * S.size - overlap
-    )
-    if not (T.is_symmetric() and report.size_identity):
-        raise AssertionError("internal error: S cup (-S) failed its symmetry or size check")
-    return report

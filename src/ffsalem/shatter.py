@@ -108,16 +108,6 @@ class ShatterWitness:
     def k(self) -> int:
         return len(self.points)
 
-    def restricted(self, k: int) -> "ShatterWitness":
-        """Witness for the first k points, inheriting the matching y's."""
-        if not 0 <= k <= self.k:
-            raise ValueError("cannot restrict to more points than present")
-        keep = (1 << k) - 1
-        return ShatterWitness(
-            points=self.points[:k],
-            witnesses={m: y for m, y in self.witnesses.items() if m & ~keep == 0},
-        )
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

@@ -2,17 +2,18 @@
 
 Everything here is written for obviousness, not speed: direct double sums
 for transforms, explicit loops for counts, and a dichotomy-materializing
-shattering decider.  None of it shares code with the library internals it
-checks, except `reference_weil_suite`, which pins the row-batched sweep to
-one public character-sum call per sum, `block_weil_suite`, which pins the
-screened sweep to one row of `character_row_sums` per pair at primes where
-the per-call reference is too slow, `reference_random_search`, which
-pins the batched random search to one `Generator.choice` call per tuple,
-`reference_sample_subset`, which pins the sampler's swaps to the same
-Philox stream, `reference_vc_bounds`, which pins vc's single walk to one
-`reference_walk` per k, and `reference_walk`, which pins the walk that skips
-positions to one that tries every position over the same table and region
-step.
+shattering decider; `fourier_spectrum` builds the whole fftn spectrum that
+the streamed Salem maximum must match bit for bit.  None of it shares code
+with the library internals it checks, except `reference_weil_suite`, which
+pins the row-batched sweep to one public character-sum call per sum,
+`block_weil_suite`, which pins the screened sweep to one row of
+`character_row_sums` per pair at primes where the per-call reference is too
+slow, `reference_random_search`, which pins the batched random search to
+one `Generator.choice` call per tuple, `reference_sample_subset`, which pins
+the sampler's swaps to the same Philox stream, `reference_vc_bounds`, which
+pins vc's single walk to one `reference_walk` per k, and `reference_walk`,
+which pins the walk that skips positions to one that tries every position
+over the same table and region step.
 """
 
 from __future__ import annotations
@@ -53,6 +54,43 @@ def direct_dft(S: PointSet) -> dict:
             total += cmath.exp(-2j * cmath.pi * dot / p)
         out[m] = total / order
     return out
+
+
+class SpectrumTable:
+    """All Fourier coefficients S^(m) = p^(-d) sum_x chi(-m.x) S(x)."""
+
+    def __init__(self, context: FieldContext, values: np.ndarray):
+        self.context = context
+        self.values = values
+
+    def value_at(self, m) -> complex:
+        return complex(self.values[self.context.index_of(m)])
+
+    @property
+    def max_nontrivial(self) -> float:
+        """max over m != 0 of |S^(m)|."""
+        return float(np.abs(self.values[1:]).max()) if self.context.order > 1 else 0.0
+
+
+def fourier_spectrum(S: PointSet) -> SpectrumTable:
+    """The whole spectrum from one fftn, the reference `spectrum_max` must
+    match bit for bit; `direct_dft` pins it to the definition.
+
+    The grid layout puts coordinate x_1 on the last axis, so the flattened
+    transform output is indexed by index(m) in the same little-endian order.
+    """
+    ctx = S.context
+    values = np.fft.fftn(S.grid().astype(np.float64))
+    values /= ctx.order
+    return SpectrumTable(ctx, values.reshape(ctx.order))
+
+
+def fourier_edge_count(E: PointSet, S: PointSet) -> float:
+    """q^(2d) sum_m |E^(m)|^2 S^(m), real part: the edge count nu_S(E) read
+    off the full spectra."""
+    e_hat = fourier_spectrum(E).values
+    s_hat = fourier_spectrum(S).values
+    return float((E.context.order**2 * (np.abs(e_hat) ** 2 * s_hat).sum()).real)
 
 
 def reference_affine_image(S: PointSet, matrix, shift) -> PointSet:
@@ -167,30 +205,6 @@ def kloosterman_circle_max(p: int, t: int) -> float:
     for u in range(1, p):
         f[u] = cmath.exp(2j * cmath.pi * (t * pow(u, p - 2, p) % p) / p)
     return float(np.abs(np.fft.fft(f)[1:]).max()) / p**2
-
-
-def brute_bilinear(f: dict, g: dict, S: PointSet) -> float:
-    p = S.context.p
-    total = 0.0
-    for x, fx in f.items():
-        if not fx:
-            continue
-        for y, gy in g.items():
-            if not gy:
-                continue
-            if tuple((a - b) % p for a, b in zip(x, y)) in S:
-                total += fx * gy
-    return total
-
-
-def brute_distance_set(E: PointSet) -> set:
-    p = E.context.p
-    pts = list(E)
-    return {
-        sum((a - b) % p * ((a - b) % p) for a, b in zip(x, y)) % p
-        for x in pts
-        for y in pts
-    }
 
 
 def naive_shatterable(S: PointSet, k: int, E: PointSet, W: PointSet) -> bool:

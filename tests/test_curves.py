@@ -9,7 +9,6 @@ from ffsalem import (
     Quadratic,
     classify_quadratic,
     conic,
-    fourier_spectrum,
     make_curve,
     paraboloid,
     poly_graph,
@@ -18,7 +17,7 @@ from ffsalem import (
     symmetrized_parabola,
 )
 
-from oracles import brute_points
+from oracles import brute_points, fourier_spectrum
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)

@@ -14,7 +14,6 @@ from ffsalem import (
     SalemParams,
     SingularMatrix,
     dump_points,
-    fourier_spectrum,
     load_points,
     make_curve,
     paraboloid,
@@ -25,7 +24,7 @@ from ffsalem import (
     sphere,
 )
 from ffsalem import pointset
-from oracles import direct_dft, kloosterman_circle_max, reference_affine_image
+from oracles import direct_dft, fourier_spectrum, kloosterman_circle_max, reference_affine_image
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)

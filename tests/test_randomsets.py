@@ -7,19 +7,14 @@ from ffsalem import (
     FieldContext,
     PointSet,
     SizeOutOfRange,
-    fourier_spectrum,
     hayes_check,
     monte_carlo,
-    poly_graph,
     sample_subset,
-    sphere,
-    symmetrize,
-    symmetrized_parabola,
     trial_seed,
 )
-from ffsalem import pointset
+from ffsalem import pointset, randomsets
 from ffsalem.randomsets import GENERATOR_NAME
-from oracles import reference_sample_subset
+from oracles import fourier_spectrum, reference_sample_subset
 
 F5 = FieldContext(5, 2)
 F11 = FieldContext(11, 2)
@@ -155,6 +150,14 @@ def test_monte_carlo_rejects_no_trials():
         monte_carlo(F5, size=5, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("size", [-1, 26])
+def test_monte_carlo_rejects_size_out_of_range(monkeypatch, size):
+    # rejected before any trial seed is derived
+    monkeypatch.setattr(randomsets, "trial_seed", None)
+    with pytest.raises(SizeOutOfRange, match=r"\[0, 25\], got"):
+        monte_carlo(F5, size=size, trials=1, seed=1)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"epsilon": -1.5}, {"epsilon": math.nan}, {"epsilon": math.inf}, {"beta": math.nan},
@@ -198,50 +201,13 @@ def test_monte_carlo_omega_matches_direct():
         )
 
 
-def test_symmetrize_already_symmetric():
-    S = sphere(F11, 1).points
-    rep = symmetrize(S)
-    assert rep.T == S
-    assert rep.overlap == S.size
-    assert rep.size_identity
-
-
-def test_symmetrize_half_parabola():
-    up = poly_graph(F11, [0, 0, 1]).points
-    rep = symmetrize(up)
-    assert rep.T == symmetrized_parabola(F11).points
-    assert rep.overlap == 1  # only the origin is its own negative on the parabola
-    assert rep.T.size == 2 * up.size - 1
-
-
-def test_symmetrize_random_property():
-    for seed in range(5):
-        S = sample_subset(F11, 13, seed=seed)
-        rep = symmetrize(S)
-        assert rep.T.is_symmetric()
-        assert rep.T == S.union(S.negate())
-        assert rep.T.size == 2 * S.size - rep.overlap
-
-
-def test_symmetrize_empty():
-    rep = symmetrize(PointSet.empty(F5))
-    assert rep.T.size == 0 and rep.overlap == 0 and rep.size_identity
-
-
-def test_symmetrize_failed_check_is_an_internal_error(monkeypatch):
-    # an explicit raise, not an assert, so it survives `python -O`
-    monkeypatch.setattr(PointSet, "is_symmetric", lambda self: False)
-    with pytest.raises(AssertionError, match="internal error: S cup"):
-        symmetrize(sphere(F11, 1).points)
-
-
 def test_symmetrized_intersection_decomposition():
     # T cap (T - x) splits into the four S-based pieces, exactly, per shift
     p = 11
     for seed in (3, 8):
         S = sample_subset(F11, 12, seed=seed)
-        T = symmetrize(S).T
         neg = S.negate()
+        T = S.union(neg)
         for idx in (1, 5, 37, 100):
             x = F11.point_at(idx)
             mx = tuple(-c % p for c in x)

@@ -24,7 +24,6 @@ from ffsalem import (
     sample_subset,
     shatter_search,
     sphere,
-    symmetrize,
     symmetrized_parabola,
     triple_overlap_max,
     vc_bounds,
@@ -178,7 +177,9 @@ def test_anchored_matches_exhaustive(p):
     # anchored walk that finds no k-tuple ends sooner
     ctx = FieldContext(p, 2)
     sets = [make_curve(ctx, d).points for d in ("circle:1", "sym-parabola", "paraboloid")]
-    sets += [symmetrize(random_set(ctx, p, seed)).T for seed in (1, 2)]
+    for seed in (1, 2):
+        S = random_set(ctx, p, seed)
+        sets.append(S.union(S.negate()))
     for S in sets:
         for k in range(1, 5):
             problem = ShatterProblem.over(S, k)
@@ -302,12 +303,16 @@ def test_unknown_strategy():
 
 
 def test_witness_restriction_monotone():
+    # every prefix of a shattered tuple is shattered, by the centers of the
+    # subsets of the prefix: the walk extends prefixes on that ground
     w = f11_witness()
     for k in range(5):
-        r = w.restricted(k)
-        assert verify_witness(f11_problem(k), r)
-    with pytest.raises(ValueError):
-        w.restricted(5)
+        keep = (1 << k) - 1
+        prefix = ShatterWitness(
+            points=w.points[:k],
+            witnesses={m: y for m, y in w.witnesses.items() if m & ~keep == 0},
+        )
+        assert verify_witness(f11_problem(k), prefix)
 
 
 @pytest.mark.parametrize("p", sorted(X_TUPLES))
@@ -812,7 +817,7 @@ def _walk_cases():
         ctx = FieldContext(p, d)
         S = random_set(ctx, int(rng.integers(1, 2 * p ** (d - 1) + 3)), seed=case)
         if case % 3 == 0:
-            S = symmetrize(S).T
+            S = S.union(S.negate())
         if d == 2 and case % 4 == 1:
             S = make_curve(ctx, ("circle:1", "sym-parabola", "paraboloid")[case % 3]).points
         full = PointSet.full(ctx)
