@@ -233,12 +233,12 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
 
     nu = sum_{s in S} |E ^ (E - s)|, the translate overlaps of E read at S.
     K = |S| / q^(d-1) is measured from S; the normalization divides the error
-    by q^((d-1)/2) (log q)^gamma |E|, for gamma >= 0.
+    by q^((d-1)/2) (log q)^gamma |E|, for finite gamma >= 0.
     """
     if E.size == 0:
         raise EmptySet("edge count over an empty set E")
-    if not gamma >= 0:  # written so that nan fails too
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:  # written so that nan fails too
+        raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")

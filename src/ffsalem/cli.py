@@ -93,7 +93,8 @@ def _emit(args, result: dict, status: str | None, elapsed: float) -> None:
         }
         if status is not None:
             payload["status"] = status
-        print(json.dumps(_round12(payload), indent=2))
+        # strict JSON: a non-finite float is a ValueError, never `Infinity`
+        print(json.dumps(_round12(payload), indent=2, allow_nan=False))
     elif args.format == "csv":
         print("key,value")
         if status is not None:

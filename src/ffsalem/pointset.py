@@ -7,11 +7,13 @@ axis) slab by slab (`spectrum_max`), so certifying a set at the
 p^d cap never holds a q^d complex table.  It transforms each distinct x_1
 line once: on a quadric the points of a line depend only on the value of the
 rest of the form, so a circle's lines pair off (y and -y) and a sphere in
-F_p^3 has about p distinct lines among its ~p^2/2 held ones.  The
-transformed lines are kept frequency-major, and a map from every x_1 line to
-its transformed line (or to one zero column for an empty line) gathers each
-slab with the lines contiguous, so the other axes transform contiguous rows;
-only the cells near a slab's largest unscaled magnitude are scaled by q^-d.
+F_p^3 has about p distinct lines among its ~p^2/2 held ones.  Each block of
+lines is transformed column-wise, straight into a frequency-major table, and
+a map from every x_1 line to its transformed line (or to one zero column for
+an empty line) gathers each slab with the lines contiguous, so the other
+axes transform contiguous rows; only the cells near a slab's largest
+unscaled magnitude are scaled by q^-d.  Blocks and slabs are sized to a
+core's L2 cache.
 """
 
 from __future__ import annotations
@@ -190,8 +192,15 @@ def det_mod(matrix: np.ndarray, p: int) -> int:
 
 # Complex cells one pass of `spectrum_max` holds at once: a block of x_1
 # lines in the first stage, or a slab of x_1 frequencies by every line in
-# the second (4 MiB).
-SPECTRUM_SLAB_CELLS = 1 << 18
+# the second (1 MiB).  A pass holds two slabs and a slab of magnitudes, so
+# 1 MiB slabs keep it near a core's 2 MiB L2.  Measured at p = 2039 on one
+# core of a 2-vCPU Xeon VM (numpy 2.4, median of 15 interleaved runs),
+# circle:56, sym-parabola and paraboloid took 155/182/209 ms at 2^14 cells,
+# where each `fft` call's set-up shows, 146/180/207 at 2^15, 143/171/213 at
+# 2^16, 144/168/199 at 2^17 and 145/177/204 at 2^18, a tie from 2^15 up;
+# the tracemalloc peak of sym-parabola grows with the slab, 32.5, 33.1,
+# 34.3, 36.8 and 41.8 MiB.
+SPECTRUM_SLAB_CELLS = 1 << 16
 
 
 def _distinct_lines(lines: np.ndarray, held: np.ndarray) -> tuple:
@@ -213,10 +222,12 @@ def spectrum_max(S: PointSet) -> float:
     axis (the last), only on the lines of S that hold a point.  When the held
     lines fill more than one block of transforms, each distinct line is
     transformed once (lines keyed by their packed bits): the transform maps
-    equal lines to bitwise equal rows, whatever block holds them.  The
-    transformed lines are stored frequency-major, one column per distinct
-    line, plus one zero column, the transform of an empty line (an empty
-    line transforms to exact zeros, and a signed zero changes no |.|);
+    equal lines to bitwise equal rows, whatever block holds them.  Each block
+    is cast to complex and transformed column-wise, along axis 0, straight
+    into a frequency-major table: the cast is exact, and each 1-D line
+    transforms to fftn's own row along any axis.  The table has one column
+    per distinct line, plus one zero column, the transform of an empty line
+    (an empty line transforms to exact zeros, and a signed zero changes no |.|);
     `src` maps every x_1 line to its column: its class, or the zero column.
     Then one slab of x_1 frequencies at a time is gathered by `src` from
     contiguous rows of that table, already frequency-major with the lines
@@ -247,7 +258,7 @@ def spectrum_max(S: PointSet) -> float:
     line_hat = np.empty((p, n + 1), dtype=np.complex128)
     for r in range(0, n, rows):
         block = distinct[r : r + rows]
-        line_hat[:, r : r + block.size] = np.fft.fft(lines[block].astype(np.float64)).T
+        line_hat[:, r : r + block.size] = np.fft.fft(lines[block].T.astype(np.complex128), axis=0)
     line_hat[:, n] = 0.0  # the transform of an empty line
     src = np.full(len(lines), n)
     src[held] = inverse
@@ -279,10 +290,10 @@ class SalemParams:
     constant: float = 2.0
 
     def __post_init__(self):
-        if not self.gamma >= 0:  # written so that nan fails too
-            raise ValueError("gamma must be >= 0")
-        if not self.constant > 0:
-            raise ValueError("constant must be > 0")
+        if not 0 <= self.gamma < math.inf:  # written so that nan fails too
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
+        if not 0 < self.constant < math.inf:
+            raise ValueError(f"constant must be a finite number > 0, got {self.constant}")
 
 
 @dataclass(frozen=True)
@@ -320,12 +331,13 @@ def salem_bound(ctx: FieldContext, size: int, params: SalemParams) -> float:
 
 def salem_report(S: PointSet, params: SalemParams | None = None) -> SalemReport:
     """Check the Salem inequality for every nonzero frequency of S; a bound
-    that underflows to 0.0 (or to nan) is a ValueError, as it leaves no ratio."""
+    that underflows to 0.0, overflows to inf (or is nan) is a ValueError, as
+    it leaves no finite ratio to report."""
     if S.size == 0:
         raise EmptySet("salem certification needs a nonempty set")
     params = params or SalemParams()
     bound = salem_bound(S.context, S.size, params)
-    if not bound > 0:  # underflowed to 0.0, or 0.0 * inf = nan
+    if not 0 < bound < math.inf:  # underflowed to 0.0, overflowed, or 0.0 * inf = nan
         raise ValueError(
             f"the Salem bound is {bound}: constant {params.constant} and gamma "
             f"{params.gamma} leave the float range"

@@ -574,7 +574,7 @@ def test_edge_count_gamma_domain():
     S = sphere(F7, 2).points
     # (log 7)^1492 overflows a float: the normalized error is 0, not an OverflowError
     assert edge_count(E, S, gamma=1492.0).normalized_error == 0.0
-    for gamma in (-1.0, math.nan):
+    for gamma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma"):
             edge_count(E, S, gamma=gamma)
 

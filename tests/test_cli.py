@@ -678,6 +678,40 @@ def test_argv_fuzz_field_commands(argv):
     assert_clean_exit(argv)
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+FLOAT_FLAG_RUNS = {
+    "--gamma": [["salem-check", "-p", "5", "--curve", "circle:1"],
+                ["edge-count", "-p", "5", "--curve", "circle:1", "--sample", "5", "--seed", "1"]],
+    "--const": [["salem-check", "-p", "5", "--curve", "circle:1"]],
+    "--epsilon": [["random-trials", "-p", "5", "--size", "5", "--trials", "3", "--seed", "1"]],
+    "--beta": [["random-trials", "-p", "5", "--size", "5", "--trials", "3", "--seed", "1"]],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "1e308"])
+@pytest.mark.parametrize("flag", sorted(FLOAT_FLAG_RUNS))
+def test_float_flags_never_print_non_finite_json(flag, value):
+    # --const inf and --gamma 1e308 (through an overflowing (log p)^gamma)
+    # made an infinite bound, and --gamma inf was echoed, as `Infinity`,
+    # which strict JSON parsers reject
+    for argv in FLOAT_FLAG_RUNS[flag]:
+        argv = [*argv, f"{flag}={value}", "--format", "json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        else:
+            assert code in (0, 1), argv
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 def test_random_trials_deterministic(capsys):
     args = [
         "random-trials", "-p", "11", "--size", "11", "--trials", "10",

@@ -266,6 +266,21 @@ def test_spectrum_max_above_one_slab_is_the_table_max():
         assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
 
 
+@pytest.mark.parametrize("name", ["circle:1", "sym-parabola", "random-0.5"])
+def test_plane_spectrum_max_past_one_slab_is_the_table_max(name):
+    # at the default slab size a plane over F_409 takes several slabs, and
+    # its held lines fill several transform blocks, so they are keyed
+    ctx = FieldContext(409, 2)
+    if name == "random-0.5":
+        S = PointSet(ctx, np.random.Generator(np.random.Philox(409)).random(ctx.order) < 0.5)
+    else:
+        S = make_curve(ctx, name).points
+    rows = pointset.SPECTRUM_SLAB_CELLS // ctx.p
+    assert ctx.order > 2 * pointset.SPECTRUM_SLAB_CELLS
+    assert np.count_nonzero(S.grid().any(axis=1)) > rows
+    assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial
+
+
 @pytest.mark.parametrize("p, t", [(31, 1), (31, 3), (2039, 1), (2039, 56)])
 def test_circle_spectrum_max_matches_its_kloosterman_closed_form(p, t):
     ctx = FieldContext(p, 2)
@@ -285,14 +300,15 @@ def test_paraboloid_spectrum_max_is_its_closed_form(p, d):
     assert abs(spectrum_max(S) - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("curve, mib", [("circle:1", 32), ("sym-parabola", 50), ("random-0.5", 80)])
+@pytest.mark.parametrize("curve, mib", [("circle:1", 22), ("sym-parabola", 38), ("random-0.5", 70)])
 def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
     # the x_1 lines of a circle or sym-parabola pair off as y and -y, so the
-    # table of transformed lines holds half of them: tracemalloc peaks of 26.0
-    # and 41.8 MiB with numpy 2.4, against 41.7 and 73.4 MiB with one row per
-    # held line.  A dense random set repeats no line and keeps every held
-    # line, 73.5 MiB; a slab loop that holds one more slab-sized array at its
-    # peak reads 77.5 MiB.
+    # table of transformed lines holds half of them: tracemalloc peaks of 18.6
+    # and 34.3 MiB with numpy 2.4 and 1 MiB slabs, against 26.0 and 41.8 MiB
+    # with 4 MiB slabs and 41.7 and 73.4 MiB with one row per held line.  A
+    # dense random set repeats no line and keeps every held line: 66.0 MiB,
+    # of which the table itself is 63.5 (2039 x 2040 complex), against 73.5
+    # MiB with 4 MiB slabs.
     import tracemalloc
 
     ctx = FieldContext(2039, 2)
@@ -341,6 +357,19 @@ def test_salem_report_rejects_a_bound_that_underflows():
     assert report.bound > 0 and not report.passed
 
 
+def test_salem_params_and_report_reject_non_finite_values():
+    for kwargs in ({"gamma": math.inf}, {"constant": math.inf}, {"constant": -math.inf}):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            SalemParams(**kwargs)
+    # a finite gamma whose (log p)^gamma overflows makes the bound inf
+    S = sphere(FieldContext(5, 2), 1).points
+    assert salem_bound(S.context, S.size, SalemParams(gamma=1e308)) == math.inf
+    with pytest.raises(ValueError, match="Salem bound is inf"):
+        salem_report(S, SalemParams(gamma=1e308))
+    # a huge constant whose bound stays finite still gets a report
+    assert salem_report(S, SalemParams(constant=1e308)).passed
+
+
 def test_salem_bound_log_convention():
     ctx = FieldContext(7, 2)
     assert salem_bound(ctx, 8, SalemParams()) == pytest.approx(2 * math.sqrt(8) / 49)
@@ -374,11 +403,12 @@ def test_salem_check_path_builds_no_coordinate_table():
     assert not hasattr(ctx, "coords")
     # the streamed maximum holds one transformed row per distinct line that
     # holds a point (a circle's lines pair off, so about a quarter of a complex
-    # table) and 4 MiB slabs: 15.0 MiB in all with numpy 2.4, against 15.5 MiB
-    # for one complex table.  fftn's whole table or a cached (order, 2) int64
-    # coordinate table would each add about one more.
+    # table) and 1 MiB slabs: 7.4 MiB in all with numpy 2.4 (14.9 MiB with
+    # 4 MiB slabs), against 15.5 MiB for one complex table.  fftn's whole
+    # table or a cached (order, 2) int64 coordinate table would each add
+    # about one more.
     complex_table = 16 * ctx.order
-    assert peak < 1.5 * complex_table
+    assert peak < 0.75 * complex_table
 
 
 def test_salem_report_json_keys():
