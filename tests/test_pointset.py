@@ -237,10 +237,11 @@ def _spectrum_cases(ctx):
 
 
 @pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (13, 2), (5, 3), (7, 3), (5, 4)])
-@pytest.mark.parametrize("cells", [1, 7, 64, 1000, pointset.SPECTRUM_SLAB_CELLS])
+@pytest.mark.parametrize("cells", [1, 7, 64, 1000, 1 << 18])
 def test_spectrum_max_is_the_table_max_bit_for_bit(monkeypatch, p, d, cells):
     # a few cells force many row blocks and slabs, and slabs one frequency
-    # wide; 7 and 64 cells give slabs whose width does not divide p
+    # wide; 7 and 64 cells give slabs whose width does not divide p; 1 << 18
+    # cells, like the default, take each of these sets in one block and slab
     monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", cells)
     ctx = FieldContext(p, d)
     for name, S in _spectrum_cases(ctx).items():
@@ -300,15 +301,7 @@ def test_paraboloid_spectrum_max_is_its_closed_form(p, d):
     assert abs(spectrum_max(S) - want) <= 1e-13 * want
 
 
-@pytest.mark.parametrize("curve, mib", [("circle:1", 22), ("sym-parabola", 38), ("random-0.5", 70)])
-def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
-    # the x_1 lines of a circle or sym-parabola pair off as y and -y, so the
-    # table of transformed lines holds half of them: tracemalloc peaks of 18.6
-    # and 34.3 MiB with numpy 2.4 and 1 MiB slabs, against 26.0 and 41.8 MiB
-    # with 4 MiB slabs and 41.7 and 73.4 MiB with one row per held line.  A
-    # dense random set repeats no line and keeps every held line: 66.0 MiB,
-    # of which the table itself is 63.5 (2039 x 2040 complex), against 73.5
-    # MiB with 4 MiB slabs.
+def _spectrum_max_peak(curve):
     import tracemalloc
 
     ctx = FieldContext(2039, 2)
@@ -319,10 +312,27 @@ def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
     tracemalloc.start()
     try:
         spectrum_max(S)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < mib * 2**20
+
+
+@pytest.mark.parametrize("curve, mib", [("circle:1", 32), ("sym-parabola", 50), ("random-0.5", 80)])
+def test_spectrum_max_transforms_each_distinct_line_once(curve, mib):
+    # the x_1 lines of a circle or sym-parabola pair off as y and -y, so the
+    # table of transformed lines holds half of them: tracemalloc peaks of 18.6
+    # and 34.3 MiB with numpy 2.4, against 41.7 and 73.4 MiB with one row per
+    # held line.  A dense random set repeats no line and keeps every held
+    # line: 66.0 MiB, of which the table itself is 63.5 (2039 x 2040 complex).
+    assert _spectrum_max_peak(curve) < mib * 2**20
+
+
+@pytest.mark.parametrize("curve, mib", [("circle:1", 22), ("sym-parabola", 38), ("random-0.5", 70)])
+def test_spectrum_max_peak_holds_one_mib_slabs(curve, mib):
+    # with 1 MiB slabs the peaks read 18.6, 34.3 and 66.0 MiB (numpy 2.4);
+    # with 4 MiB slabs, each held beside a second slab and a slab of
+    # magnitudes, they read 26.0, 41.8 and 73.5 MiB
+    assert _spectrum_max_peak(curve) < mib * 2**20
 
 
 def test_spectrum_max_leaves_out_the_zero_frequency(monkeypatch):
