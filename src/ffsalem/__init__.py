@@ -13,6 +13,7 @@ from .analysis import (
     edge_count,
     find_rhombus,
     intersection_profile,
+    overlap_maxima,
     prune,
     triple_count,
     triple_overlap_max,
@@ -64,6 +65,7 @@ from .pointset import (
     salem_bound,
     salem_report,
     spectrum_max,
+    spectrum_maxima,
 )
 from .randomsets import (
     GENERATOR_NAME,

@@ -4,7 +4,7 @@ Every count here is an exact integer, and every one counts sums: the pairs
 (a, b) in A x B with a + sign b = x, for sign = +-1.  E*S is the table of
 E x S; the translate overlaps |E ^ (E - u)| behind intersection profiles,
 edge counts and the densest shift are the table of E x E with sign -1.
-Two readers choose how a count is taken:
+Three readers choose how a count is taken:
 
 - _sums(A, B, sign), the whole q^d table.  When |A| |B| <= C q^d (C =
   PAIR_ROUTE_RATIO), as for a curve against a curve, every pair is listed
@@ -17,10 +17,15 @@ Two readers choose how a count is taken:
   GATHER_ROUTE_RATIO) and d <= GATHER_MAX_DIM, one gather per pair from a
   tiled copy of A answers with no table of the group's counts; otherwise
   the table is read at the points.
+- overlap_maxima(ctx, stack), only max_{x != 0} |S ^ (S - x)| for each set
+  of a (T, q^d) stack: construct3's and the counting refutation's m_2, and
+  the overlap that Monte Carlo sweeps and conic censuses check.  Sets of
+  one size take _sums's route together: one bincount with per-set offsets,
+  or one stacked transform.
 
 When A is the whole group every count is |B|, a closed form that takes
-neither route; prune and _overlaps_at answer the full group before they
-read.
+neither route; prune, _overlaps_at and overlap_maxima answer the full group
+before they read.
 """
 
 from __future__ import annotations
@@ -41,17 +46,20 @@ def _cyclic_convolution(
 ) -> np.ndarray:
     """sum of f(a) g(b) over a + sign b = x, for every x in index order, as floats.
 
-    g reflected (sign -1) has the conjugate of g's transform; g is f then
-    gives the real product |f^|^2 from one transform.
+    f and g have shape (..., q^d); leading axes pair off, so a stack of sets
+    convolves each set with itself.  g reflected (sign -1) has the conjugate
+    of g's transform; g is f then gives the real product |f^|^2 from one
+    transform.
     """
-    axes = tuple(range(ctx.d))
-    f_hat = np.fft.rfftn(f.reshape(ctx.grid_shape), axes=axes)
+    axes = tuple(range(-ctx.d, 0))
+    grid = f.shape[:-1] + ctx.grid_shape
+    f_hat = np.fft.rfftn(f.reshape(grid), axes=axes)
     if g is f and sign < 0:
         product = np.abs(f_hat) ** 2
     else:
-        g_hat = f_hat if g is f else np.fft.rfftn(g.reshape(ctx.grid_shape), axes=axes)
+        g_hat = f_hat if g is f else np.fft.rfftn(g.reshape(grid), axes=axes)
         product = f_hat * (g_hat if sign > 0 else g_hat.conj())
-    return np.fft.irfftn(product, s=ctx.grid_shape, axes=axes).reshape(ctx.order)
+    return np.fft.irfftn(product, s=ctx.grid_shape, axes=axes).reshape(f.shape)
 
 
 def _exact(values: np.ndarray) -> np.ndarray:
@@ -73,18 +81,30 @@ PAIR_ROUTE_RATIO = 5
 
 
 def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """counts[index(x)] = |{(s, t) : s + t = x}| over the rows s of a and t of b,
-    coordinate arrays of shape (n, d) with entries in [0, p), by listing every pair.
+    """counts[..., index(x)] = |{(s, t) : s + t = x}| over the rows s of a and
+    t of b, coordinate arrays of shape (..., n, d) and (..., m, d) with
+    entries in [0, p), by listing every pair.  Leading axes pair off: for a
+    stack of sets, (T, n, d) and (T, m, d), set i counts its own pairs, at
+    offset i q^d of one bincount, into row i of a (T, q^d) table.
 
-    Rows of a go in blocks of at most q^d pairs, and a block holds two pair
-    arrays, so memory stays O(q^d) however many pairs there are.
+    Rows of a go in blocks of at most T q^d pairs, and a block holds two pair
+    arrays, so memory stays O(T q^d) however many pairs there are.
     """
-    rows = max(1, ctx.order // max(1, len(b)))
-    counts = np.bincount(ctx.sum_index(a[:rows], b).ravel(), minlength=ctx.order)
-    for start in range(rows, len(a), rows):
-        block = a[start : start + rows]
-        counts += np.bincount(ctx.sum_index(block, b).ravel(), minlength=ctx.order)
-    return counts
+    stack = b.shape[:-2]
+    cells = math.prod(stack) * ctx.order
+    rows = max(1, ctx.order // max(1, b.shape[-2]))
+    offsets = np.arange(0, cells, ctx.order).reshape(stack + (1, 1))
+
+    def keys(block: np.ndarray) -> np.ndarray:
+        index = ctx.sum_index(block, b)
+        if cells > ctx.order:  # one set needs no offset pass over its pairs
+            index += offsets
+        return index.ravel()
+
+    counts = np.bincount(keys(a[..., :rows, :]), minlength=cells)
+    for start in range(rows, a.shape[-2], rows):
+        counts += np.bincount(keys(a[..., start : start + rows, :]), minlength=cells)
+    return counts.reshape(stack + (ctx.order,))
 
 
 # Gathering against a whole table, both exact: the gather route wins while
@@ -233,7 +253,9 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
 
     nu = sum_{s in S} |E ^ (E - s)|, the translate overlaps of E read at S.
     K = |S| / q^(d-1) is measured from S; the normalization divides the error
-    by q^((d-1)/2) (log q)^gamma |E|, for finite gamma >= 0.
+    by q^((d-1)/2) (log q)^gamma |E|, for finite gamma >= 0.  A divisor that
+    overflows to inf is a ValueError, as in salem_report: it would report a
+    normalized error of 0.0 whatever the count.
     """
     if E.size == 0:
         raise EmptySet("edge count over an empty set E")
@@ -242,13 +264,17 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
     ctx = E.context
     if ctx != S.context:
         raise ValueError("point sets live over different contexts")
-    nu = int(_overlaps_at(E, S.indices()).sum())
     q = ctx.p
+    scale = q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * E.size
+    if not scale < math.inf:
+        raise ValueError(
+            f"the edge-count normalization is {scale}: gamma {gamma} leaves the float range"
+        )
+    nu = int(_overlaps_at(E, S.indices()).sum())
     K = S.size / q ** (ctx.d - 1)
     main = K * E.size**2 / q
     err = nu - main
-    normalized = abs(err) / (q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * E.size)
-    return EdgeCountReport(nu, main, float(err), float(normalized), K)
+    return EdgeCountReport(nu, main, float(err), float(abs(err) / scale), K)
 
 
 def triple_count(E: PointSet, S: PointSet) -> int:
@@ -293,6 +319,39 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
         argmax=ctx.point_at(1 + int(np.argmax(nontrivial))),
         at_zero=int(flat[0]),
     )
+
+
+def overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
+    """max_{x != 0} |S ^ (S - x)| for each row S of a (T, q^d) bool stack:
+    `intersection_profile(S).max_size`, with no histogram or argmax, and 0
+    for an empty S.
+
+    Sets of one size take one route, by _sums's rule: the full group's
+    overlaps are all q^d; when |S|^2 <= C q^d their pairs are listed, one
+    bincount for all of them with set t's counts at offset t q^d; otherwise
+    one stacked real transform |S^|^2, rounded by _exact.  Every count is
+    exact, so no maximum depends on which sets share a stack.
+    """
+    # np.nonzero(stack) took 14 times as long as this for one set at p = 2039
+    sets, points = np.divmod(np.flatnonzero(stack), ctx.order)
+    sizes = np.bincount(sets, minlength=len(stack))
+    out = np.empty(len(stack), dtype=np.int64)
+    # a Monte Carlo stack has one size, a census up to three; np.unique
+    # would import numpy.ma (1 MiB resident) in a run that needs nothing else of it
+    for n in sorted(set(sizes.tolist())):
+        rows = sizes == n
+        if n == ctx.order:  # every overlap of the full group is q^d
+            out[rows] = n
+            continue
+        if n * n <= PAIR_ROUTE_RATIO * ctx.order:
+            a = ctx.coords_of(points[rows[sets]].reshape(np.count_nonzero(rows), n))
+            counts = _pair_counts(ctx, a, -a % ctx.p)
+        else:
+            members = stack[rows]
+            counts = _exact(_cyclic_convolution(members, members, ctx, -1))
+        counts[:, 0] = 0  # x = 0, where the overlap is |S|
+        out[rows] = counts.max(axis=1)
+    return out
 
 
 # triple_overlap_max lists |S ^ (S + u)| |S| pairs and counts them into q^d

@@ -108,15 +108,17 @@ class FieldContext:
 
     def sum_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """index(x + y) for every row x of a and y of b, coordinate arrays of
-        shape (n, d) with entries in [0, p), as an (len(a), len(b)) array.
+        shape (..., n, d) and (..., m, d) with entries in [0, p), as an
+        (..., n, m) array; leading axes pair off, so a stack of sets adds
+        within each set.
 
         Axis i adds _wrap[i][x_i + y_i].  Each lookup writes over its own
         sums, which is safe because take reads entry j before it writes entry j."""
         wrap = self._wrap
-        index = np.add.outer(a[:, 0], b[:, 0])
+        index = a[..., :, None, 0] + b[..., None, :, 0]
         wrap[0].take(index, out=index, mode="clip")
         for axis in range(1, self.d):
-            sums = np.add.outer(a[:, axis], b[:, axis])
+            sums = a[..., :, None, axis] + b[..., None, :, axis]
             index += wrap[axis].take(sums, out=sums, mode="clip")
         return index
 

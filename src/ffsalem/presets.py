@@ -15,11 +15,12 @@ import time
 
 import numpy as np
 
-from .analysis import intersection_profile
+from .analysis import overlap_maxima
 from .curves import Quadratic, symmetrized_parabola
 from .errors import SweepTooLarge
 from .field import FieldContext, character_row_sums, legendre
-from .pointset import PointSet, spectrum_max
+from .pointset import PointSet, spectrum_maxima
+from .randomsets import STACK_CELLS
 from .shatter import (
     SearchStatus,
     ShatterProblem,
@@ -120,9 +121,11 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
     checks |Z| in {q-1, q, q+1}, q^2 max|S^| <= 2 sqrt(q) + 1e-6, and
     intersection profile max <= 2.  Each conic costs one complex FFT over
     the plane (the spectrum) and a listing of its ~p^2 point pairs (the
-    profile), so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
+    largest overlap), so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
     before the first conic is drawn (about 0.06 us per cell on one core of a
-    2-vCPU Xeon VM: 0.95 s for 100 conics at p = 409).
+    2-vCPU Xeon VM: 0.95 s for 100 conics at p = 409).  Conics of the right
+    size are evaluated as monte_carlo's trials are, a stack of
+    max(1, STACK_CELLS // p^2) at a time, so each list keeps conic order.
     """
     ctx = FieldContext(p, 2)
     if p * p * count > CONIC_CENSUS_MAX_CELLS:
@@ -138,6 +141,8 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
     bad_salem: list = []
     bad_overlap: list = []
     sizes: dict = {}
+    stack = np.empty((min(count, max(1, STACK_CELLS // ctx.order)), ctx.order), dtype=bool)
+    stacked: list = []  # the coefficients of the conics in stack[:len(stacked)]
     while checked < count:
         attempts += 1
         if attempts > 100 * count:
@@ -153,14 +158,20 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
         Z = quad.zero_set()
         sizes[Z.size] = sizes.get(Z.size, 0) + 1
         coeffs = [a, b, c, d, e, f]
-        if Z.size not in (p - 1, p, p + 1):
+        if Z.size in (p - 1, p, p + 1):
+            stack[len(stacked)] = Z.membership
+            stacked.append(coeffs)
+        else:
             bad_counts.append(coeffs)
-            continue
-        phi = p**2 * spectrum_max(Z)
-        if phi > 2.0 * math.sqrt(q) + 1e-6:
-            bad_salem.append(coeffs)
-        if intersection_profile(Z).max_size > 2:
-            bad_overlap.append(coeffs)
+        if stacked and (len(stacked) == len(stack) or checked == count):
+            block = stack[: len(stacked)]
+            phis = (p**2 * spectrum_maxima(ctx, block)).tolist()
+            for coeffs, phi, overlap in zip(stacked, phis, overlap_maxima(ctx, block).tolist()):
+                if phi > 2.0 * math.sqrt(q) + 1e-6:
+                    bad_salem.append(coeffs)
+                if overlap > 2:
+                    bad_overlap.append(coeffs)
+            stacked = []
     ok = not bad_counts and not bad_salem and not bad_overlap
     return {
         "pass": ok,

@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import build_cube, intersection_profile, prune, triple_overlap_max
+from .analysis import build_cube, overlap_maxima, prune, triple_overlap_max
 from .errors import DimensionMismatch, EmptySet, NotSymmetric, SweepTooLarge
 from .field import FieldContext
 from .pointset import PointSet
@@ -283,7 +283,7 @@ class TranslateCounts:
     distinct witnesses y_I, each in W and in x^i - S for every i <= j: in the
     intersection of j translates of S by distinct shifts.  So 2^(k-j) <= m_j,
     i.e. k <= j + floor(log2 m_j), for m_0 = |W|, m_1 = |S|,
-    m_2 = max |S ^ (S - u)| over u != 0 (intersection_profile) and
+    m_2 = max |S ^ (S - u)| over u != 0 (overlap_maxima) and
     m_3 = max |S ^ (S + u) ^ (S + v)| over distinct nonzero u, v
     (triple_overlap_max).  Two circles meet in at most two points, so a
     circle has m_2 = 2 and no 4 shattered points.  Each m_j is computed only
@@ -309,7 +309,7 @@ class TranslateCounts:
         """m_j when m_j < 2^e, else some value in [2^e, m_j]; None when m_3
         is past its cost cap.  j = 3 comes only after 2^(e+1) <= m_2."""
         if j == 2 and 2 not in self._m:
-            self._m[2] = intersection_profile(self.S).max_size
+            self._m[2] = int(overlap_maxima(self.S.context, self.S.membership[None])[0])
         if j == 3 and 3 not in self._m:
             m = triple_overlap_max(self.S, stop_at=1 << e)
             if m is None or m >> e:  # past the cap, or a scan stopped at 2^e
@@ -648,8 +648,7 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
     if S.size == 0:
         raise EmptySet("constructive shattering needs a nonempty S")
     ctx = S.context
-    max_size = intersection_profile(S).max_size
-    m_threshold = 7 + 2 * max_size
+    m_threshold = 7 + 2 * int(overlap_maxima(ctx, S.membership[None])[0])
     e_m = prune(E, S, m_threshold)
     if e_m.size < 4:
         return SearchOutcome(SearchStatus.NOT_FOUND)

@@ -13,6 +13,7 @@ from ffsalem import (
     edge_count,
     find_rhombus,
     intersection_profile,
+    overlap_maxima,
     poly_graph,
     prune,
     sphere,
@@ -217,6 +218,42 @@ def test_bench_jobs_keep_their_routes(transforms, listings, gathers):
     listings.clear()
     intersection_profile(sample_subset(FieldContext(101, 2), 1015, seed=1))
     assert (listings, transforms) == ([], [True])  # a random-trials set is transformed
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (101, 1), (7, 2), (11, 2), (5, 3), (3, 4)])
+def test_overlap_maxima_of_a_stack_is_each_profiles_max(p, d):
+    # sizes on both sides of the pair route's |S|^2 <= C q^d, repeated so
+    # each route takes a stack of several sets, beside the empty set, a
+    # point, the sphere and the full group
+    ctx = FieldContext(p, d)
+    edge = math.isqrt(analysis.PAIR_ROUTE_RATIO * ctx.order)
+    sizes = [edge - 1, edge, edge + 1, edge, edge + 1, ctx.order - 1, 1, edge - 1]
+    sets = [random_set(ctx, n, seed=10 * i + n) for i, n in enumerate(sizes)]
+    sets += [PointSet.empty(ctx), sphere(ctx, 1).points, PointSet.full(ctx)]
+    got = overlap_maxima(ctx, np.stack([S.membership for S in sets]))
+    want = [intersection_profile(S).max_size if S.size else 0 for S in sets]
+    assert got.tolist() == want
+    assert [overlap_maxima(ctx, S.membership[None])[0] for S in sets] == want
+
+
+def test_overlap_maxima_take_one_call_a_size(transforms, listings):
+    # a Monte Carlo stack of 31-point sets over F_31^2 lists its pairs in one
+    # call; 1015-point sets over F_101^2 take one stacked transform
+    ctx = FieldContext(31, 2)
+    stack = np.stack([sample_subset(ctx, 31, seed=s).membership for s in range(17)])
+    overlap_maxima(ctx, stack)
+    assert (listings, transforms) == ([(17, 17)], [])
+    listings.clear()
+    ctx = FieldContext(101, 2)
+    stack = np.stack([sample_subset(ctx, 1015, seed=s).membership for s in range(3)])
+    overlap_maxima(ctx, stack)
+    assert (listings, transforms) == ([], [True])
+    # a census stack holds conics of p - 1, p and p + 1 points: one listing a size
+    transforms.clear()
+    ctx = FieldContext(13, 2)
+    stack = np.stack([random_set(ctx, n, seed=n).membership for n in (12, 14, 13, 14)])
+    overlap_maxima(ctx, stack)
+    assert (listings, transforms) == ([(1, 1), (1, 1), (2, 2)], [])
 
 
 # d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle
@@ -572,8 +609,11 @@ def test_find_rhombus_avoiding_phantom_shifts_matches_brute():
 def test_edge_count_gamma_domain():
     E = random_set(F7, 12, seed=8)
     S = sphere(F7, 2).points
-    # (log 7)^1492 overflows a float: the normalized error is 0, not an OverflowError
-    assert edge_count(E, S, gamma=1492.0).normalized_error == 0.0
+    # (log 7)^1492 overflows a float: a normalized error of 0.0 would be
+    # meaningless, so the divisor is refused as salem_report refuses its bound
+    with pytest.raises(ValueError, match="leaves the float range"):
+        edge_count(E, S, gamma=1492.0)
+    assert edge_count(E, S, gamma=400.0).normalized_error > 0.0
     for gamma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma"):
             edge_count(E, S, gamma=gamma)

@@ -712,6 +712,17 @@ def test_float_flags_never_print_non_finite_json(flag, value):
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("gamma", ["1e308", "1492"])
+def test_edge_count_gamma_past_the_float_range_is_a_usage_error(capsys, gamma):
+    # (log 5)^gamma overflows, which printed a normalized error of 0.0
+    argv = ["edge-count", "-p", "5", "--curve", "circle:1", "--sample", "5", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--gamma", gamma, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.count("\n") == 1 and "leaves the float range" in err
+
+
 def test_random_trials_deterministic(capsys):
     args = [
         "random-trials", "-p", "11", "--size", "11", "--trials", "10",

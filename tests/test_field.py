@@ -131,6 +131,18 @@ def test_sum_index_matches_indices_of_the_sums(p, d):
     assert ctx.sum_index(a, b[:0]).shape == (9, 0)
 
 
+@pytest.mark.parametrize("p,d", [(11, 1), (7, 2), (5, 3)])
+def test_sum_index_of_a_stack_adds_within_each_set(p, d):
+    ctx = FieldContext(p, d)
+    rng = np.random.Generator(np.random.Philox(10 * p + d))
+    a = rng.integers(0, p, size=(3, 9, d))
+    b = rng.integers(0, p, size=(3, 4, d))
+    stacked = ctx.sum_index(a, b)
+    assert stacked.shape == (3, 9, 4)
+    for t in range(3):
+        assert np.array_equal(stacked[t], ctx.sum_index(a[t], b[t]))
+
+
 def test_reduce_canonicalizes():
     assert F5.reduce((-1, 7)) == (4, 2)
 

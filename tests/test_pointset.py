@@ -21,6 +21,7 @@ from ffsalem import (
     salem_bound,
     salem_report,
     spectrum_max,
+    spectrum_maxima,
     sphere,
 )
 from ffsalem import pointset
@@ -247,6 +248,20 @@ def test_spectrum_max_is_the_table_max_bit_for_bit(monkeypatch, p, d, cells):
     for name, S in _spectrum_cases(ctx).items():
         assert spectrum_max(S) == fourier_spectrum(S).max_nontrivial, name
     assert spectrum_max(PointSet.empty(ctx)) == 0.0
+
+
+@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (13, 2), (5, 3), (7, 3), (5, 4)])
+@pytest.mark.parametrize("cells", [1, 7, 64, 1000, 1 << 16])
+def test_spectrum_maxima_of_a_stack_is_each_sets_table_max(monkeypatch, p, d, cells):
+    # every set of one stack, with its lines keyed and transformed beside the
+    # other sets' and its slabs cut where the stack's fall, keeps its own
+    # maximum bit for bit; 1 << 16 cells, the default, takes each stack in
+    # one block and one slab
+    monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", cells)
+    ctx = FieldContext(p, d)
+    sets = list(_spectrum_cases(ctx).values())
+    got = spectrum_maxima(ctx, np.stack([S.membership for S in sets]))
+    assert got.tolist() == [fourier_spectrum(S).max_nontrivial for S in sets]
 
 
 @pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (5, 3), (5, 4)])

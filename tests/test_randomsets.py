@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffsalem import (
@@ -12,7 +13,7 @@ from ffsalem import (
     sample_subset,
     trial_seed,
 )
-from ffsalem import pointset, randomsets
+from ffsalem import intersection_profile, pointset, presets, randomsets, spectrum_max
 from ffsalem.randomsets import GENERATOR_NAME
 from oracles import fourier_spectrum, reference_sample_subset
 
@@ -199,6 +200,69 @@ def test_monte_carlo_omega_matches_direct():
         assert s.phi_values[i] == pytest.approx(
             F11.order * fourier_spectrum(S).max_nontrivial, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("p, d", [(13, 1), (11, 2), (5, 3), (3, 4)])
+@pytest.mark.parametrize("fill", ["one point", "all but one"])
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small-stacks-and-slabs"])
+def test_monte_carlo_stacks_keep_each_trials_phi_and_omega(monkeypatch, p, d, fill, small):
+    # trial i of a stacked sweep reads exactly what its own set gives alone:
+    # Phi == q^d spectrum_max (==, not approx) and Omega the profile's max.
+    # Both trial counts leave a short last stack; small stacks of 3 sets
+    # with 40-cell slabs key their lines and cut many slabs
+    ctx = FieldContext(p, d)
+    size = 1 if fill == "one point" else ctx.order - 1
+    if small:
+        monkeypatch.setattr(randomsets, "STACK_CELLS", 3 * ctx.order)
+        monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 40)
+    trials = (3 if small else randomsets.STACK_CELLS // ctx.order) + 2
+    s = monte_carlo(ctx, size, trials, seed=p + d)
+    assert len(s.phi_values) == len(s.omega_values) == trials
+    for ts, phi, omega in zip(s.trial_seeds, s.phi_values, s.omega_values):
+        S = sample_subset(ctx, size, ts)
+        assert phi == ctx.order * spectrum_max(S) == ctx.order * fourier_spectrum(S).max_nontrivial
+        assert omega == intersection_profile(S).max_size
+
+
+# the seed-1 phi_values of `random-trials -p 31 --size 31 --trials 40`, as
+# float.hex, from the sweep that evaluated one set at a time
+PHI_HEX_P31_SEED1 = (
+    "0x1.cc97c81bc0918p+3", "0x1.e7fbb161742ddp+3", "0x1.bb520cce72866p+3",
+    "0x1.c37249a4b97efp+3", "0x1.03e8099f86b50p+4", "0x1.cc9358e5fccd7p+3",
+    "0x1.c3dfc070eedf2p+3", "0x1.c50d98687fd35p+3", "0x1.97daf5a68f2c4p+3",
+    "0x1.945b2afe3fa67p+3", "0x1.ba286f9e21c35p+3", "0x1.af4f021eec6f2p+3",
+    "0x1.c21bb7080b44dp+3", "0x1.9ee043276185dp+3", "0x1.afd01654e4b6ep+3",
+    "0x1.c36d748db29b3p+3", "0x1.b6050d90e70f1p+3", "0x1.d79c2c4c6c889p+3",
+    "0x1.a36d792ad5ebfp+3", "0x1.d60e185b1b0dbp+3", "0x1.c1b342d58c603p+3",
+    "0x1.9ac1537e7f436p+3", "0x1.a9bdeb8ce9287p+3", "0x1.b1d385f1c18f4p+3",
+    "0x1.925a5e2467e39p+3", "0x1.bd8640ec5e76ep+3", "0x1.a13ce8b017d39p+3",
+    "0x1.d611458c6cbfdp+3", "0x1.c5df08ee10c3fp+3", "0x1.058f4513211c3p+4",
+    "0x1.88bd1b86716bap+3", "0x1.b705569e89472p+3", "0x1.a47c36363221ep+3",
+    "0x1.9d71dca39392fp+3", "0x1.d140d0cb680e5p+3", "0x1.cd2f4e537a6afp+3",
+    "0x1.e2390e0939f72p+3", "0x1.997d2b0cc7554p+3", "0x1.d3d74dffea1ebp+3",
+    "0x1.b9af3bb6417eep+3",
+)
+
+
+def test_monte_carlo_phi_values_are_frozen():
+    s = monte_carlo(FieldContext(31, 2), 31, 40, seed=1)
+    assert tuple(phi.hex() for phi in s.phi_values) == PHI_HEX_P31_SEED1
+    assert s.omega_values == [
+        6, 5, 4, 4, 5, 5, 4, 5, 5, 4, 5, 5, 5, 5, 4, 5, 4, 4, 4, 4,
+        5, 4, 4, 4, 5, 4, 4, 4, 4, 5, 5, 4, 4, 5, 5, 4, 4, 5, 5, 4,
+    ]
+
+
+def test_conic_census_stacks_keep_conic_order(monkeypatch):
+    # every conic fails a shifted overlap check, so bad_overlap lists them
+    # all, in the order they were drawn, whatever the stack size
+    real = presets.overlap_maxima
+    monkeypatch.setattr(presets, "overlap_maxima", lambda ctx, stack: real(ctx, stack) + 3)
+    stacked = presets.conic_census(13, seed=3, count=40)
+    monkeypatch.setattr(presets, "STACK_CELLS", 1)
+    assert presets.conic_census(13, seed=3, count=40) == stacked
+    assert len(stacked["bad_overlap"]) + len(stacked["bad_point_counts"]) == 40
+    assert stacked["bad_overlap"] and not stacked["bad_salem"]
 
 
 def test_symmetrized_intersection_decomposition():

@@ -578,10 +578,11 @@ def test_circle_k3_is_found_at_the_boundary():
 
 
 def test_empty_s_never_reaches_the_intersection_profile(monkeypatch):
-    def fail(S):
-        raise AssertionError("intersection_profile called")
+    # m_2, the profile's maximum, is read by overlap_maxima
+    def fail(ctx, stack):
+        raise AssertionError("overlap_maxima called")
 
-    monkeypatch.setattr(shatter, "intersection_profile", fail)
+    monkeypatch.setattr(shatter, "overlap_maxima", fail)
     b = vc_bounds(PointSet.empty(F11), k_max=4)
     assert (b.lower, b.exact, b.refuted_by) == (0, 0, (1, 0))
 
