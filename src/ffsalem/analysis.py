@@ -4,28 +4,28 @@ Every count here is an exact integer, and every one counts sums: the pairs
 (a, b) in A x B with a + sign b = x, for sign = +-1.  E*S is the table of
 E x S; the translate overlaps |E ^ (E - u)| behind intersection profiles,
 edge counts and the densest shift are the table of E x E with sign -1.
-Three readers choose how a count is taken:
+Two readers choose how a count is taken:
 
-- _sums(A, B, sign), the whole q^d table.  When |A| |B| <= C q^d (C =
+- _sums(A, B, sign), the whole q^d table, the one-set case of _sum_tables,
+  which takes a stack of sets at once.  When |A| |B| <= C q^d (C =
   PAIR_ROUTE_RATIO), as for a curve against a curve, every pair is listed
-  and its sum's index counted.  Otherwise a real-FFT cyclic convolution is
-  rounded to integers, from one transform when B is A; a value 0.25 or
-  more from every integer is an internal error, never a rounded answer.
+  and its sum's index counted, for a stack in one bincount with per-set
+  offsets.  Otherwise a real-FFT cyclic convolution is rounded to integers,
+  from one transform when B is A; a value 0.25 or more from every integer
+  is an internal error, never a rounded answer.  overlap_maxima(ctx, stack)
+  reads the row maxima of that table over a (T, q^d) stack, x = 0 left
+  out: construct3's and the counting refutation's m_2, and the overlap that
+  Monte Carlo sweeps and conic censuses check.
 - _sums_at(A, B, sign, points), the same counts at a list of indices (E*S
   on E's own points for triple counts and pruning, overlaps at S's shifts
   for edge counts and the densest shift).  When |points| |B| <= G q^d (G =
   GATHER_ROUTE_RATIO) and d <= GATHER_MAX_DIM, one gather per pair from a
   tiled copy of A answers with no table of the group's counts; otherwise
   the table is read at the points.
-- overlap_maxima(ctx, stack), only max_{x != 0} |S ^ (S - x)| for each set
-  of a (T, q^d) stack: construct3's and the counting refutation's m_2, and
-  the overlap that Monte Carlo sweeps and conic censuses check.  Sets of
-  one size take _sums's route together: one bincount with per-set offsets,
-  or one stacked transform.
 
 When A is the whole group every count is |B|, a closed form that takes
-neither route; prune, _overlaps_at and overlap_maxima answer the full group
-before they read.
+neither route; _sum_tables, _sums_at, _overlaps_at and prune answer the
+full group before they read.
 """
 
 from __future__ import annotations
@@ -157,27 +157,36 @@ def _gathered_sums(A: PointSet, B: PointSet, sign: int, points: np.ndarray) -> n
     return out
 
 
+def _sum_tables(
+    ctx: FieldContext, a: np.ndarray, b: np.ndarray, sign: int, n: int, m: int
+) -> np.ndarray:
+    """counts[..., index(x)] = |{(s, t) : s + sign t = x}| over the points s
+    of a and t of b, bool tables of shape (..., q^d) whose rows hold n and m
+    points each, sign = +-1.  Leading axes pair off, so for a stack of sets
+    row i counts set i's own sums."""
+    if n == ctx.order:  # every x - sign t lies in the full group
+        return np.full(a.shape, m, dtype=np.int64)
+    if n * m <= PAIR_ROUTE_RATIO * ctx.order:
+        # coords_of reduces every coordinate mod p, so the flat index i q^d +
+        # index(x) of a stack's row i gives x's own coordinates (q^d = p^d)
+        pa = ctx.coords_of(np.flatnonzero(a).reshape(a.shape[:-1] + (n,)))
+        pb = pa if b is a else ctx.coords_of(np.flatnonzero(b).reshape(b.shape[:-1] + (m,)))
+        return _pair_counts(ctx, pa, pb if sign > 0 else -pb % ctx.p)
+    return _exact(_cyclic_convolution(a, b, ctx, sign))
+
+
 def _sums(A: PointSet, B: PointSet, sign: int = 1) -> np.ndarray:
     """counts[index(x)] = |{(a, b) in A x B : a + sign b = x}| for every x,
     sign = +-1: E*S for A x B = E x S, and |E ^ (E - x)| for E x E, sign -1."""
-    ctx = A.context
-    if ctx != B.context:
-        raise ValueError("point sets live over different contexts")
-    if A.size == ctx.order:  # every x - sign b lies in the full group
-        return np.full(ctx.order, B.size, dtype=np.int64)
-    if A.size * B.size <= PAIR_ROUTE_RATIO * ctx.order:
-        a = ctx.coords_of(A.indices())
-        b = a if B is A else ctx.coords_of(B.indices())
-        return _pair_counts(ctx, a, b if sign > 0 else -b % ctx.p)
-    return _exact(_cyclic_convolution(A.membership, B.membership, ctx, sign))
+    A._check_same_context(B)
+    return _sum_tables(A.context, A.membership, B.membership, sign, A.size, B.size)
 
 
 def _sums_at(A: PointSet, B: PointSet, sign: int, points: np.ndarray) -> np.ndarray:
     """_sums(A, B, sign)[points], gathered with no table of the group's counts
     while that is the cheaper route."""
+    A._check_same_context(B)
     ctx = A.context
-    if ctx != B.context:
-        raise ValueError("point sets live over different contexts")
     if A.size == ctx.order:
         return np.full(len(points), B.size, dtype=np.int64)
     if ctx.d <= GATHER_MAX_DIM and len(points) * B.size <= GATHER_ROUTE_RATIO * ctx.order:
@@ -261,9 +270,8 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
         raise EmptySet("edge count over an empty set E")
     if not 0 <= gamma < math.inf:  # written so that nan fails too
         raise ValueError(f"gamma must be a finite number >= 0, got {gamma}")
+    E._check_same_context(S)
     ctx = E.context
-    if ctx != S.context:
-        raise ValueError("point sets live over different contexts")
     q = ctx.p
     scale = q ** ((ctx.d - 1) / 2) * _log_factor(q, gamma) * E.size
     if not scale < math.inf:
@@ -324,31 +332,20 @@ def intersection_profile(S: PointSet) -> IntersectionProfile:
 def overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
     """max_{x != 0} |S ^ (S - x)| for each row S of a (T, q^d) bool stack:
     `intersection_profile(S).max_size`, with no histogram or argmax, and 0
-    for an empty S.
-
-    Sets of one size take one route, by _sums's rule: the full group's
-    overlaps are all q^d; when |S|^2 <= C q^d their pairs are listed, one
-    bincount for all of them with set t's counts at offset t q^d; otherwise
-    one stacked real transform |S^|^2, rounded by _exact.  Every count is
-    exact, so no maximum depends on which sets share a stack.
+    for an empty S.  The sets of each size share one _sum_tables call; every
+    count is exact, so no maximum depends on which sets share a stack.
     """
-    # np.nonzero(stack) took 14 times as long as this for one set at p = 2039
-    sets, points = np.divmod(np.flatnonzero(stack), ctx.order)
-    sizes = np.bincount(sets, minlength=len(stack))
+    # np.count_nonzero(stack, axis=1) took 2.6 times as long for one set at p =
+    # 2039; divmod is the loop coords_of runs, where // left construct3 and vc
+    # runs 0.1 to 0.2 MiB more resident
+    sizes = np.bincount(np.divmod(np.flatnonzero(stack), ctx.order)[0], minlength=len(stack))
     out = np.empty(len(stack), dtype=np.int64)
     # a Monte Carlo stack has one size, a census up to three; np.unique
     # would import numpy.ma (1 MiB resident) in a run that needs nothing else of it
     for n in sorted(set(sizes.tolist())):
         rows = sizes == n
-        if n == ctx.order:  # every overlap of the full group is q^d
-            out[rows] = n
-            continue
-        if n * n <= PAIR_ROUTE_RATIO * ctx.order:
-            a = ctx.coords_of(points[rows[sets]].reshape(np.count_nonzero(rows), n))
-            counts = _pair_counts(ctx, a, -a % ctx.p)
-        else:
-            members = stack[rows]
-            counts = _exact(_cyclic_convolution(members, members, ctx, -1))
+        members = stack if rows.all() else stack[rows]  # a copy only for mixed sizes
+        counts = _sum_tables(ctx, members, members, -1, n, n)
         counts[:, 0] = 0  # x = 0, where the overlap is |S|
         out[rows] = counts.max(axis=1)
     return out
@@ -411,9 +408,7 @@ def prune(E: PointSet, S: PointSet, M: int) -> PointSet:
     if E.size == E.context.order and E.context == S.context:
         return E if S.size > M else PointSet.empty(E.context)
     members = E.indices()
-    kept = np.zeros(E.context.order, dtype=bool)
-    kept[members[_sums_at(E, S, 1, members) > M]] = True
-    return PointSet._adopt(E.context, kept)
+    return PointSet.from_indices(E.context, members[_sums_at(E, S, 1, members) > M])
 
 
 # -- rhombus and cube witnesses -----------------------------------------------------
@@ -474,9 +469,8 @@ def find_rhombus(
     difference w in S + t for a shift t.  Callers assembling larger graphs
     use it to rule out accidental adjacencies.
     """
+    E._check_same_context(S)
     ctx = E.context
-    if ctx != S.context:
-        raise ValueError("point sets live over different contexts")
     if not S.is_symmetric():
         raise NotSymmetric("rhombus search requires S = -S")
     v = ctx.reduce(v)
@@ -588,9 +582,8 @@ def build_cube(E: PointSet, S: PointSet) -> CubeWitness | None:
     The rhombus also avoids the phantom shifts: no difference w with w - t
     in S for t in {u - v, u + v, -(u + v)}, so the cube relabels into a
     3-shattered tuple."""
+    E._check_same_context(S)
     ctx = E.context
-    if ctx != S.context:
-        raise ValueError("point sets live over different contexts")
     if not S.is_symmetric():
         raise NotSymmetric("cube construction requires S = -S")
     v = _densest_shift(E, S, [(0,) * ctx.d])

@@ -258,10 +258,6 @@ class CurveHandle:
     parameters: dict
     points: PointSet
 
-    @property
-    def context(self) -> FieldContext:
-        return self.points.context
-
 
 def _square_sum(ctx: FieldContext) -> np.ndarray:
     """x_1^2 + ... + x_(d-1)^2 mod p on each of the q^(d-1) lines, x_1 fastest."""

@@ -164,11 +164,13 @@ def transforms(monkeypatch):
 
 @pytest.fixture
 def listings(monkeypatch):
-    """Records the (|a|, |b|) of each _pair_counts call."""
+    """Records the stack and point axes of a and b, a.shape[:-1] and
+    b.shape[:-1], of each _pair_counts call: (|A|,) for one set, (T, |S|)
+    for a stack of T sets."""
     calls = []
 
     def counted(ctx, a, b):
-        calls.append((len(a), len(b)))
+        calls.append((a.shape[:-1], b.shape[:-1]))
         return _pair_counts(ctx, a, b)
 
     monkeypatch.setattr(analysis, "_pair_counts", counted)
@@ -214,22 +216,26 @@ def test_bench_jobs_keep_their_routes(transforms, listings, gathers):
     edge_count(sample_subset(ctx, 20_000, seed=1), S)
     assert (gathers, listings, transforms) == ([True], [], [])  # edge-count gathers
     intersection_profile(S)
-    assert (listings, transforms) == ([(S.size, S.size)], [])  # a curve lists its pairs
+    assert (listings, transforms) == ([((S.size,), (S.size,))], [])  # a curve lists its pairs
     listings.clear()
     intersection_profile(sample_subset(FieldContext(101, 2), 1015, seed=1))
     assert (listings, transforms) == ([], [True])  # a random-trials set is transformed
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (101, 1), (7, 2), (11, 2), (5, 3), (3, 4)])
-def test_overlap_maxima_of_a_stack_is_each_profiles_max(p, d):
-    # sizes on both sides of the pair route's |S|^2 <= C q^d, repeated so
-    # each route takes a stack of several sets, beside the empty set, a
-    # point, the sphere and the full group
-    ctx = FieldContext(p, d)
+def mixed_sets(ctx):
+    """Sizes on both sides of the pair route's |S|^2 <= C q^d, repeated so
+    each route takes a stack of several sets, beside the empty set, a point,
+    the sphere and the full group."""
     edge = math.isqrt(analysis.PAIR_ROUTE_RATIO * ctx.order)
     sizes = [edge - 1, edge, edge + 1, edge, edge + 1, ctx.order - 1, 1, edge - 1]
     sets = [random_set(ctx, n, seed=10 * i + n) for i, n in enumerate(sizes)]
-    sets += [PointSet.empty(ctx), sphere(ctx, 1).points, PointSet.full(ctx)]
+    return sets + [PointSet.empty(ctx), sphere(ctx, 1).points, PointSet.full(ctx)]
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (101, 1), (7, 2), (11, 2), (5, 3), (3, 4)])
+def test_overlap_maxima_of_a_stack_is_each_profiles_max(p, d):
+    ctx = FieldContext(p, d)
+    sets = mixed_sets(ctx)
     got = overlap_maxima(ctx, np.stack([S.membership for S in sets]))
     want = [intersection_profile(S).max_size if S.size else 0 for S in sets]
     assert got.tolist() == want
@@ -242,7 +248,7 @@ def test_overlap_maxima_take_one_call_a_size(transforms, listings):
     ctx = FieldContext(31, 2)
     stack = np.stack([sample_subset(ctx, 31, seed=s).membership for s in range(17)])
     overlap_maxima(ctx, stack)
-    assert (listings, transforms) == ([(17, 17)], [])
+    assert (listings, transforms) == ([((17, 31), (17, 31))], [])
     listings.clear()
     ctx = FieldContext(101, 2)
     stack = np.stack([sample_subset(ctx, 1015, seed=s).membership for s in range(3)])
@@ -253,7 +259,7 @@ def test_overlap_maxima_take_one_call_a_size(transforms, listings):
     ctx = FieldContext(13, 2)
     stack = np.stack([random_set(ctx, n, seed=n).membership for n in (12, 14, 13, 14)])
     overlap_maxima(ctx, stack)
-    assert (listings, transforms) == ([(1, 1), (1, 1), (2, 2)], [])
+    assert (listings, transforms) == ([((1, 12),) * 2, ((1, 13),) * 2, ((2, 14),) * 2], [])
 
 
 # d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle
@@ -372,8 +378,15 @@ def test_differences_with_an_asymmetric_set(
     p, d, route, monkeypatch, transforms, listings, gathers
 ):
     """a - b over A x B with B != -B, by each route, against the brute E*S
-    with S = -B."""
+    with S = -B; and the overlap maxima of a stack of mixed sizes, by the
+    route that lists pairs and by the one that transforms, against each
+    set's intersection profile."""
     ctx = FieldContext(p, d)
+    sets = mixed_sets(ctx)
+    stack = np.stack([S.membership for S in sets])
+    maxima = [intersection_profile(S).max_size if S.size else 0 for S in sets]
+    listings.clear()
+    transforms.clear()
     A = random_set(ctx, ctx.order // 2, seed=p + d)
     B = random_set(ctx, ctx.order // 4 + 1, seed=p + d + 1)
     assert B != B.negate()
@@ -386,11 +399,21 @@ def test_differences_with_an_asymmetric_set(
     assert _sums(A, B, -1).tolist() == table
     assert _sums_at(A, B, -1, points).tolist() == [table[i] for i in points]
     expected = {
-        "pairs": ([(A.size, B.size)] * 2, [], []),
+        "pairs": ([((A.size,), (B.size,))] * 2, [], []),
         "gather": ([], [True], [False]),
         "transform": ([], [], [False, False]),
     }
     assert (listings, gathers, transforms) == expected[route]
+    listings.clear()
+    transforms.clear()
+    assert overlap_maxima(ctx, stack).tolist() == maxima
+    # one call a size, none for the full group; with C = 0 the empty set
+    # alone still lists its (no) pairs
+    sizes = {S.size for S in sets}
+    if route == "pairs":
+        assert transforms == [] and len(listings) == len(sizes) - 1
+    else:
+        assert listings == [((1, 0),) * 2] and len(transforms) == len(sizes) - 2
 
 
 @pytest.mark.parametrize("p, d", [(3, 4), (5, 4)])

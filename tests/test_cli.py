@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -503,6 +504,20 @@ def test_null_prints_as_null_in_text_and_csv(capsys, fmt, rows):
     )
     assert code == 1
     assert out == rows
+
+
+def test_csv_quotes_fields_that_hold_commas(capsys):
+    conic = "conic:1,0,1,0,0,4"  # x^2 + y^2 = 1 over F_5
+    code, out, _ = run(capsys, "shatter", "-p", "5", "--curve", conic, "-k", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    assert dict(rows)["status"] == "FOUND" and dict(rows)["set"] == conic
+    _, out, _ = run(capsys, "curve", "-p", "5", "--curve", conic, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    _, text, _ = run(capsys, "curve", "-p", "5", "--curve", conic, "--format", "json")
+    assert json.loads(dict(rows)["points"]) == json.loads(text)["result"]["points"]
 
 
 def test_vc_certifies_circle_p31(capsys):
