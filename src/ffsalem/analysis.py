@@ -15,7 +15,11 @@ Two readers choose how a count is taken:
   is an internal error, never a rounded answer.  overlap_maxima(ctx, stack)
   reads the row maxima of that table over a (T, q^d) stack, x = 0 left
   out: construct3's and the counting refutation's m_2, and the overlap that
-  Monte Carlo sweeps and conic censuses check.
+  conic censuses check.  salem_overlap_maxima, for a Monte Carlo stack,
+  reads the Salem maxima and those overlaps together: where the overlaps
+  would take the transform it inverts the |S^|^2 table the Salem pass
+  wrote instead, so each set is transformed once.  _lists_pairs is the
+  route test both ask.
 - _sums_at(A, B, sign, points), the same counts at a list of indices (E*S
   on E's own points for triple counts and pruning, overlaps at S's shifts
   for edge counts and the densest shift).  When |points| |B| <= G q^d (G =
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import EmptySet, NotSymmetric
 from .field import FieldContext
-from .pointset import PointSet, _log_factor
+from .pointset import PointSet, _log_factor, spectrum_maxima
 
 
 def _cyclic_convolution(
@@ -63,9 +67,13 @@ def _cyclic_convolution(
 
 
 def _exact(values: np.ndarray) -> np.ndarray:
-    """Round FFT output that is integral in exact arithmetic to int64."""
+    """Round FFT output that is integral in exact arithmetic to int64.
+
+    values, a fresh float table, is overwritten by its distances to the
+    integers, so no more than three tables of its size are alive at once."""
     rounded = np.rint(values)
-    if np.abs(values - rounded).max() >= 0.25:
+    values -= rounded
+    if np.abs(values, out=values).max() >= 0.25:
         raise AssertionError("internal error: FFT count is not within 0.25 of an integer")
     return rounded.astype(np.int64)
 
@@ -78,6 +86,12 @@ def _exact(values: np.ndarray) -> np.ndarray:
 # pair route is never the slower one; a curve has |S|^2 ~ q^d pairs (C ~ 1),
 # where it is 6 to 9 times faster than the transforms.
 PAIR_ROUTE_RATIO = 5
+
+
+def _lists_pairs(ctx: FieldContext, n: int, m: int) -> bool:
+    """True when the sums of n points against m take the pair route, False
+    when they take the transform."""
+    return n * m <= PAIR_ROUTE_RATIO * ctx.order
 
 
 def _pair_counts(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,7 +180,7 @@ def _sum_tables(
     row i counts set i's own sums."""
     if n == ctx.order:  # every x - sign t lies in the full group
         return np.full(a.shape, m, dtype=np.int64)
-    if n * m <= PAIR_ROUTE_RATIO * ctx.order:
+    if _lists_pairs(ctx, n, m):
         # coords_of reduces every coordinate mod p, so the flat index i q^d +
         # index(x) of a stack's row i gives x's own coordinates (q^d = p^d)
         pa = ctx.coords_of(np.flatnonzero(a).reshape(a.shape[:-1] + (n,)))
@@ -349,6 +363,31 @@ def overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
         counts[:, 0] = 0  # x = 0, where the overlap is |S|
         out[rows] = counts.max(axis=1)
     return out
+
+
+def salem_overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> tuple:
+    """(spectrum_maxima(ctx, stack), overlap_maxima(ctx, stack)) for a (T, q^d)
+    bool stack whose rows all hold as many points as its first.
+
+    When the overlaps take the transform, the Salem pass also writes each
+    set's |S^|^2 on rfftn's half spectrum, and |S^|^2 is the transform of the
+    autocorrelation |S ^ (S - x)| (Wiener-Khinchin): one inverse real
+    transform of that table gives every overlap, rounded by _exact, in place
+    of a forward and an inverse transform of the overlaps' own.  The Salem
+    line table is gone by then, so the pass's peak and the inverse's do not
+    add up.  Sets whose overlaps list pairs take the two calls as they are.
+    """
+    size = int(np.count_nonzero(stack[0]))
+    if _lists_pairs(ctx, size, size):
+        return spectrum_maxima(ctx, stack), overlap_maxima(ctx, stack)
+    sets = len(stack)
+    power = np.empty((sets,) + ctx.grid_shape[:-1] + (ctx.p // 2 + 1,))
+    worst = spectrum_maxima(ctx, stack, power)
+    counts = np.fft.irfftn(power, s=ctx.grid_shape, axes=tuple(range(1, ctx.d + 1)))
+    del power
+    counts = _exact(counts.reshape(sets, ctx.order))
+    counts[:, 0] = 0  # x = 0, where the overlap is |S|
+    return worst, counts.max(axis=1)
 
 
 # triple_overlap_max lists |S ^ (S + u)| |S| pairs and counts them into q^d

@@ -14,7 +14,9 @@ a map from every x_1 line to its transformed line (or to one zero column for
 an empty line) gathers each slab with the lines contiguous, so the other
 axes transform contiguous rows; only the cells near a slab's largest
 unscaled magnitude are scaled by q^-d.  Blocks and slabs are sized to a
-core's L2 cache.
+core's L2 cache.  On request the pass also writes each set's unscaled
+|S^|^2 on rfftn's half spectrum, from which analysis.salem_overlap_maxima
+reads the translate overlaps with one inverse transform.
 """
 
 from __future__ import annotations
@@ -225,7 +227,9 @@ def spectrum_max(S: PointSet) -> float:
     return float(spectrum_maxima(S.context, S.membership[None])[0])
 
 
-def spectrum_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
+def spectrum_maxima(
+    ctx: FieldContext, stack: np.ndarray, power: np.ndarray | None = None
+) -> np.ndarray:
     """max_{m != 0} |S^(m)| for each row S of a (T, q^d) bool stack, each bit
     for bit as the whole fftn spectrum of S scaled by q^-d gives it, without
     a q^d table.  The reference that builds that spectrum is
@@ -259,6 +263,14 @@ def spectrum_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
     share its pass.  Ties, as for a single point, only keep more cells.  A
     slab lives until the next gather replaces it, so at most two slabs and
     one slab of magnitudes are alive at once, as during a transform.
+
+    With `power`, a C-contiguous float64 table of shape (T,) + grid_shape[:-1]
+    + (p // 2 + 1,), the pass also writes each set's unscaled |S^|^2 at every
+    frequency with xi_1 <= (p - 1) / 2, in grid layout with the xi_1 axis
+    last: rfftn's half spectrum, squared from the slab's own magnitudes
+    before any cell is scaled.  At m = 0 it writes |S|^2 exactly, |S^(0)|
+    rounded to the integer |S| and squared.  Nothing that produces the
+    maxima changes.
     """
     p, q = ctx.p, ctx.order
     sets = len(stack)
@@ -281,15 +293,24 @@ def spectrum_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
     width = max(1, cells // len(lines))
     worst = np.zeros(sets)
     starts = np.zeros(sets, dtype=np.intp)  # where each set's near cells begin
+    half = p // 2 + 1
+    if power is not None:
+        by_freq = power.reshape(sets, -1, half).transpose(2, 0, 1)  # slab layout
     for k in range(0, p, width):
         slab = line_hat[k : k + width].take(src, axis=1)
         slab = slab.reshape((slab.shape[0], sets) + ctx.grid_shape[:-1])
         for axis in reversed(range(2, ctx.d + 1)):
             slab = np.fft.fft(slab, axis=axis)
         slab = slab.reshape(slab.shape[0], sets, -1)
-        if k == 0:
-            slab[0, :, 0] = 0.0  # m = 0, where S^(0) = |S| / q^d
         mags = np.abs(slab)
+        if power is not None and k < half:
+            kept = mags[: half - k]
+            np.multiply(kept, kept, out=by_freq[k : k + len(kept)])
+        if k == 0:  # m = 0, where S^(0) = |S| / q^d
+            if power is not None:
+                size = np.rint(mags[0, :, 0])
+                by_freq[0, :, 0] = size * size
+            slab[0, :, 0] = mags[0, :, 0] = 0.0
         by_set = mags.swapaxes(0, 1)  # so near cells come out set after set
         near_cells = by_set >= (by_set.max(axis=(1, 2)) * (1 - 2**-30))[:, None, None]
         np.cumsum(np.count_nonzero(near_cells[:-1], axis=(1, 2)), out=starts[1:])

@@ -4,7 +4,10 @@ A uniform size-k subset of F_p^d is almost surely close to Salem: its largest
 nontrivial character sum Phi = q^d max_{m != 0} |S^(m)| stays below
 2 sqrt(2 (1+eps) m log n) with m = min(k, n-k), n = q^d.  This module samples
 such sets reproducibly, prices that bound on exact spectra, and aggregates
-Monte Carlo sweeps over seeds.
+Monte Carlo sweeps over seeds.  A sweep scatters each sample's indices
+straight into a stack of sets and reads each stack's Phi and Omega with one
+analysis.salem_overlap_maxima call: one transform a set when the sets are
+dense, pair listing when they are sparse.
 """
 
 from __future__ import annotations
@@ -14,26 +17,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import overlap_maxima
+from .analysis import salem_overlap_maxima
 from .errors import DegenerateSize, SizeOutOfRange
 from .field import FieldContext
-from .pointset import PointSet, spectrum_max, spectrum_maxima
+from .pointset import PointSet, spectrum_max
 
 GENERATOR_NAME = "philox"  # counter-based, safe to split across trials
 
 QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# Group cells of the sets evaluated at once: a Monte Carlo sweep (and a
-# conic census) fills a (T, q^d) bool stack of T = max(1, STACK_CELLS // q^d)
-# sets and reads it with one `spectrum_maxima` and one `overlap_maxima` call,
-# so small sets stop paying each call's numpy and FFT set-up once per set.
-# Measured with `monte_carlo` on one core of a 2-vCPU Xeon VM (Python 3.11.7,
-# numpy 2.4.6, min of 21 interleaved runs, ms) at p = 31 (500 trials of 31
-# points, T = 17 at 2^14), p = 101 (40 of 1015, T = 1) and 7^3 (30 of 100,
-# T = 47): 2^12 cells took 51.8/56.4/2.9, 2^13 45.9/56.5/2.8, 2^14
-# 42.3/57.3/2.5, 2^15 41.6/55.9/2.6 and 2^16 47.9/70.4/2.8; one set a call
-# took 87.9/74.9/7.1 (min of 7).  2^14 ties 2^15 and stays a factor 4
-# below 2^16, where six planes over F_101 share a stack and run 23% slower.
+# Group cells of the sets evaluated at once: a Monte Carlo sweep (and a conic
+# census) fills a (T, q^d) bool stack of T = max(1, STACK_CELLS // q^d) sets
+# and reads it with one `spectrum_maxima` and one `overlap_maxima` call (a
+# sweep's one `salem_overlap_maxima` call makes them), so small sets stop
+# paying each call's numpy and FFT set-up once per set.  Measured, before a
+# dense stack read its overlaps from the Salem pass, with `monte_carlo` on one
+# core of a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6, min of 21 interleaved
+# runs, ms) at p = 31 (500 trials of 31 points, T = 17 at 2^14), p = 101 (40
+# of 1015, T = 1) and 7^3 (30 of 100, T = 47): 2^12 cells took 51.8/56.4/2.9,
+# 2^13 45.9/56.5/2.8, 2^14 42.3/57.3/2.5, 2^15 41.6/55.9/2.6 and 2^16
+# 47.9/70.4/2.8; one set a call took 87.9/74.9/7.1 (min of 7).  2^14 ties 2^15
+# and stays a factor 4 below 2^16, where six planes over F_101 share a stack
+# and run 23% slower.
 STACK_CELLS = 1 << 14
 
 
@@ -42,18 +47,11 @@ def trial_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([master, index]).generate_state(1, np.uint64)[0])
 
 
-def sample_subset(ctx: FieldContext, size: int, seed: int) -> PointSet:
-    """Uniform size-`size` subset of the group, without replacement.
-
-    Partial Fisher-Yates over the index range: only the first `size`
-    positions are shuffled, which is exactly uniform and costs O(size)
-    draws.  Deterministic for a fixed seed.  The swaps go through a
-    memoryview of the index array, on plain ints, not numpy scalars.
-    """
-    if not 0 <= size <= ctx.order:
-        raise SizeOutOfRange(f"size must lie in [0, {ctx.order}], got {size}")
-    if size == 0:
-        return PointSet.empty(ctx)
+def _sample_indices(ctx: FieldContext, size: int, seed: int) -> np.ndarray:
+    """The first `size` entries of a partial Fisher-Yates permutation of the
+    index range, as int64: only those positions are shuffled, which is
+    exactly uniform and costs O(size) draws.  The swaps go through a
+    memoryview of the index array, on plain ints, not numpy scalars."""
     rng = np.random.Generator(np.random.Philox(seed))
     idx = np.arange(ctx.order, dtype=np.int64)
     jumps = rng.integers(0, ctx.order - np.arange(size), dtype=np.int64)
@@ -61,7 +59,17 @@ def sample_subset(ctx: FieldContext, size: int, seed: int) -> PointSet:
     for i, jump in enumerate(jumps.tolist()):
         j = i + jump
         view[i], view[j] = view[j], view[i]
-    return PointSet.from_indices(ctx, idx[:size])
+    return idx[:size]
+
+
+def sample_subset(ctx: FieldContext, size: int, seed: int) -> PointSet:
+    """Uniform size-`size` subset of the group, without replacement: the
+    set of `_sample_indices`.  Deterministic for a fixed seed."""
+    if not 0 <= size <= ctx.order:
+        raise SizeOutOfRange(f"size must lie in [0, {ctx.order}], got {size}")
+    if size == 0:
+        return PointSet.empty(ctx)
+    return PointSet.from_indices(ctx, _sample_indices(ctx, size, seed))
 
 
 @dataclass(frozen=True)
@@ -169,10 +177,10 @@ def monte_carlo(
     than failed.  Omega = max_{x != 0} |S cap (S - x)| is compared against
     p^beta per trial.  Trials run serially in seed order, a stack of
     max(1, STACK_CELLS // q^d) sets at a time: trial i is still
-    sample_subset(ctx, size, trial_seeds[i]), and one `spectrum_maxima` and
-    one `overlap_maxima` call evaluate each stack, with every Phi and Omega
-    bit for bit the set's own.  A thread pool measured no better on every
-    metric at once (README, "Determinism").
+    sample_subset(ctx, size, trial_seeds[i]), and one `salem_overlap_maxima`
+    call evaluates each stack, with every Phi and Omega bit for bit the
+    set's own.  A thread pool measured no better on every metric at once
+    (README, "Determinism").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -186,13 +194,15 @@ def monte_carlo(
     phis: list = []
     omegas: list = []
     if not (size == 0 or size == ctx.order):
-        stack = np.empty((min(trials, max(1, STACK_CELLS // ctx.order)), ctx.order), dtype=bool)
-        for start in range(0, trials, len(stack)):
-            block = stack[: trials - start]
+        sets = max(1, STACK_CELLS // ctx.order)
+        for start in range(0, trials, sets):
+            # calloc'd, so a row's pages are first touched after its sample's peak
+            block = np.zeros((min(sets, trials - start), ctx.order), dtype=bool)
             for row, tseed in zip(block, seeds[start : start + len(block)]):
-                row[:] = sample_subset(ctx, size, tseed).membership
-            phis += (ctx.order * spectrum_maxima(ctx, block)).tolist()
-            omegas += overlap_maxima(ctx, block).tolist()
+                row[_sample_indices(ctx, size, tseed)] = True
+            worst, overlaps = salem_overlap_maxima(ctx, block)
+            phis += (ctx.order * worst).tolist()
+            omegas += overlaps.tolist()
     effective = len(phis)
     bound = _hayes_bound(ctx.order, size, epsilon)
     passes = sum(1 for phi in phis if phi < bound)

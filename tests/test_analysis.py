@@ -17,10 +17,11 @@ from ffsalem import (
     poly_graph,
     prune,
     sphere,
+    spectrum_maxima,
     symmetrized_parabola,
     triple_count,
 )
-from ffsalem import analysis
+from ffsalem import analysis, pointset
 from ffsalem.analysis import (
     _cyclic_convolution,
     _exact,
@@ -29,6 +30,7 @@ from ffsalem.analysis import (
     _pair_counts,
     _sums,
     _sums_at,
+    salem_overlap_maxima,
 )
 from ffsalem.randomsets import sample_subset
 from oracles import (
@@ -260,6 +262,43 @@ def test_overlap_maxima_take_one_call_a_size(transforms, listings):
     stack = np.stack([random_set(ctx, n, seed=n).membership for n in (12, 14, 13, 14)])
     overlap_maxima(ctx, stack)
     assert (listings, transforms) == ([((1, 12),) * 2, ((1, 13),) * 2, ((2, 14),) * 2], [])
+
+
+@pytest.mark.parametrize(
+    "p, d, sets", [(13, 1, 10), (13, 1, 5), (7, 2, 1), (11, 2, 2), (5, 3, 3), (3, 4, 2)]
+)
+@pytest.mark.parametrize("slab_cells", [40, None], ids=["40-cell-slabs", "default-slabs"])
+def test_salem_overlap_maxima_is_both_readers(monkeypatch, p, d, sets, slab_cells):
+    # every size from the empty set to the full group, on both sides of the
+    # pair route; 40-cell slabs cut xi_1 into slabs that end below, across and
+    # past the half spectrum (at p = 13 with 10 sets, [4, 8) straddles 7)
+    if slab_cells:
+        monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", slab_cells)
+    ctx = FieldContext(p, d)
+    edge = math.isqrt(analysis.PAIR_ROUTE_RATIO * ctx.order)
+    for size in sorted({0, 1, edge, edge + 1, ctx.order // 2, ctx.order - 1, ctx.order}):
+        stack = np.stack([random_set(ctx, size, seed=size + i).membership for i in range(sets)])
+        worst, overlaps = salem_overlap_maxima(ctx, stack)
+        assert worst.tolist() == spectrum_maxima(ctx, stack).tolist()
+        assert overlaps.tolist() == overlap_maxima(ctx, stack).tolist()
+
+
+def test_salem_overlap_maxima_guards_its_rounding(monkeypatch, transforms):
+    # a captured table 0.3 q^d off at m = 0 moves every overlap 0.3 off its
+    # integer: an internal error, never a rounded answer
+    real = analysis.spectrum_maxima
+
+    def nudged(ctx, stack, power=None):
+        worst = real(ctx, stack, power)
+        power.reshape(len(stack), -1)[:, 0] += 0.3 * ctx.order
+        return worst
+
+    monkeypatch.setattr(analysis, "spectrum_maxima", nudged)
+    ctx = FieldContext(101, 2)
+    stack = sample_subset(ctx, 1015, seed=1).membership[None]
+    with pytest.raises(AssertionError, match="internal error"):
+        salem_overlap_maxima(ctx, stack)
+    assert transforms == []  # the overlaps had no transform of their own
 
 
 # d = 1, 2, 3; in F_101 the whole line is still cheap for the brute oracle

@@ -215,6 +215,7 @@ HANDLER_USAGE_ERRORS = {
     "random-no-seed": ["shatter", "-p", "5", "--curve", "circle:1", "-k", "1", "--strategy", "random"],
     "size-range": ["random-trials", "-p", "3", "--size", "10", "--trials", "1", "--seed", "1"],
     "trials-zero": ["random-trials", "-p", "3", "--size", "1", "--trials", "0", "--seed", "1"],
+    "negative-seed": ["random-trials", "-p", "5", "--size", "3", "--trials", "1", "--seed", "-1"],
     "preset-flag-missing": ["reproduce", "conic-census", "--seed", "1"],
     "count-zero": ["reproduce", "conic-census", "-p", "7", "--seed", "1", "--count", "0"],
 }

@@ -264,6 +264,25 @@ def test_spectrum_maxima_of_a_stack_is_each_sets_table_max(monkeypatch, p, d, ce
     assert got.tolist() == [fourier_spectrum(S).max_nontrivial for S in sets]
 
 
+@pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (101, 2), (5, 3), (5, 4)])
+@pytest.mark.parametrize("cells", [7, 1000, 1 << 16])
+def test_spectrum_maxima_captures_the_half_power_spectrum(monkeypatch, p, d, cells):
+    # the captured table is rfftn's |S^|^2, with m = 0 exactly |S|^2 (at p =
+    # 101 the transform's own |S^(0)|^2 is off by a few ulp), and the maxima
+    # are the ones the pass gives without it
+    monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", cells)
+    ctx = FieldContext(p, d)
+    sets = list(_spectrum_cases(ctx).values())
+    stack = np.stack([S.membership for S in sets])
+    power = np.empty((len(sets),) + ctx.grid_shape[:-1] + (p // 2 + 1,))
+    got = spectrum_maxima(ctx, stack, power)
+    assert got.tolist() == spectrum_maxima(ctx, stack).tolist()
+    grids = stack.reshape((len(sets),) + ctx.grid_shape).astype(np.float64)
+    want = np.abs(np.fft.rfftn(grids, axes=range(1, d + 1))) ** 2
+    assert np.allclose(power, want, rtol=1e-12, atol=1e-9 * ctx.order)
+    assert power.reshape(len(sets), -1)[:, 0].tolist() == [S.size**2 for S in sets]
+
+
 @pytest.mark.parametrize("p,d", [(101, 1), (11, 2), (5, 3), (5, 4)])
 def test_tied_cases_put_many_cells_near_the_maximum(p, d):
     # the ties of _spectrum_cases are real: many unscaled nontrivial

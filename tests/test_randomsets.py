@@ -13,7 +13,7 @@ from ffsalem import (
     sample_subset,
     trial_seed,
 )
-from ffsalem import intersection_profile, pointset, presets, randomsets, spectrum_max
+from ffsalem import analysis, intersection_profile, pointset, presets, randomsets, spectrum_max
 from ffsalem.randomsets import GENERATOR_NAME
 from oracles import fourier_spectrum, reference_sample_subset
 
@@ -74,6 +74,14 @@ def test_trial_seed_deterministic_and_spread():
     assert len(seeds) == 64
     assert trial_seed(99, 0) != trial_seed(100, 0)
     assert all(isinstance(s, int) for s in seeds)
+
+
+def test_negative_master_seed_is_rejected():
+    # numpy's SeedSequence takes no negative entropy: a usage error
+    with pytest.raises(ValueError):
+        trial_seed(-1, 0)
+    with pytest.raises(ValueError):
+        monte_carlo(F5, size=3, trials=1, seed=-(2**40))
 
 
 def test_hayes_single_point():
@@ -202,16 +210,26 @@ def test_monte_carlo_omega_matches_direct():
         )
 
 
+FILLS = {
+    "one point": lambda q: 1,
+    "three quarters": lambda q: 3 * q // 4,
+    "all but one": lambda q: q - 1,
+}
+
+
 @pytest.mark.parametrize("p, d", [(13, 1), (11, 2), (5, 3), (3, 4)])
-@pytest.mark.parametrize("fill", ["one point", "all but one"])
+@pytest.mark.parametrize("fill", FILLS)
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small-stacks-and-slabs"])
 def test_monte_carlo_stacks_keep_each_trials_phi_and_omega(monkeypatch, p, d, fill, small):
     # trial i of a stacked sweep reads exactly what its own set gives alone:
     # Phi == q^d spectrum_max (==, not approx) and Omega the profile's max.
     # Both trial counts leave a short last stack; small stacks of 3 sets
-    # with 40-cell slabs key their lines and cut many slabs
+    # with 40-cell slabs key their lines and cut many slabs.  A point's
+    # overlaps list pairs; three quarters of the group and all but one point
+    # read theirs from the Salem pass's |S^|^2
     ctx = FieldContext(p, d)
-    size = 1 if fill == "one point" else ctx.order - 1
+    size = FILLS[fill](ctx.order)
+    assert analysis._lists_pairs(ctx, size, size) == (fill == "one point")
     if small:
         monkeypatch.setattr(randomsets, "STACK_CELLS", 3 * ctx.order)
         monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 40)
@@ -251,6 +269,46 @@ def test_monte_carlo_phi_values_are_frozen():
         6, 5, 4, 4, 5, 5, 4, 5, 5, 4, 5, 5, 5, 5, 4, 5, 4, 4, 4, 4,
         5, 4, 4, 4, 5, 4, 4, 4, 4, 5, 5, 4, 4, 5, 5, 4, 4, 5, 5, 4,
     ]
+
+
+# monte_carlo(FieldContext(101, 2), 1015, 8, seed=1), from the sweep that
+# took each set's overlaps from a transform of their own: phi_values as
+# float.hex, then omega_values
+PHI_HEX_P101_SEED1 = (
+    "0x1.8b1f8c39ce751p+6", "0x1.57e313aa47e6ap+6", "0x1.817b10a87fdfdp+6",
+    "0x1.75bf4dc0291b1p+6", "0x1.6e77ea7ca8c53p+6", "0x1.5dcdb00827425p+6",
+    "0x1.63dc903cd6105p+6", "0x1.7906527a95943p+6",
+)
+OMEGA_P101_SEED1 = [133, 137, 133, 133, 140, 137, 130, 133]
+
+
+def test_monte_carlo_dense_values_are_frozen():
+    s = monte_carlo(FieldContext(101, 2), 1015, 8, seed=1)
+    assert tuple(phi.hex() for phi in s.phi_values) == PHI_HEX_P101_SEED1
+    assert s.omega_values == OMEGA_P101_SEED1
+
+
+@pytest.mark.parametrize(
+    "p, d, size, captured",
+    [(31, 2, 31, False), (101, 2, 1015, True), (7, 3, 100, True), (13, 1, 12, True)],
+)
+def test_monte_carlo_takes_one_transform_a_dense_stack(monkeypatch, p, d, size, captured):
+    # dense stacks read Omega from the Salem pass's table, sparse ones list
+    # pairs; neither runs a forward and inverse transform of the overlaps' own
+    calls = []
+    real = analysis.spectrum_maxima
+
+    def recording(ctx, stack, power=None):
+        calls.append(power is not None)
+        return real(ctx, stack, power)
+
+    monkeypatch.setattr(analysis, "spectrum_maxima", recording)
+    monkeypatch.setattr(analysis, "_cyclic_convolution", None)
+    ctx = FieldContext(p, d)
+    trials = 3 * max(1, randomsets.STACK_CELLS // ctx.order)
+    s = monte_carlo(ctx, size, trials, seed=2)
+    assert calls == [captured] * 3
+    assert len(s.omega_values) == trials
 
 
 def test_conic_census_stacks_keep_conic_order(monkeypatch):
