@@ -41,6 +41,10 @@ QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # and run 23% slower.
 STACK_CELLS = 1 << 14
 
+# Fisher-Yates jumps turned into Python ints at a time: a sample at the cap
+# would otherwise hold all 2 078 760 of them as ints at once (about 72 MB)
+SAMPLE_CHUNK = 1 << 16
+
 
 def trial_seed(master: int, index: int) -> int:
     """Derived seed for one trial; replay = sample_subset(ctx, size, this)."""
@@ -51,14 +55,16 @@ def _sample_indices(ctx: FieldContext, size: int, seed: int) -> np.ndarray:
     """The first `size` entries of a partial Fisher-Yates permutation of the
     index range, as int64: only those positions are shuffled, which is
     exactly uniform and costs O(size) draws.  The swaps go through a
-    memoryview of the index array, on plain ints, not numpy scalars."""
+    memoryview of the index array, on plain ints, not numpy scalars, which
+    the jumps become SAMPLE_CHUNK at a time."""
     rng = np.random.Generator(np.random.Philox(seed))
     idx = np.arange(ctx.order, dtype=np.int64)
     jumps = rng.integers(0, ctx.order - np.arange(size), dtype=np.int64)
     view = memoryview(idx)
-    for i, jump in enumerate(jumps.tolist()):
-        j = i + jump
-        view[i], view[j] = view[j], view[i]
+    for start in range(0, size, SAMPLE_CHUNK):
+        for i, jump in enumerate(jumps[start : start + SAMPLE_CHUNK].tolist(), start):
+            j = i + jump
+            view[i], view[j] = view[j], view[i]
     return idx[:size]
 
 

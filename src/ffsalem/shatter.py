@@ -3,15 +3,17 @@
 A k-tuple (x^1, ..., x^k) of points of E is shattered when every subset I of
 {1..k} has a witness y in W with x^i - y in S exactly for i in I, i.e. when
 each of its 2^k witness regions (the points of W in x^i - S exactly for i in
-I) is nonempty.  _neighborhoods makes the bitsets N(x) = (x - S) ^ W, a
-block of rows per numpy pass, and one fold, _regions, splits W by them into
-the regions; every search, witness_for_points and construct_shatter3 go
-through them.  One builder, _table, makes every table for all of E, |E|
-bitsets of q^d bits, and raises SweepTooLarge (a ValueError) before
-allocating past NEIGHBORHOOD_BITS_GUARD; a search that needs no table (k = 0,
-a k that counting refutes) answers at any p.  SearchStatus's values are the
-words the CLI prints, and BUDGET EXHAUSTED means only that a search spent
-its tuple budget.
+I) is nonempty.  _neighborhoods makes the bitsets N(x) = (x - S) ^ W: the
+points x = (x', x_d) with one x' differ by multiples of e_d, a cyclic
+rotation of the q-bit string, so it builds one row per line class x' and
+rotates it for the class's other points.  One fold, _regions, splits W by
+the bitsets into the regions; every search, witness_for_points and
+construct_shatter3 go through them.  One builder, _table, makes every table
+for all of E, |E| bitsets of q^d bits, and raises SweepTooLarge (a
+ValueError) before allocating past NEIGHBORHOOD_BITS_GUARD; a search that
+needs no table (k = 0, a k that counting refutes) answers at any p.
+SearchStatus's values are the words the CLI prints, and BUDGET EXHAUSTED
+means only that a search spent its tuple budget.
 
 One walk, _walk, serves the exhaustive search and vc_bounds: a
 lexicographic depth-first search over one N(x) table, one _regions_extend
@@ -159,7 +161,9 @@ def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
 
     Shape mismatches (wrong point count, missing or extra subsets, wrong
     coordinate width) raise DimensionMismatch; a witness that is merely
-    wrong returns False.
+    wrong returns False.  Coordinates are reduced mod p as Python ints, so
+    any integer names its residue, and E, W and S are each read with one
+    gather.
     """
     k = problem.k
     if len(witness.points) != k:
@@ -173,16 +177,18 @@ def verify_witness(problem: ShatterProblem, witness: ShatterWitness) -> bool:
     for y in witness.witnesses.values():
         if len(y) != ctx.d:
             raise DimensionMismatch("witness centers must have d coordinates")
-    if not all(x in problem.E for x in witness.points):
+    p = ctx.p
+    xs = np.array([[int(c) % p for c in x] for x in witness.points], dtype=np.int64)
+    ys = np.array(
+        [[int(c) % p for c in witness.witnesses[m]] for m in range(1 << k)], dtype=np.int64
+    )
+    xs, ys = xs.reshape(k, ctx.d), ys.reshape(1 << k, ctx.d)
+    if not problem.E.membership[ctx.indices_of(xs)].all():
         return False
-    if not all(y in problem.W for y in witness.witnesses.values()):
+    if not problem.W.membership[ctx.indices_of(ys)].all():
         return False
-    S = problem.S
-    for mask, y in witness.witnesses.items():
-        for i, x in enumerate(witness.points):
-            if (ctx.sub(x, y) in S) != bool(mask >> i & 1):
-                return False
-    return True
+    hits = problem.S.membership[ctx.indices_of(xs - ys[:, None])]  # hits[m, i]: x^i - y_m in S
+    return bool((hits == (np.arange(1 << k)[:, None] >> np.arange(k) & 1)).all())
 
 
 def _verified(problem: ShatterProblem, witness: ShatterWitness) -> ShatterWitness:
@@ -202,22 +208,58 @@ def _bits_from_bool(mask: np.ndarray) -> int:
 def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
     """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order.
 
-    The rows go NEIGHBORHOOD_BLOCK bools at a time: one scatter of every
-    x - S into a 2-D mask, one & W and one packbits per block."""
+    The points x = (x', x_d) that share x' form a line class.  Adding t e_d
+    adds t p^(d-1) to an index mod q, a cyclic rotation of the q-bit string,
+    so x - S for every point of a class is a rotation of the row of one of
+    them, the class's representative.  Only the representatives' rows are
+    built, NEIGHBORHOOD_BLOCK bools at a time: one scatter of their x - S
+    into a 2-D mask and one packbits per block.  A class of one point
+    scatters only its x - s in W.  Any other keeps its row whole, and each
+    of its points takes (row | row << q) >> (q - r) & W for its rotation r;
+    & allocates W's width, and | 0 copies the result into an int of its own
+    width, as from_bytes makes it (without it the table at p = 211 took
+    2 MiB more).  The classes are counted in one array over the p^(d-1)
+    values of x', and each block's points become Python ints with the
+    block."""
     ctx = problem.context
-    neg_s = -ctx.coords_of(problem.S.indices()) % ctx.p
-    x_coords = ctx.coords_of(indices)
-    rows = max(1, NEIGHBORHOOD_BLOCK // ctx.order)
-    out = []
-    for start in range(0, len(x_coords), rows):
-        block = x_coords[start : start + rows]
-        mask = np.zeros((len(block), ctx.order), dtype=bool)
-        cells = ctx.sum_index(block, neg_s)
-        cells += (np.arange(len(block)) * ctx.order)[:, None]
-        mask.reshape(-1)[cells] = True
-        mask &= problem.W.membership
+    q, p = ctx.order, ctx.p
+    step = q // p  # index(y + e_d) = index(y) + step mod q
+    heads, lines = np.divmod(np.asarray(indices, dtype=np.int64), step)  # x_d and index(x', 0)
+    sizes = np.bincount(lines, minlength=step)
+    classes = np.flatnonzero(sizes)
+    sizes = sizes[classes]
+    base = np.zeros(step, dtype=np.int64)
+    base[lines] = heads  # one x_d of each class: its representative's
+    turns = (heads - base[lines]) % p
+    members = np.argsort(lines, kind="stable")  # positions, class by class
+    reps, solo = classes + base[classes] * step, sizes == 1
+    w_bits = 0 if solo.all() else _bits_from_bool(problem.W.membership)
+    neg_s = -ctx.coords_of(problem.S.indices()) % p
+    out, begin = [0] * len(members), 0
+    rows = max(1, NEIGHBORHOOD_BLOCK // q)
+    for start in range(0, len(reps), rows):
+        block = reps[start : start + rows]
+        mask = np.zeros((len(block), q), dtype=bool)
+        cells = ctx.sum_index(ctx.coords_of(block), neg_s)
+        keep = problem.W.membership[cells]  # x - s in W, read for |S| cells, not q
+        keep |= ~solo[start : start + rows, None]  # a row to rotate keeps all of x - S
+        cells += (np.arange(len(block)) * q)[:, None]
+        mask.reshape(-1)[cells[keep]] = True
         packed = np.packbits(mask, axis=1, bitorder="little")
-        out.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        counts = sizes[start : start + rows].tolist()
+        span = members[begin : begin + sum(counts)]
+        begin += len(span)
+        pos, shifts = span.tolist(), (q - turns[span] * step).tolist()
+        i = 0
+        for packed_row, size in zip(packed, counts):
+            row = int.from_bytes(packed_row.tobytes(), "little")
+            if size == 1:
+                out[pos[i]] = row
+            else:
+                twice = row | row << q
+                for j in range(i, i + size):
+                    out[pos[j]] = (twice >> shifts[j] & w_bits) | 0
+            i += size
     return out
 
 

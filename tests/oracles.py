@@ -152,6 +152,25 @@ def brute_rhombus(E: PointSet, S: PointSet, v, avoid=None) -> list | None:
     return None
 
 
+def brute_neighborhoods(problem, indices) -> list:
+    """N(x) = (x - S) ^ W as an int for the point at each index, in order:
+    bit index(x - s) is set for every s in S with x - s in W, one point and
+    one s at a time."""
+    ctx = problem.context
+    p, d = ctx.p, ctx.d
+    s_pts = list(problem.S)
+    out = []
+    for i in indices:
+        x = [int(i) // p**axis % p for axis in range(d)]
+        bits = 0
+        for s in s_pts:
+            y = sum((a - b) % p * p**axis for axis, (a, b) in enumerate(zip(x, s)))
+            if problem.W.membership[y]:
+                bits |= 1 << y
+        out.append(bits)
+    return out
+
+
 def brute_edge_count(E: PointSet, S: PointSet) -> int:
     p = E.context.p
     pts = list(E)

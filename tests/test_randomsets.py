@@ -60,6 +60,18 @@ def test_sample_subset_keeps_the_permutation(monkeypatch, d):
             assert got == from_indices(ctx, want)
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_sample_chunks_keep_the_permutation(monkeypatch, chunk):
+    # the jumps become ints a chunk at a time; every chunk boundary, a last
+    # short chunk and a sample of one chunk swap as one pass would
+    monkeypatch.setattr(randomsets, "SAMPLE_CHUNK", chunk)
+    ctx = FieldContext(7, 3)
+    for size in sorted({1, chunk, chunk + 1, 3 * chunk - 1, 200, ctx.order}):
+        for seed in (0, 2**40 + 3):
+            got = randomsets._sample_indices(ctx, size, seed).tolist()
+            assert got == reference_sample_subset(ctx, size, seed), (size, seed)
+
+
 def test_sample_subset_covers_group():
     # every index should appear in some sample; crude uniformity smoke test
     seen = PointSet.empty(F5)

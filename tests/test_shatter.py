@@ -1,8 +1,11 @@
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffsalem import (
     DimensionMismatch,
@@ -36,6 +39,7 @@ from ffsalem.shatter import RANDOM_BATCH, _random_picks
 from ffsalem.shatter import DEFAULT_BUDGET, SearchStats
 from oracles import (
     brute_m,
+    brute_neighborhoods,
     naive_shatterable,
     reference_random_search,
     reference_vc_bounds,
@@ -96,6 +100,42 @@ def test_verify_witness_dimension_errors():
     masks[3] = (1, 2, 3)
     with pytest.raises(DimensionMismatch):
         verify_witness(problem, ShatterWitness(list(F11_X_TUPLE), masks))
+
+
+def _lifted(witness, lift):
+    """The witness with lift applied to every coordinate."""
+    return ShatterWitness(
+        [tuple(lift(c) for c in x) for x in witness.points],
+        {m: tuple(lift(c) for c in y) for m, y in witness.witnesses.items()},
+    )
+
+
+def test_verify_witness_reads_unreduced_coordinates_mod_p():
+    # a coordinate names its residue mod p, as index_of's % p does: every
+    # lifted witness gets the verdict of the witness it reduces to
+    p = F11.p
+    S = symmetrized_parabola(F11).points
+    half, full = random_set(F11, F11.order // 2, seed=3), PointSet.full(F11)
+    cases = [(f11_problem(), f11_witness())]
+    for E, W, k in ((half, full, 2), (full, half, 3), (half, half, 2)):
+        outcome = shatter_search(ShatterProblem(S, E, W, k))
+        assert outcome.found
+        cases.append((ShatterProblem(S, E, W, k), outcome.witness))
+    lifts = {
+        "p + c": lambda c: p + c,
+        "-c": lambda c: -c,
+        "10**30 + c": lambda c: 10**30 + c,
+        "c - 3p": lambda c: c - 3 * p,
+    }
+    verdicts = set()
+    for problem, witness in cases:
+        assert verify_witness(problem, _lifted(witness, lifts["p + c"]))
+        for name, lift in lifts.items():
+            lifted = _lifted(witness, lift)
+            got = verify_witness(problem, lifted)
+            assert got == verify_witness(problem, _lifted(lifted, lambda c: c % p)), name
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_verify_witness_needs_points_in_e_and_centers_in_w():
@@ -799,6 +839,69 @@ def test_neighborhoods_match_the_per_row_build(monkeypatch, block, p, d):
         problem = ShatterProblem(S, PointSet.full(ctx), W, 2)
         assert shatter._neighborhoods(problem, indices) == _per_row_neighborhoods(problem, indices)
         assert shatter._neighborhoods(problem, []) == []
+
+
+ORACLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _drawn_subset(data, ctx):
+    """The empty set, the full group or a random subset of about 30 or 70%."""
+    density = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.Generator(np.random.Philox(data.draw(st.integers(0, 2**32 - 1))))
+    return PointSet(ctx, rng.random(ctx.order) < density)
+
+
+def _drawn_indices(data, ctx):
+    """Points for N(x), in a drawn order: several points on each of a few
+    line classes x', one point on each of distinct classes, or any points
+    with some of them repeated."""
+    step = ctx.order // ctx.p  # index(x', 0) < step, and x_d steps by it
+    kind = data.draw(st.sampled_from(["shared", "distinct", "any"]))
+    if kind == "shared":
+        lines = data.draw(st.lists(st.integers(0, step - 1), min_size=1, max_size=3))
+        heads = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=1, max_size=8))
+        indices = [line + head * step for line in lines for head in heads]
+    elif kind == "distinct":
+        lines = data.draw(st.lists(st.integers(0, step - 1), max_size=10, unique=True))
+        indices = [line + data.draw(st.integers(0, ctx.p - 1)) * step for line in lines]
+    else:
+        indices = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=12))
+        indices += indices[::3]
+    return data.draw(st.permutations(indices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_neighborhoods_match_the_brute_oracle(data):
+    # d = 1, 2, 3 at p = 3..31 (the contexts take odd primes only), S random
+    # (so asymmetric) or empty, W random, empty or full, and the mirrored
+    # problem that _split_rows builds; blocks of 1, 2 or 3 rows or the default
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    ctx = FieldContext(data.draw(st.sampled_from(ORACLE_PRIMES)), d)
+    S = PointSet.from_indices(ctx, data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=24)))
+    E, W = _drawn_subset(data, ctx), _drawn_subset(data, ctx)
+    indices = _drawn_indices(data, ctx)
+    rows = data.draw(st.sampled_from([1, 2, 3, None]))
+    block = shatter.NEIGHBORHOOD_BLOCK if rows is None else rows * ctx.order
+    with mock.patch.object(shatter, "NEIGHBORHOOD_BLOCK", block):
+        for problem in (ShatterProblem(S, E, W, 2), ShatterProblem(S.negate(), W, E, 2)):
+            assert shatter._neighborhoods(problem, indices) == brute_neighborhoods(problem, indices)
+
+
+@pytest.mark.parametrize("p,d", [(11, 1), (5, 2), (7, 2), (3, 3)])
+def test_table_and_split_rows_match_the_brute_oracle(p, d):
+    # M(y) = (y + S) ^ E for y in W, from N's own rows or the mirrored table
+    ctx = FieldContext(p, d)
+    full, half = PointSet.full(ctx), random_set(ctx, ctx.order // 2, seed=p)
+    for S in (sphere(ctx, 1).points, random_set(ctx, p + 2, seed=d)):
+        for E, W in ((full, full), (full, half), (half, full), (half, half)):
+            problem = ShatterProblem(S, E, W, 2)
+            e_idx, neigh = shatter._table(problem)
+            assert neigh == brute_neighborhoods(problem, e_idx)
+            rows = shatter._split_rows(problem, e_idx, neigh)
+            w_idx = W.indices().tolist()
+            mirror = ShatterProblem(S.negate(), W, E, 2)
+            assert [rows[y] for y in w_idx] == brute_neighborhoods(mirror, w_idx)
 
 
 def _drain(walk, problem, anchored, budget):
