@@ -4,36 +4,33 @@ Every count here is an exact integer, and every one counts sums: the pairs
 (a, b) in A x B with a + sign b = x, for sign = +-1.  E*S is the table of
 E x S; the translate overlaps |E ^ (E - u)| behind intersection profiles,
 edge counts and the densest shift are the table of E x E with sign -1.
-Two readers choose how a count is taken:
+One reader takes the counts of two point sets, one the maxima of a family:
 
-- _sums(A, B, sign), the whole q^d table, the one-set case of _sum_tables,
-  which takes a stack of sets at once.  When |A| |B| <= C q^d (C =
+- _sums(A, B, sign, at).  A full group A answers |B| before anything is
+  read, as prune does.  Otherwise the whole q^d table comes from
+  _sum_tables, the kernel for bool stacks: when |A| |B| <= C q^d (C =
   PAIR_ROUTE_RATIO), as for a curve against a curve, every pair is listed
   and its sum's index counted, for a stack in one bincount with per-set
-  offsets.  Otherwise a real-FFT cyclic convolution is rounded to integers,
-  from one transform when B is A; a value 0.25 or more from every integer
-  is an internal error, never a rounded answer.  overlap_maxima(ctx, stack)
-  reads the row maxima of that table over a (T, q^d) stack, x = 0 left
-  out: construct3's and the counting refutation's m_2, and the overlap that
-  conic censuses check.  salem_overlap_maxima, for a Monte Carlo stack,
-  reads the Salem maxima and those overlaps together: where the overlaps
-  would take the transform it inverts the |S^|^2 table the Salem pass
-  wrote instead, so each set is transformed once.  _lists_pairs is the
-  route test both ask.
-- _sums_at(A, B, sign, points), the same counts at a list of indices (E*S
-  on E's own points for triple counts and pruning, overlaps at S's shifts
-  for edge counts and the densest shift).  When |points| |B| <= G q^d (G =
+  offsets; otherwise a real-FFT cyclic convolution is rounded to integers,
+  from one transform when B is A, and a value 0.25 or more from every
+  integer is an internal error, never a rounded answer.  `at` asks for the
+  counts at a list of indices only: E*S on E's own points for triple
+  counts and pruning, overlaps at S's shifts (each pair +-u read once) for
+  edge counts and the densest shift.  While |at| |B| <= G q^d (G =
   GATHER_ROUTE_RATIO) and d <= GATHER_MAX_DIM, one gather per pair from a
-  tiled copy of A answers with no table of the group's counts; otherwise
-  the table is read at the points.
-
-When A is the whole group every count is |B|, a closed form that takes
-neither route; _sum_tables, _sums_at, _overlaps_at and prune answer the
-full group before they read.
+  tiled copy of A answers them with no table of the group's counts.
+- salem_overlap_maxima(ctx, sets) reads each set's Salem maximum and
+  largest overlap for any iterable of sets, Monte Carlo samples or census
+  conics, stacked STACK_CELLS group cells at a time.  Where the overlaps
+  would take the transform it inverts the |S^|^2 table the Salem pass
+  wrote instead, so each set is transformed once.  overlap_maxima(ctx,
+  stack), the overlaps alone, gives construct3's and the counting
+  refutation's m_2.  _lists_pairs is the route test both ask.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -189,38 +186,27 @@ def _sum_tables(
     return _exact(_cyclic_convolution(a, b, ctx, sign))
 
 
-def _sums(A: PointSet, B: PointSet, sign: int = 1) -> np.ndarray:
+def _sums(A: PointSet, B: PointSet, sign: int = 1, at: np.ndarray | None = None) -> np.ndarray:
     """counts[index(x)] = |{(a, b) in A x B : a + sign b = x}| for every x,
-    sign = +-1: E*S for A x B = E x S, and |E ^ (E - x)| for E x E, sign -1."""
-    A._check_same_context(B)
-    return _sum_tables(A.context, A.membership, B.membership, sign, A.size, B.size)
-
-
-def _sums_at(A: PointSet, B: PointSet, sign: int, points: np.ndarray) -> np.ndarray:
-    """_sums(A, B, sign)[points], gathered with no table of the group's counts
-    while that is the cheaper route."""
+    sign = +-1: E*S for A x B = E x S, and |E ^ (E - x)| for E x E, sign -1;
+    with `at`, counts[at] only.  The full group is answered before overlaps
+    pair x with -x: that np.unique, the first one of a construct3 run, left
+    0.3 MiB more resident at p = 1009."""
     A._check_same_context(B)
     ctx = A.context
-    if A.size == ctx.order:
-        return np.full(len(points), B.size, dtype=np.int64)
-    if ctx.d <= GATHER_MAX_DIM and len(points) * B.size <= GATHER_ROUTE_RATIO * ctx.order:
-        return _gathered_sums(A, B, sign, points)
-    return _sums(A, B, sign)[points]
-
-
-def _overlaps_at(E: PointSet, shifts: np.ndarray) -> np.ndarray:
-    """|E ^ (E - u)| at each shift index u.  u and -u overlap alike, so each
-    pair of them is read once.  On the full group every overlap is q^d,
-    answered before the pairing: its np.unique, the first one of a
-    construct3 run, left 0.3 MiB more resident at p = 1009."""
-    ctx = E.context
-    if E.size == ctx.order:
-        return np.full(len(shifts), ctx.order, dtype=np.int64)
-    # one shift of each pair +-u, the one of lesser index
-    reps, back = np.unique(
-        np.minimum(shifts, ctx.indices_of(-ctx.coords_of(shifts))), return_inverse=True
-    )
-    return _sums_at(E, E, -1, reps)[back]
+    if at is None:
+        return _sum_tables(ctx, A.membership, B.membership, sign, A.size, B.size)
+    if A.size == ctx.order:  # every x - sign b lies in the full group
+        return np.full(len(at), B.size, dtype=np.int64)
+    back = None
+    if A is B and sign < 0:  # one index of each pair +-x, the lesser
+        at = np.minimum(at, ctx.indices_of(-ctx.coords_of(at)))
+        at, back = np.unique(at, return_inverse=True)
+    if ctx.d <= GATHER_MAX_DIM and len(at) * B.size <= GATHER_ROUTE_RATIO * ctx.order:
+        counts = _gathered_sums(A, B, sign, at)
+    else:
+        counts = _sums(A, B, sign)[at]
+    return counts if back is None else counts[back]
 
 
 def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
@@ -230,7 +216,7 @@ def _densest_shift(E: PointSet, S: PointSet, excluded) -> tuple | None:
     ctx = E.context
     shifts = S.indices()
     shifts = shifts[~np.isin(shifts, [ctx.index_of(pt) for pt in excluded])]
-    overlaps = _overlaps_at(E, shifts)
+    overlaps = _sums(E, E, -1, shifts)
     shifts = shifts[overlaps == overlaps.max(initial=1)]  # none when every overlap is 0
     return ctx.point_at(int(shifts[0])) if shifts.size else None
 
@@ -292,7 +278,7 @@ def edge_count(E: PointSet, S: PointSet, gamma: float = 0.0) -> EdgeCountReport:
         raise ValueError(
             f"the edge-count normalization is {scale}: gamma {gamma} leaves the float range"
         )
-    nu = int(_overlaps_at(E, S.indices()).sum())
+    nu = int(_sums(E, E, -1, S.indices()).sum())
     K = S.size / q ** (ctx.d - 1)
     main = K * E.size**2 / q
     err = nu - main
@@ -304,7 +290,7 @@ def triple_count(E: PointSet, S: PointSet) -> int:
     |{(y1, y2, x) in E^3 : x - y1 in S and x - y2 in S}|."""
     if E.size == 0:
         raise EmptySet("triple count over an empty set E")
-    return int((_sums_at(E, S, 1, E.indices()).astype(object) ** 2).sum())
+    return int((_sums(E, S, 1, E.indices()).astype(object) ** 2).sum())
 
 
 # -- intersection profiles --------------------------------------------------------
@@ -365,29 +351,59 @@ def overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def salem_overlap_maxima(ctx: FieldContext, stack: np.ndarray) -> tuple:
-    """(spectrum_maxima(ctx, stack), overlap_maxima(ctx, stack)) for a (T, q^d)
-    bool stack whose rows all hold as many points as its first.
+# Group cells of the sets salem_overlap_maxima evaluates at once: a (T, q^d)
+# bool stack of T = max(1, STACK_CELLS // q^d) sets, so small sets stop paying
+# each call's numpy and FFT set-up once per set.  Measured, before a dense
+# stack read its overlaps from the Salem pass, with `monte_carlo` on one core
+# of a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6, min of 21 interleaved runs,
+# ms) at p = 31 (500 trials of 31 points, T = 17 at 2^14), p = 101 (40 of
+# 1015, T = 1) and 7^3 (30 of 100, T = 47): 2^12 cells took 51.8/56.4/2.9,
+# 2^13 45.9/56.5/2.8, 2^14 42.3/57.3/2.5, 2^15 41.6/55.9/2.6 and 2^16
+# 47.9/70.4/2.8; one set a call took 87.9/74.9/7.1 (min of 7).  2^14 ties 2^15
+# and stays a factor 4 below 2^16, where six planes over F_101 share a stack
+# and run 23% slower.
+STACK_CELLS = 1 << 14
 
-    When the overlaps take the transform, the Salem pass also writes each
-    set's |S^|^2 on rfftn's half spectrum, and |S^|^2 is the transform of the
-    autocorrelation |S ^ (S - x)| (Wiener-Khinchin): one inverse real
-    transform of that table gives every overlap, rounded by _exact, in place
-    of a forward and an inverse transform of the overlaps' own.  The Salem
-    line table is gone by then, so the pass's peak and the inverse's do not
-    add up.  Sets whose overlaps list pairs take the two calls as they are.
+
+def salem_overlap_maxima(ctx: FieldContext, sets) -> tuple[list, list]:
+    """Two lists, max_{m != 0} |S^(m)| and max_{x != 0} |S ^ (S - x)|, for
+    each set S of the iterable `sets` in its order, each set given as point
+    indices or as a membership row.  Every value is the set's own, whichever
+    sets share its stack.
+
+    The sets are drawn max(1, STACK_CELLS // q^d) at a time, then scattered
+    into a zeroed (T, q^d) bool stack, so a row's pages are first touched
+    after its set's peak.  A stack whose first set's overlaps list pairs is
+    read by spectrum_maxima and overlap_maxima as they are.  Otherwise the
+    Salem pass also writes each set's |S^|^2 on rfftn's half spectrum, and
+    |S^|^2 is the transform of the autocorrelation |S ^ (S - x)|
+    (Wiener-Khinchin): one inverse real transform of that table gives every
+    overlap, rounded by _exact, in place of a forward and an inverse
+    transform of the overlaps' own.  The Salem line table is gone by then,
+    so the pass's peak and the inverse's do not add up.
     """
-    size = int(np.count_nonzero(stack[0]))
-    if _lists_pairs(ctx, size, size):
-        return spectrum_maxima(ctx, stack), overlap_maxima(ctx, stack)
-    sets = len(stack)
-    power = np.empty((sets,) + ctx.grid_shape[:-1] + (ctx.p // 2 + 1,))
-    worst = spectrum_maxima(ctx, stack, power)
-    counts = np.fft.irfftn(power, s=ctx.grid_shape, axes=tuple(range(1, ctx.d + 1)))
-    del power
-    counts = _exact(counts.reshape(sets, ctx.order))
-    counts[:, 0] = 0  # x = 0, where the overlap is |S|
-    return worst, counts.max(axis=1)
+    worst: list = []
+    overlaps: list = []
+    sets = iter(sets)
+    while drawn := list(itertools.islice(sets, max(1, STACK_CELLS // ctx.order))):
+        stack = np.zeros((len(drawn), ctx.order), dtype=bool)
+        for row, members in zip(stack, drawn):
+            row[members] = True
+        del drawn, members  # a dense sample's index table, before the kernels run
+        size = int(np.count_nonzero(stack[0]))
+        if _lists_pairs(ctx, size, size):
+            worst += spectrum_maxima(ctx, stack).tolist()
+            overlaps += overlap_maxima(ctx, stack).tolist()
+            continue
+        power = np.empty((len(stack),) + ctx.grid_shape[:-1] + (ctx.p // 2 + 1,))
+        worst += spectrum_maxima(ctx, stack, power).tolist()
+        counts = np.fft.irfftn(power, s=ctx.grid_shape, axes=tuple(range(1, ctx.d + 1)))
+        del power
+        counts = _exact(counts.reshape(len(stack), ctx.order))
+        counts[:, 0] = 0  # x = 0, where the overlap is |S|
+        overlaps += counts.max(axis=1).tolist()
+        del stack, counts  # neither is held while the next stack is drawn
+    return worst, overlaps
 
 
 # triple_overlap_max lists |S ^ (S + u)| |S| pairs and counts them into q^d
@@ -447,7 +463,7 @@ def prune(E: PointSet, S: PointSet, M: int) -> PointSet:
     if E.size == E.context.order and E.context == S.context:
         return E if S.size > M else PointSet.empty(E.context)
     members = E.indices()
-    return PointSet.from_indices(E.context, members[_sums_at(E, S, 1, members) > M])
+    return PointSet.from_indices(E.context, members[_sums(E, S, 1, members) > M])
 
 
 # -- rhombus and cube witnesses -----------------------------------------------------

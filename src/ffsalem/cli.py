@@ -36,6 +36,7 @@ from .randomsets import monte_carlo, sample_subset
 from .shatter import (
     Exhaustive,
     RandomSearch,
+    SearchStatus,
     ShatterProblem,
     construct_shatter3,
     shatter_search,
@@ -286,8 +287,9 @@ def _cmd_vc(args) -> tuple:
     bounds = vc_bounds(S, k_max=args.k_max, **_budget(args))
     result = {"set": label, **bounds.to_json()}
     if bounds.reason:
-        print(f"BUDGET EXHAUSTED: {bounds.reason}", file=sys.stderr)
-        return result, "BUDGET EXHAUSTED"
+        status = SearchStatus.BUDGET_EXHAUSTED.value
+        print(f"{status}: {bounds.reason}", file=sys.stderr)
+        return result, status
     return result, None
 
 
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "vc", parents=[source, fmt], help="exhaustive shattering bounds up to k-max"
     )
     sub.add_argument("--k-max", type=int, default=4, help="largest k to certify (at most 5)")
-    sub.add_argument("--budget", type=int, default=None, help="tuple budget per k")
+    sub.add_argument("--budget", type=int, default=None, help="tuple budget of one walk over all k")
     sub.set_defaults(func=_cmd_vc)
 
     sub = subs.add_parser(

@@ -4,8 +4,10 @@ The shattering tables here are frozen data: a 4-point configuration for the
 symmetrized parabola over F_11 with explicit witness centers for every
 nonempty subset, and x-tuples over F_17, F_23, F_29 whose witnesses are
 recovered by region search.  The remaining presets sweep character-sum and
-conic families.  Every preset returns a plain dict with a top-level "pass"
-so the CLI can turn it into an exit code.
+conic families; the conic census reads its conics through the same
+analysis.salem_overlap_maxima call as random-trials reads its samples.
+Every preset returns a plain dict with a top-level "pass" so the CLI can
+turn it into an exit code.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import time
 
 import numpy as np
 
-from .analysis import overlap_maxima
+from .analysis import salem_overlap_maxima
 from .curves import Quadratic, symmetrized_parabola
 from .errors import SweepTooLarge
 from .field import FieldContext, character_row_sums, legendre
-from .pointset import PointSet, spectrum_maxima
-from .randomsets import STACK_CELLS
+from .pointset import PointSet
 from .shatter import (
     SearchStatus,
     ShatterProblem,
@@ -123,9 +124,10 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
     the plane (the spectrum) and a listing of its ~p^2 point pairs (the
     largest overlap), so p^2 * count > CONIC_CENSUS_MAX_CELLS raises SweepTooLarge
     before the first conic is drawn (about 0.06 us per cell on one core of a
-    2-vCPU Xeon VM: 0.95 s for 100 conics at p = 409).  Conics of the right
-    size are evaluated as monte_carlo's trials are, a stack of
-    max(1, STACK_CELLS // p^2) at a time, so each list keeps conic order.
+    2-vCPU Xeon VM: 0.95 s for 100 conics at p = 409).  The conics of the
+    right size go, as they are drawn, to one salem_overlap_maxima call, which
+    evaluates them in stacks as it does monte_carlo's trials and answers in
+    their order, so each list keeps conic order.
     """
     ctx = FieldContext(p, 2)
     if p * p * count > CONIC_CENSUS_MAX_CELLS:
@@ -133,45 +135,40 @@ def conic_census(p: int, seed: int, count: int = 100) -> dict:
             f"conic-census at p = {p} with {count} conics transforms p^2 * count = "
             f"{p * p * count} cells, above the cap {CONIC_CENSUS_MAX_CELLS}"
         )
-    q = float(p)
     rng = np.random.Generator(np.random.Philox(seed))
-    checked = 0
     attempts = 0
     bad_counts: list = []
-    bad_salem: list = []
-    bad_overlap: list = []
     sizes: dict = {}
-    stack = np.empty((min(count, max(1, STACK_CELLS // ctx.order)), ctx.order), dtype=bool)
-    stacked: list = []  # the coefficients of the conics in stack[:len(stacked)]
-    while checked < count:
-        attempts += 1
-        if attempts > 100 * count:
-            raise RuntimeError("rejection sampling failed to find smooth conics")
-        a, b, c, d, e, f = (int(v) for v in rng.integers(0, p, size=6))
-        try:
-            quad = Quadratic(ctx, a, b, c, d, e, f)
-        except ValueError:  # no quadratic part, or univariate draw
-            continue
-        if quad.det3 == 0:
-            continue
-        checked += 1
-        Z = quad.zero_set()
-        sizes[Z.size] = sizes.get(Z.size, 0) + 1
-        coeffs = [a, b, c, d, e, f]
-        if Z.size in (p - 1, p, p + 1):
-            stack[len(stacked)] = Z.membership
-            stacked.append(coeffs)
-        else:
-            bad_counts.append(coeffs)
-        if stacked and (len(stacked) == len(stack) or checked == count):
-            block = stack[: len(stacked)]
-            phis = (p**2 * spectrum_maxima(ctx, block)).tolist()
-            for coeffs, phi, overlap in zip(stacked, phis, overlap_maxima(ctx, block).tolist()):
-                if phi > 2.0 * math.sqrt(q) + 1e-6:
-                    bad_salem.append(coeffs)
-                if overlap > 2:
-                    bad_overlap.append(coeffs)
-            stacked = []
+    right_sized: list = []  # the coefficients of the conics with p - 1, p or p + 1 points
+
+    def conics():
+        nonlocal attempts
+        checked = 0
+        while checked < count:
+            attempts += 1
+            if attempts > 100 * count:
+                raise RuntimeError("rejection sampling failed to find smooth conics")
+            a, b, c, d, e, f = (int(v) for v in rng.integers(0, p, size=6))
+            try:
+                quad = Quadratic(ctx, a, b, c, d, e, f)
+            except ValueError:  # no quadratic part, or univariate draw
+                continue
+            if quad.det3 == 0:
+                continue
+            checked += 1
+            Z = quad.zero_set()
+            sizes[Z.size] = sizes.get(Z.size, 0) + 1
+            coeffs = [a, b, c, d, e, f]
+            if Z.size in (p - 1, p, p + 1):
+                right_sized.append(coeffs)
+                yield Z.membership
+            else:
+                bad_counts.append(coeffs)
+
+    worst, overlaps = salem_overlap_maxima(ctx, conics())
+    bound = 2.0 * math.sqrt(float(p)) + 1e-6
+    bad_salem = [c for c, w in zip(right_sized, worst) if p**2 * w > bound]
+    bad_overlap = [c for c, overlap in zip(right_sized, overlaps) if overlap > 2]
     ok = not bad_counts and not bad_salem and not bad_overlap
     return {
         "pass": ok,

@@ -4,10 +4,10 @@ A uniform size-k subset of F_p^d is almost surely close to Salem: its largest
 nontrivial character sum Phi = q^d max_{m != 0} |S^(m)| stays below
 2 sqrt(2 (1+eps) m log n) with m = min(k, n-k), n = q^d.  This module samples
 such sets reproducibly, prices that bound on exact spectra, and aggregates
-Monte Carlo sweeps over seeds.  A sweep scatters each sample's indices
-straight into a stack of sets and reads each stack's Phi and Omega with one
-analysis.salem_overlap_maxima call: one transform a set when the sets are
-dense, pair listing when they are sparse.
+Monte Carlo sweeps over seeds.  A sweep hands its samples' indices, drawn
+one at a time, to one analysis.salem_overlap_maxima call, which stacks them
+and reads every Phi and Omega: one transform a set when the sets are dense,
+pair listing when they are sparse.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ from .pointset import PointSet, spectrum_max
 GENERATOR_NAME = "philox"  # counter-based, safe to split across trials
 
 QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-# Group cells of the sets evaluated at once: a Monte Carlo sweep (and a conic
-# census) fills a (T, q^d) bool stack of T = max(1, STACK_CELLS // q^d) sets
-# and reads it with one `spectrum_maxima` and one `overlap_maxima` call (a
-# sweep's one `salem_overlap_maxima` call makes them), so small sets stop
-# paying each call's numpy and FFT set-up once per set.  Measured, before a
-# dense stack read its overlaps from the Salem pass, with `monte_carlo` on one
-# core of a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6, min of 21 interleaved
-# runs, ms) at p = 31 (500 trials of 31 points, T = 17 at 2^14), p = 101 (40
-# of 1015, T = 1) and 7^3 (30 of 100, T = 47): 2^12 cells took 51.8/56.4/2.9,
-# 2^13 45.9/56.5/2.8, 2^14 42.3/57.3/2.5, 2^15 41.6/55.9/2.6 and 2^16
-# 47.9/70.4/2.8; one set a call took 87.9/74.9/7.1 (min of 7).  2^14 ties 2^15
-# and stays a factor 4 below 2^16, where six planes over F_101 share a stack
-# and run 23% slower.
-STACK_CELLS = 1 << 14
 
 # Fisher-Yates jumps turned into Python ints at a time: a sample at the cap
 # would otherwise hold all 2 078 760 of them as ints at once (about 72 MB)
@@ -102,6 +87,11 @@ class HayesReport:
         }
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not -1.0 <= epsilon < math.inf:  # written so that nan fails too
+        raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
+
+
 def _hayes_bound(n: int, k: int, epsilon: float) -> float:
     """2 sqrt(2 (1+eps) m log n) with m = min(k, n - k)."""
     return 2.0 * math.sqrt(2.0 * (1.0 + epsilon) * min(k, n - k) * math.log(n))
@@ -111,8 +101,10 @@ def hayes_check(S: PointSet, epsilon: float) -> HayesReport:
     """Phi(S) against 2 sqrt(2 (1+eps) m log n) on the exact spectrum.
 
     The empty set and the full group make m = 0 and the bound vacuous, so
-    both raise DegenerateSize.
+    both raise DegenerateSize; an epsilon that is not a finite number >= -1
+    is a ValueError.
     """
+    _check_epsilon(epsilon)
     ctx = S.context
     n = ctx.order
     k = S.size
@@ -181,34 +173,24 @@ def monte_carlo(
 
     Degenerate sizes (0 or the whole group) are counted as skipped rather
     than failed.  Omega = max_{x != 0} |S cap (S - x)| is compared against
-    p^beta per trial.  Trials run serially in seed order, a stack of
-    max(1, STACK_CELLS // q^d) sets at a time: trial i is still
-    sample_subset(ctx, size, trial_seeds[i]), and one `salem_overlap_maxima`
-    call evaluates each stack, with every Phi and Omega bit for bit the
-    set's own.  A thread pool measured no better on every metric at once
-    (README, "Determinism").
+    p^beta per trial.  Trials are drawn serially in seed order and
+    evaluated by one `salem_overlap_maxima` call, which stacks them: trial i
+    is still sample_subset(ctx, size, trial_seeds[i]), with every Phi and
+    Omega bit for bit the set's own.  A thread pool measured no better on
+    every metric at once (README, "Determinism").
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= size <= ctx.order:
         raise SizeOutOfRange(f"size must lie in [0, {ctx.order}], got {size}")
-    if not -1.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite number >= -1, got {epsilon}")
+    _check_epsilon(epsilon)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be a finite number, got {beta}")
     seeds = [trial_seed(seed, i) for i in range(trials)]
-    phis: list = []
-    omegas: list = []
+    phis, omegas = [], []
     if not (size == 0 or size == ctx.order):
-        sets = max(1, STACK_CELLS // ctx.order)
-        for start in range(0, trials, sets):
-            # calloc'd, so a row's pages are first touched after its sample's peak
-            block = np.zeros((min(sets, trials - start), ctx.order), dtype=bool)
-            for row, tseed in zip(block, seeds[start : start + len(block)]):
-                row[_sample_indices(ctx, size, tseed)] = True
-            worst, overlaps = salem_overlap_maxima(ctx, block)
-            phis += (ctx.order * worst).tolist()
-            omegas += overlaps.tolist()
+        worst, omegas = salem_overlap_maxima(ctx, (_sample_indices(ctx, size, s) for s in seeds))
+        phis = [ctx.order * w for w in worst]
     effective = len(phis)
     bound = _hayes_bound(ctx.order, size, epsilon)
     passes = sum(1 for phi in phis if phi < bound)

@@ -205,7 +205,7 @@ def _bits_from_bool(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
+def _neighborhoods(S: PointSet, W: PointSet, indices) -> list[int]:
     """Bitsets of N(x) = (x - S) ^ W for the points at these indices, in order.
 
     The points x = (x', x_d) that share x' form a line class.  Adding t e_d
@@ -221,7 +221,7 @@ def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
     2 MiB more).  The classes are counted in one array over the p^(d-1)
     values of x', and each block's points become Python ints with the
     block."""
-    ctx = problem.context
+    ctx = S.context
     q, p = ctx.order, ctx.p
     step = q // p  # index(y + e_d) = index(y) + step mod q
     heads, lines = np.divmod(np.asarray(indices, dtype=np.int64), step)  # x_d and index(x', 0)
@@ -233,15 +233,15 @@ def _neighborhoods(problem: ShatterProblem, indices) -> list[int]:
     turns = (heads - base[lines]) % p
     members = np.argsort(lines, kind="stable")  # positions, class by class
     reps, solo = classes + base[classes] * step, sizes == 1
-    w_bits = 0 if solo.all() else _bits_from_bool(problem.W.membership)
-    neg_s = -ctx.coords_of(problem.S.indices()) % p
+    w_bits = 0 if solo.all() else _bits_from_bool(W.membership)
+    neg_s = -ctx.coords_of(S.indices()) % p
     out, begin = [0] * len(members), 0
     rows = max(1, NEIGHBORHOOD_BLOCK // q)
     for start in range(0, len(reps), rows):
         block = reps[start : start + rows]
         mask = np.zeros((len(block), q), dtype=bool)
         cells = ctx.sum_index(ctx.coords_of(block), neg_s)
-        keep = problem.W.membership[cells]  # x - s in W, read for |S| cells, not q
+        keep = W.membership[cells]  # x - s in W, read for |S| cells, not q
         keep |= ~solo[start : start + rows, None]  # a row to rotate keeps all of x - S
         cells += (np.arange(len(block)) * q)[:, None]
         mask.reshape(-1)[cells[keep]] = True
@@ -274,7 +274,7 @@ def _table(problem: ShatterProblem) -> tuple[list[int], list[int]]:
             f"above the guard {NEIGHBORHOOD_BITS_GUARD}"
         )
     e_idx = [int(i) for i in problem.E.indices()]
-    return e_idx, _neighborhoods(problem, e_idx)
+    return e_idx, _neighborhoods(problem.S, problem.W, e_idx)
 
 
 def _least_point(ctx: FieldContext, bits: int) -> tuple:
@@ -496,7 +496,7 @@ def _split_rows(problem: ShatterProblem, e_idx: list, neigh: list):
         w_idx, rows = e_idx, neigh
     elif (E.size + W.size) * ctx.order <= NEIGHBORHOOD_BITS_GUARD:
         w_idx = [int(i) for i in W.indices()]
-        rows = _neighborhoods(ShatterProblem(S.negate(), W, E, problem.k), w_idx)
+        rows = _neighborhoods(S.negate(), E, w_idx)
     else:
         return None
     return rows if len(w_idx) == ctx.order else dict(zip(w_idx, rows))
@@ -600,7 +600,9 @@ def witness_for_points(problem: ShatterProblem, points: Sequence[Sequence[int]])
         if pt not in problem.E:
             raise ValueError(f"point {tuple(pt)} is not in E")
     chosen = [ctx.index_of(pt) for pt in points]
-    regions = _regions(_bits_from_bool(problem.W.membership), _neighborhoods(problem, chosen))
+    regions = _regions(
+        _bits_from_bool(problem.W.membership), _neighborhoods(problem.S, problem.W, chosen)
+    )
     if regions is None:
         return SearchOutcome(SearchStatus.NOT_FOUND, None, SearchStats(1))
     witness = _verified(problem, _witness_from_regions(ctx, chosen, regions))
@@ -709,9 +711,8 @@ def construct_shatter3(S: PointSet, E: PointSet) -> SearchOutcome:
         0b110: ctx.add(r.x3, cube.v),
     }
     problem = ShatterProblem(S, E, E, 3)
-    regions = _regions(
-        _bits_from_bool(E.membership), _neighborhoods(problem, [ctx.index_of(x) for x in xs])
-    )
+    chosen = [ctx.index_of(x) for x in xs]
+    regions = _regions(_bits_from_bool(E.membership), _neighborhoods(S, E, chosen))
     if regions is None:
         return SearchOutcome(SearchStatus.NOT_FOUND)
     # the least point of each lower region, off the cube for y^1, y^2, y^3

@@ -26,10 +26,8 @@ from ffsalem.analysis import (
     _cyclic_convolution,
     _exact,
     _gathered_sums,
-    _overlaps_at,
     _pair_counts,
     _sums,
-    _sums_at,
     salem_overlap_maxima,
 )
 from ffsalem.randomsets import sample_subset
@@ -131,7 +129,7 @@ def test_full_e_closed_forms_match_fft(p, d):
         S = random_set(ctx, ctx.order // (2 + seed), seed=seed + 10 * p + d)
         counts = _exact(_cyclic_convolution(full.membership, S.membership, ctx))
         assert np.array_equal(convolve(full, S).values, counts)
-        assert np.array_equal(_sums_at(full, S, 1, S.indices()), counts[S.indices()])
+        assert np.array_equal(_sums(full, S, 1, S.indices()), counts[S.indices()])
         for M in (-1, 0, S.size - 1, S.size, ctx.order):
             assert prune(full, S, M) == PointSet(ctx, full.membership & (counts > M))
 
@@ -279,8 +277,8 @@ def test_salem_overlap_maxima_is_both_readers(monkeypatch, p, d, sets, slab_cell
     for size in sorted({0, 1, edge, edge + 1, ctx.order // 2, ctx.order - 1, ctx.order}):
         stack = np.stack([random_set(ctx, size, seed=size + i).membership for i in range(sets)])
         worst, overlaps = salem_overlap_maxima(ctx, stack)
-        assert worst.tolist() == spectrum_maxima(ctx, stack).tolist()
-        assert overlaps.tolist() == overlap_maxima(ctx, stack).tolist()
+        assert worst == spectrum_maxima(ctx, stack).tolist()
+        assert overlaps == overlap_maxima(ctx, stack).tolist()
 
 
 def test_salem_overlap_maxima_guards_its_rounding(monkeypatch, transforms):
@@ -436,7 +434,7 @@ def test_differences_with_an_asymmetric_set(
     monkeypatch.setattr(analysis, "PAIR_ROUTE_RATIO", pair_ratio)
     monkeypatch.setattr(analysis, "GATHER_ROUTE_RATIO", gather_ratio)
     assert _sums(A, B, -1).tolist() == table
-    assert _sums_at(A, B, -1, points).tolist() == [table[i] for i in points]
+    assert _sums(A, B, -1, points).tolist() == [table[i] for i in points]
     expected = {
         "pairs": ([((A.size,), (B.size,))] * 2, [], []),
         "gather": ([], [True], [False]),
@@ -535,8 +533,8 @@ def test_gather_route_matches_table_route_and_brute(p, d, monkeypatch, gathers):
                 force_route(m, route)
                 gathers.clear()
                 assert edge_count(E, S).nu == nu, (name, route)
-                assert _overlaps_at(E, shifts).tolist() == _sums(E, E, -1)[shifts].tolist()
-                assert _sums_at(E, S, 1, E.indices()).tolist() == conv, (name, route)
+                assert _sums(E, E, -1, shifts).tolist() == _sums(E, E, -1)[shifts].tolist()
+                assert _sums(E, S, 1, E.indices()).tolist() == conv, (name, route)
                 assert triple_count(E, S) == triple, (name, route)
                 for M in (-1, 0, 1, max(conv, default=0)):
                     kept = [x for x, c in zip(E, conv) if c > M]
@@ -576,7 +574,7 @@ def test_gather_route_runs_up_to_the_ratio(monkeypatch, gathers, transforms):
         assert E.size * 31 - ratio * ctx.order == offset * 31
         gathers.clear()
         edge_count(E, S)  # 31 pairs +-u
-        _sums_at(E, half, 1, E.indices())  # 31 shifts
+        _sums(E, half, 1, E.indices())  # 31 shifts
         assert gathers == expected, offset
     assert transforms == [True, False]  # above the ratio, E*S is not listed in pairs
 

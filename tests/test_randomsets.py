@@ -189,6 +189,18 @@ def test_monte_carlo_rejects_bad_epsilon_beta(kwargs):
         monte_carlo(F5, size=5, trials=1, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -2.0])
+def test_both_entry_points_reject_a_bad_epsilon(epsilon):
+    # one check, before any work: no NaN bound, no bound that every set
+    # passes, and no bare math domain error
+    S = sample_subset(F11, 20, seed=9)
+    message = r"epsilon must be a finite number >= -1, got"
+    with pytest.raises(ValueError, match=message):
+        hayes_check(S, epsilon)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(F11, size=20, trials=1, seed=1, epsilon=epsilon)
+
+
 def test_monte_carlo_huge_beta_exceeds_nothing():
     # 11^1e300 is past the float range: the threshold is infinite, not an OverflowError
     s = monte_carlo(F11, size=15, trials=3, seed=6, beta=1e300)
@@ -243,9 +255,9 @@ def test_monte_carlo_stacks_keep_each_trials_phi_and_omega(monkeypatch, p, d, fi
     size = FILLS[fill](ctx.order)
     assert analysis._lists_pairs(ctx, size, size) == (fill == "one point")
     if small:
-        monkeypatch.setattr(randomsets, "STACK_CELLS", 3 * ctx.order)
+        monkeypatch.setattr(analysis, "STACK_CELLS", 3 * ctx.order)
         monkeypatch.setattr(pointset, "SPECTRUM_SLAB_CELLS", 40)
-    trials = (3 if small else randomsets.STACK_CELLS // ctx.order) + 2
+    trials = (3 if small else analysis.STACK_CELLS // ctx.order) + 2
     s = monte_carlo(ctx, size, trials, seed=p + d)
     assert len(s.phi_values) == len(s.omega_values) == trials
     for ts, phi, omega in zip(s.trial_seeds, s.phi_values, s.omega_values):
@@ -317,7 +329,7 @@ def test_monte_carlo_takes_one_transform_a_dense_stack(monkeypatch, p, d, size, 
     monkeypatch.setattr(analysis, "spectrum_maxima", recording)
     monkeypatch.setattr(analysis, "_cyclic_convolution", None)
     ctx = FieldContext(p, d)
-    trials = 3 * max(1, randomsets.STACK_CELLS // ctx.order)
+    trials = 3 * max(1, analysis.STACK_CELLS // ctx.order)
     s = monte_carlo(ctx, size, trials, seed=2)
     assert calls == [captured] * 3
     assert len(s.omega_values) == trials
@@ -326,13 +338,34 @@ def test_monte_carlo_takes_one_transform_a_dense_stack(monkeypatch, p, d, size, 
 def test_conic_census_stacks_keep_conic_order(monkeypatch):
     # every conic fails a shifted overlap check, so bad_overlap lists them
     # all, in the order they were drawn, whatever the stack size
-    real = presets.overlap_maxima
-    monkeypatch.setattr(presets, "overlap_maxima", lambda ctx, stack: real(ctx, stack) + 3)
+    real = analysis.overlap_maxima
+    monkeypatch.setattr(analysis, "overlap_maxima", lambda ctx, stack: real(ctx, stack) + 3)
     stacked = presets.conic_census(13, seed=3, count=40)
-    monkeypatch.setattr(presets, "STACK_CELLS", 1)
+    monkeypatch.setattr(analysis, "STACK_CELLS", 1)
     assert presets.conic_census(13, seed=3, count=40) == stacked
     assert len(stacked["bad_overlap"]) + len(stacked["bad_point_counts"]) == 40
     assert stacked["bad_overlap"] and not stacked["bad_salem"]
+
+
+# the whole census dicts, frozen from the sweep with a hand-written stack loop:
+# p = 13 stacks 96 conics of 12, 13 and 14 points, p = 101 one conic a stack
+CONIC_CENSUS_FROZEN = {
+    (13, 3, 100): {
+        "pass": True, "p": 13, "seed": 3, "count": 100, "attempts": 108,
+        "size_histogram": {"12": 51, "13": 9, "14": 40},
+        "bad_point_counts": [], "bad_salem": [], "bad_overlap": [],
+    },
+    (101, 9, 50): {
+        "pass": True, "p": 101, "seed": 9, "count": 50, "attempts": 51,
+        "size_histogram": {"100": 23, "101": 1, "102": 26},
+        "bad_point_counts": [], "bad_salem": [], "bad_overlap": [],
+    },
+}
+
+
+@pytest.mark.parametrize("p, seed, count", sorted(CONIC_CENSUS_FROZEN))
+def test_conic_census_results_are_frozen(p, seed, count):
+    assert presets.conic_census(p, seed=seed, count=count) == CONIC_CENSUS_FROZEN[p, seed, count]
 
 
 def test_symmetrized_intersection_decomposition():

@@ -660,9 +660,9 @@ def test_vc_builds_one_neighborhood_table(monkeypatch, E_kind):
     built = []
     real = shatter._neighborhoods
 
-    def recording(problem, indices):
-        built.append((len(indices), problem.W.size))
-        return real(problem, indices)
+    def recording(S, W, indices):
+        built.append((len(indices), W.size))
+        return real(S, W, indices)
 
     monkeypatch.setattr(shatter, "_neighborhoods", recording)
     S = symmetrized_parabola(F11).points
@@ -704,7 +704,7 @@ TABLE_GUARD_MESSAGE = (
 
 @pytest.fixture
 def no_table(monkeypatch):
-    def refuse(problem, indices):
+    def refuse(S, W, indices):
         raise AssertionError("an N(x) table was built")
 
     monkeypatch.setattr(shatter, "_neighborhoods", refuse)
@@ -837,8 +837,8 @@ def test_neighborhoods_match_the_per_row_build(monkeypatch, block, p, d):
     indices = list(range(ctx.order))
     for S in (sphere(ctx, 1).points, PointSet.empty(ctx), random_set(ctx, p + 3, seed=d)):
         problem = ShatterProblem(S, PointSet.full(ctx), W, 2)
-        assert shatter._neighborhoods(problem, indices) == _per_row_neighborhoods(problem, indices)
-        assert shatter._neighborhoods(problem, []) == []
+        assert shatter._neighborhoods(S, W, indices) == _per_row_neighborhoods(problem, indices)
+        assert shatter._neighborhoods(S, W, []) == []
 
 
 ORACLE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -885,7 +885,8 @@ def test_neighborhoods_match_the_brute_oracle(data):
     block = shatter.NEIGHBORHOOD_BLOCK if rows is None else rows * ctx.order
     with mock.patch.object(shatter, "NEIGHBORHOOD_BLOCK", block):
         for problem in (ShatterProblem(S, E, W, 2), ShatterProblem(S.negate(), W, E, 2)):
-            assert shatter._neighborhoods(problem, indices) == brute_neighborhoods(problem, indices)
+            got = shatter._neighborhoods(problem.S, problem.W, indices)
+            assert got == brute_neighborhoods(problem, indices)
 
 
 @pytest.mark.parametrize("p,d", [(11, 1), (5, 2), (7, 2), (3, 3)])
@@ -971,9 +972,9 @@ def test_walk_past_the_split_rows_guard_tries_every_position(monkeypatch):
     built, calls = [], []
     real_neighborhoods, real_extend = shatter._neighborhoods, shatter._regions_extend
 
-    def recording_neighborhoods(problem, indices):
+    def recording_neighborhoods(S, W, indices):
         built.append(len(indices))
-        return real_neighborhoods(problem, indices)
+        return real_neighborhoods(S, W, indices)
 
     def recording_extend(regions, nb, j):
         calls.append(j)
